@@ -1,15 +1,18 @@
 """Centralized multi-image matching: distinctiveness, kernel density,
 density-ascent tree, and the merge-or-break loop.
 
-The private array-level helpers (`sigma_per_image`, `density_values`,
-`tree_arrays`, `merge_labels`) are shared with the distributed harness,
-which runs the same pipeline per agent on feature subsets.
+`cluster_rows` runs the whole chain over any set of feature rows; it is the
+one pipeline behind `quickmatch` and behind every agent's local and final
+clustering in the distributed harness. The public step functions
+(`compute_distinctiveness` ... `break_and_merge`) expose the same stages one
+at a time over a whole FeatureSet.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
@@ -209,27 +212,65 @@ def merge_labels(
     return np.array([find(r) for r in range(n)], dtype=np.intp)
 
 
-def _labels_to_clustering(labels: np.ndarray, ids, meta) -> Clustering:
-    groups: dict[int, list] = {}
-    for row, lab in enumerate(labels):
-        groups.setdefault(int(lab), []).append(ids[row])
-    return Clustering(groups.values(), meta)
+def label_groups(labels: np.ndarray) -> list[np.ndarray]:
+    """Row indices per label, ascending within each group; groups in label order."""
+    if len(labels) == 0:
+        return []
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+
+
+class RowClusters(NamedTuple):
+    """What :func:`cluster_rows` produced, aligned with its input rows."""
+
+    labels: np.ndarray
+    parent: np.ndarray
+    edge_length: np.ndarray
+    sigma_a: float  # longest tree edge; +inf when there is none
+
+
+def cluster_rows(
+    vectors: np.ndarray,
+    image_slots: np.ndarray,
+    id_rank: np.ndarray,
+    n_images: int,
+    params: MatchParams,
+    *,
+    fallback_sigma_a: bool = False,
+) -> RowClusters:
+    """The matching pipeline over one set of rows: sigma, density, tree, merge.
+
+    Density bandwidths always come from :func:`resolve_sigma` over these
+    rows. For the merge threshold, an image with fewer than two rows takes
+    the same whole-set fill, or, with ``fallback_sigma_a`` (the distributed
+    agents), sigma_a: the longest parent edge, which is only known once the
+    tree is built.
+    """
+    raw = sigma_per_image(vectors, image_slots, n_images)
+    sigma = resolve_sigma(raw, vectors)
+    density = density_values(vectors, image_slots, sigma, params.kernel)
+    parent, edge = tree_arrays(vectors, density, id_rank)
+    has_parent = parent >= 0
+    sigma_a = float(edge[has_parent].max()) if has_parent.any() else math.inf
+    if fallback_sigma_a:
+        sigma = np.maximum(np.where(np.isnan(raw), sigma_a, raw), SIGMA_FLOOR)
+    labels = merge_labels(parent, edge, image_slots, sigma, params.rho, id_rank)
+    return RowClusters(labels, parent, edge, sigma_a)
+
+
+def _labels_to_clustering(labels: np.ndarray, ids, params: MatchParams) -> Clustering:
+    meta = {"algorithm": "quickmatch", "rho": params.rho, "kernel": params.kernel.value}
+    return Clustering([[ids[r] for r in rows] for rows in label_groups(labels)], meta)
 
 
 def break_and_merge(
     fs: FeatureSet, tree: DensityTree, dist: Distinctiveness, params: MatchParams
 ) -> Clustering:
     labels = merge_labels(tree.parent, tree.edge_length, fs.image_slots, dist.sigma, params.rho, fs.id_rank)
-    meta = {"algorithm": "quickmatch", "rho": params.rho, "kernel": params.kernel.value}
-    return _labels_to_clustering(labels, fs.ids, meta)
+    return _labels_to_clustering(labels, fs.ids, params)
 
 
 def quickmatch(fs: FeatureSet, params: MatchParams = MatchParams()) -> Clustering:
-    """Full centralized pipeline: distinctiveness, density, tree, merge."""
-    meta = {"algorithm": "quickmatch", "rho": params.rho, "kernel": params.kernel.value}
-    if len(fs) == 0:
-        return Clustering([], meta)
-    dist = compute_distinctiveness(fs)
-    density = compute_density(fs, dist, params.kernel)
-    tree = build_tree(fs, density)
-    return break_and_merge(fs, tree, dist, params)
+    """Full centralized pipeline: :func:`cluster_rows` over every feature."""
+    labels = cluster_rows(fs.vectors, fs.image_slots, fs.id_rank, fs.image_count, params).labels
+    return _labels_to_clustering(labels, fs.ids, params)

@@ -26,6 +26,7 @@ from .core import (
     canonical_json,
     load_clustering,
     load_features,
+    read_input,
     save_clustering,
     save_features,
     sha256_hex,
@@ -243,11 +244,13 @@ def _cmd_dmatch(args: argparse.Namespace) -> int:
 
 
 def _load_contested(path: str) -> list[FeatureId]:
-    payload = json.loads(Path(path).read_text())
-    ids = payload.get("contested_ids") if isinstance(payload, dict) else payload
-    if ids is None:
-        raise InputError(f"{path}: no contested_ids field")
-    return [FeatureId(int(i), int(k)) for i, k in ids]
+    def convert(payload: Any) -> list[FeatureId]:
+        ids = payload.get("contested_ids") if isinstance(payload, dict) else payload
+        if ids is None:
+            raise InputError(f"{path}: no contested_ids field")
+        return [FeatureId(int(i), int(k)) for i, k in ids]
+
+    return read_input(path, convert)
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:

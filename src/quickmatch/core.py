@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -41,7 +41,8 @@ class InputError(ValueError):
 
 
 class ParseError(InputError):
-    """A file could not be parsed; the message names the offending line."""
+    """A file could not be parsed; the message names the file and, for text
+    formats, the offending line."""
 
 
 class ValidationError(InputError):
@@ -177,18 +178,6 @@ class FeatureSet:
         except KeyError:
             raise InputError(f"unknown feature id {tuple(fid)}") from None
 
-    def vector_of(self, fid: FeatureId) -> np.ndarray:
-        return self._vectors[self.row_of(fid)]
-
-    def slot_of_image(self, image_id: int) -> int:
-        try:
-            return self._image_ids.index(image_id)
-        except ValueError:
-            raise InputError(f"unknown image id {image_id}") from None
-
-    def rows_of_image(self, image_id: int) -> np.ndarray:
-        return np.flatnonzero(self._image_slots == self.slot_of_image(image_id))
-
     def for_images(self, image_ids: Sequence[int]) -> "FeatureSet":
         """Sub-FeatureSet keeping only the given images (row order preserved)."""
         keep = set(image_ids)
@@ -240,9 +229,6 @@ class Clustering:
                 out[fid] = c
         return out
 
-    def same_clusters(self, other: "Clustering") -> bool:
-        return self.clusters == other.clusters
-
 
 @dataclass(frozen=True)
 class DensityTree:
@@ -258,11 +244,6 @@ class DensityTree:
     parent: np.ndarray
     edge_length: np.ndarray
     density: np.ndarray
-
-    def parent_of(self, fid: FeatureId, ids_row: Mapping[FeatureId, int] | None = None) -> FeatureId | None:
-        row = self.ids.index(FeatureId(*fid)) if ids_row is None else ids_row[FeatureId(*fid)]
-        p = int(self.parent[row])
-        return None if p < 0 else self.ids[p]
 
     @property
     def roots(self) -> np.ndarray:
@@ -322,6 +303,37 @@ def validate_clustering(clustering: Clustering, source: FeatureSet | None = None
             raise ValidationError(f"feature {tuple(fid)} not in the source feature set (C1)")
 
 
+# -- input files --------------------------------------------------------------
+
+T = TypeVar("T")
+
+
+def read_input(path: str | Path, convert: Callable[[Any], T] | None = None) -> str | T:
+    """Read a UTF-8 input file, naming ``path`` in every error.
+
+    A file that cannot be read or decoded raises InputError. With
+    ``convert``, the text is parsed as JSON and the payload passed through
+    ``convert``; malformed JSON or a payload of the wrong shape raises
+    ParseError. Input errors raised by ``convert`` itself pass unchanged.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    if convert is None:
+        return text
+    try:
+        return convert(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON ({exc})") from None
+    except InputError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: unexpected payload ({type(exc).__name__}: {exc})") from None
+
+
 # -- descriptor text format ---------------------------------------------------
 #
 # One feature per line: `image_id feature_id v1 v2 ... vF`, whitespace
@@ -330,12 +342,10 @@ def validate_clustering(clustering: Clustering, source: FeatureSet | None = None
 
 def load_features(path: str | Path) -> FeatureSet:
     path = Path(path)
-    if not path.exists():
-        raise InputError(f"{path}: no such file")
     rows: list[tuple[int, int, list[float]]] = []
     dim: int | None = None
     seen: set[FeatureId] = set()
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_input(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -391,17 +401,13 @@ def save_clustering(clustering: Clustering, path: str | Path, source: FeatureSet
 
 
 def load_clustering(path: str | Path) -> Clustering:
-    path = Path(path)
-    if not path.exists():
-        raise InputError(f"{path}: no such file")
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(payload, dict) or "clusters" not in payload:
-        raise ParseError(f"{path}: missing `clusters` key")
-    try:
+    def convert(payload: Any) -> Clustering:
+        if not isinstance(payload, dict) or "clusters" not in payload:
+            raise ParseError(f"{path}: missing `clusters` key")
+        meta = payload.get("meta", {})
+        if not isinstance(meta, dict):
+            raise ParseError(f"{path}: `meta` must be an object")
         clusters = [[FeatureId(int(i), int(k)) for i, k in members] for members in payload["clusters"]]
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: malformed cluster entry ({exc})") from None
-    return Clustering(clusters, payload.get("meta", {}))
+        return Clustering(clusters, meta)
+
+    return read_input(path, convert)

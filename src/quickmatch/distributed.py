@@ -26,15 +26,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .centralized import (
-    MatchParams,
-    SIGMA_FLOOR,
-    density_values,
-    merge_labels,
-    resolve_sigma,
-    sigma_per_image,
-    tree_arrays,
-)
+from .centralized import MatchParams, RowClusters, cluster_rows, label_groups
 from .core import (
     Clustering,
     FeatureId,
@@ -46,7 +38,7 @@ from .core import (
     sha256_hex,
     validate_clustering,
 )
-from .kernels import Kernel, quadratic_kernel  # noqa: F401  (re-exported op)
+from .kernels import Kernel
 from .partition import Partition, bisector_distances, kmeans_seeds, random_seeds
 
 __all__ = [
@@ -63,7 +55,6 @@ __all__ = [
     "transfer_round",
     "finalize",
     "distributed_quickmatch",
-    "quadratic_kernel",
     "CONTESTED_SIGMA_MODES",
     "DEFAULT_CONTESTED_SIGMA",
 ]
@@ -230,21 +221,16 @@ class AgentState:
     kept: np.ndarray
     adopted: list[np.ndarray] = field(default_factory=list)
 
-    density: np.ndarray | None = None
     parent: np.ndarray | None = None
-    edge_length: np.ndarray | None = None
     sigma_p: np.ndarray | None = None
     sigma_a: float = math.nan
-    sigma_merge: np.ndarray | None = None
     labels: np.ndarray | None = None
     boundary: np.ndarray | None = None
     contested: dict[int, tuple[int, ...]] = field(default_factory=dict)
     timings: dict[str, float] = field(default_factory=dict)
     local_cluster_count: int = 0
     contested_cluster_count: int = 0
-
-    def local_feature_ids(self, fs: FeatureSet) -> tuple[FeatureId, ...]:
-        return tuple(fs.ids[r] for r in self.rows0)
+    final_cluster_count: int = 0
 
     def contested_ids(self, fs: FeatureSet) -> tuple[FeatureId, ...]:
         return tuple(sorted(fs.ids[self.rows0[i]] for i in self.contested))
@@ -275,44 +261,27 @@ def init_agents(fs: FeatureSet, part: Partition, ledger: NetworkLedger | None = 
     ]
 
 
+def _cluster_agent_rows(rows: np.ndarray, fs: FeatureSet, params: MatchParams) -> RowClusters:
+    """:func:`cluster_rows` over an agent's rows, with the sigma_a merge fallback."""
+    return cluster_rows(
+        fs.vectors[rows], fs.image_slots[rows], fs.id_rank[rows], fs.image_count, params, fallback_sigma_a=True
+    )
+
+
 def local_cluster(agent: AgentState, fs: FeatureSet, params: MatchParams) -> AgentState:
-    """Run the full matching pipeline on the agent's own features only.
+    """Run the matching pipeline, :func:`cluster_rows`, on the agent's own
+    features only.
 
     Distinctiveness, density, tree, and merge are all computed from the local
     subset. For the merge threshold, images with fewer than two local
     features fall back to the agent bandwidth sigma_a (the maximum local
-    parent-edge length); sigma_a is not yet known when the density is
-    computed, so the density bandwidth falls back within the subset instead.
+    parent-edge length). Each feature's sigma_p is its parent-edge length,
+    sigma_a for roots.
     """
     t0 = time.perf_counter()
-    rows = agent.rows0
-    n = len(rows)
-    if n == 0:
-        agent.labels = np.empty(0, dtype=np.intp)
-        agent.sigma_a = math.inf
-        agent.sigma_p = np.empty(0)
-        agent.boundary = None
-        agent.timings["local_cluster_s"] = time.perf_counter() - t0
-        return agent
-
-    vectors = fs.vectors[rows]
-    slots = fs.image_slots[rows]
-    rank = fs.id_rank[rows]
-
-    raw = sigma_per_image(vectors, slots, fs.image_count)
-    sigma_density = resolve_sigma(raw, vectors)
-    agent.density = density_values(vectors, slots, sigma_density, params.kernel)
-    agent.parent, agent.edge_length = tree_arrays(vectors, agent.density, rank)
-
-    has_parent = agent.parent >= 0
-    agent.sigma_a = float(agent.edge_length[has_parent].max()) if has_parent.any() else math.inf
-    agent.sigma_p = np.where(has_parent, agent.edge_length, agent.sigma_a)
-
-    sigma_merge = raw.copy()
-    sigma_merge[np.isnan(sigma_merge)] = agent.sigma_a
-    agent.sigma_merge = np.maximum(sigma_merge, SIGMA_FLOOR)
-
-    agent.labels = merge_labels(agent.parent, agent.edge_length, slots, agent.sigma_merge, params.rho, rank)
+    result = _cluster_agent_rows(agent.rows0, fs, params)
+    agent.parent, agent.labels, agent.sigma_a = result.parent, result.labels, result.sigma_a
+    agent.sigma_p = np.where(result.parent >= 0, result.edge_length, result.sigma_a)
     agent.local_cluster_count = len(np.unique(agent.labels))
     agent.timings["local_cluster_s"] = time.perf_counter() - t0
     return agent
@@ -381,17 +350,13 @@ def detect_contested(
 def _clusters_in_order(agent: AgentState, fs: FeatureSet) -> list[np.ndarray]:
     """Local clusters as arrays of local indices, ordered by smallest member id."""
     assert agent.labels is not None
-    groups: dict[int, list[int]] = {}
-    for i, lab in enumerate(agent.labels):
-        groups.setdefault(int(lab), []).append(i)
     rank = fs.id_rank[agent.rows0]
-    ordered = sorted(groups.values(), key=lambda idxs: min(rank[i] for i in idxs))
-    return [np.array(idxs, dtype=np.intp) for idxs in ordered]
+    return sorted(label_groups(agent.labels), key=lambda idxs: rank[idxs].min())
 
 
 def _cluster_message(round_: int, sender: int, dest: int, rows: np.ndarray, fs: FeatureSet) -> TransferMessage:
     ids = tuple(fs.ids[r] for r in rows)
-    return TransferMessage(round_, "cluster", sender, dest, ids, None, fs.vectors[rows].copy())
+    return TransferMessage(round_, "cluster", sender, dest, ids, None, fs.vectors[rows])
 
 
 def transfer_round(agents: Sequence[AgentState], fs: FeatureSet, ledger: NetworkLedger) -> Sequence[AgentState]:
@@ -457,31 +422,6 @@ def transfer_round(agents: Sequence[AgentState], fs: FeatureSet, ledger: Network
     return agents
 
 
-def _recluster(agent: AgentState, fs: FeatureSet, params: MatchParams) -> list[tuple[FeatureId, ...]]:
-    """Finalize step for one agent: full local pipeline over its final rows."""
-    t0 = time.perf_counter()
-    rows = agent.final_rows()
-    if len(rows) == 0:
-        agent.timings["finalize_s"] = time.perf_counter() - t0
-        return []
-    vectors = fs.vectors[rows]
-    slots = fs.image_slots[rows]
-    rank = fs.id_rank[rows]
-    raw = sigma_per_image(vectors, slots, fs.image_count)
-    density = density_values(vectors, slots, resolve_sigma(raw, vectors), params.kernel)
-    parent, edge = tree_arrays(vectors, density, rank)
-    has_parent = parent >= 0
-    sigma_a = float(edge[has_parent].max()) if has_parent.any() else math.inf
-    sigma_merge = raw.copy()
-    sigma_merge[np.isnan(sigma_merge)] = sigma_a
-    labels = merge_labels(parent, edge, slots, np.maximum(sigma_merge, SIGMA_FLOOR), params.rho, rank)
-    groups: dict[int, list[FeatureId]] = {}
-    for i, lab in enumerate(labels):
-        groups.setdefault(int(lab), []).append(fs.ids[rows[i]])
-    agent.timings["finalize_s"] = time.perf_counter() - t0
-    return [tuple(members) for members in groups.values()]
-
-
 def finalize(
     agents: Sequence[AgentState],
     fs: FeatureSet,
@@ -489,9 +429,21 @@ def finalize(
     meta: dict | None = None,
     workers: int = 1,
 ) -> Clustering:
-    """Re-cluster every agent's final feature set and assemble the global
-    result. Requires no communication; the caller seals the ledger first."""
-    cluster_lists = _map_agents(lambda ag: _recluster(ag, fs, params), agents, workers)
+    """Re-cluster every agent's final feature set with :func:`cluster_rows`
+    (the same sigma_a merge fallback as :func:`local_cluster`) and assemble
+    the global result. Requires no communication; the caller seals the
+    ledger first."""
+
+    def recluster(agent: AgentState) -> list[list[FeatureId]]:
+        t0 = time.perf_counter()
+        rows = agent.final_rows()
+        labels = _cluster_agent_rows(rows, fs, params).labels
+        clusters = [[fs.ids[r] for r in rows[idxs]] for idxs in label_groups(labels)]
+        agent.final_cluster_count = len(clusters)
+        agent.timings["finalize_s"] = time.perf_counter() - t0
+        return clusters
+
+    cluster_lists = _map_agents(recluster, agents, workers)
     clusters = [members for sub in cluster_lists for members in sub]
     seen: set[FeatureId] = set()
     for members in clusters:
@@ -601,7 +553,6 @@ def distributed_quickmatch(
     ledger.validate_protocol(len(fs), m)
 
     contested_ids = tuple(sorted(fid for agent in agents for fid in agent.contested_ids(fs)))
-    final_counts = _final_cluster_counts(clustering, agents, fs)
     stats = []
     for agent in agents:
         compute = agent.timings.get("local_cluster_s", 0.0) + agent.timings.get("finalize_s", 0.0)
@@ -617,18 +568,7 @@ def distributed_quickmatch(
                 "contested_features": len(agent.contested),
                 "local_clusters": agent.local_cluster_count,
                 "contested_clusters": agent.contested_cluster_count,
-                "clusters_found": final_counts[agent.id],
+                "clusters_found": agent.final_cluster_count,
             }
         )
     return DistributedRun(clustering, ledger, part, tuple(agents), contested_ids, tuple(stats), timings)
-
-
-def _final_cluster_counts(clustering: Clustering, agents: Sequence[AgentState], fs: FeatureSet) -> list[int]:
-    owner: dict[FeatureId, int] = {}
-    for agent in agents:
-        for row in agent.final_rows():
-            owner[fs.ids[row]] = agent.id
-    counts = [0] * len(agents)
-    for members in clustering.clusters:
-        counts[owner[members[0]]] += 1
-    return counts

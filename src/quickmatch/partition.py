@@ -10,7 +10,6 @@ test suite as an independent oracle.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +18,7 @@ from typing import Sequence
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import FeatureId, FeatureSet, InputError, ProtocolError, canonical_json
+from .core import FeatureId, FeatureSet, InputError, ProtocolError, canonical_json, read_input
 
 __all__ = [
     "Partition",
@@ -71,12 +70,6 @@ class Partition:
     def m(self) -> int:
         return len(self.seeds)
 
-    def agent_of(self, fid: FeatureId) -> int:
-        try:
-            return int(self.assignment[self.ids.index(FeatureId(*fid))])
-        except ValueError:
-            raise InputError(f"unknown feature id {tuple(fid)}") from None
-
     def label_map(self) -> dict[FeatureId, int]:
         return {fid: int(a) for fid, a in zip(self.ids, self.assignment)}
 
@@ -94,11 +87,13 @@ class Partition:
 
     @classmethod
     def load(cls, path: str | Path) -> "Partition":
-        payload = json.loads(Path(path).read_text())
-        ids = [FeatureId(i, k) for i, k, _ in payload["assignment"]]
-        assignment = [a for _, _, a in payload["assignment"]]
-        return cls(np.array(payload["seeds"], dtype=np.float64), np.array(assignment), tuple(ids),
-                   payload.get("method", "explicit"), payload.get("seed"))
+        def convert(payload: dict) -> Partition:
+            ids = [FeatureId(i, k) for i, k, _ in payload["assignment"]]
+            assignment = [a for _, _, a in payload["assignment"]]
+            return cls(np.array(payload["seeds"], dtype=np.float64), np.array(assignment), tuple(ids),
+                       payload.get("method", "explicit"), payload.get("seed"))
+
+        return read_input(path, convert)
 
 
 @dataclass(frozen=True)

@@ -245,3 +245,30 @@ def test_bad_flag_exits_one(capsys):
 def test_unknown_command_exits_one(capsys):
     assert main(["frobnicate"]) == 1
     capsys.readouterr()
+
+
+_BAD_INPUTS = {
+    "partition-bad-json": ["eval", "d.json", "--mode", "split", "--partition", "bad.json"],
+    "partition-missing": ["eval", "d.json", "--mode", "split", "--partition", "missing.json"],
+    "contested-bad-json": [
+        "eval", "d.json", "--mode", "split", "--partition", "d.json.partition.json",
+        "--contested-from", "bad.json",
+    ],
+    "meta-not-object": ["eval", "meta.json", "--mode", "compare", "--truth", "d.json"],
+    "match-directory": ["match", "adir"],
+    "match-not-utf8": ["match", "latin1.txt"],
+    "eval-not-utf8": ["eval", "latin1.txt", "--mode", "compare", "--truth", "d.json"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_bad_input_file_exits_one(case, capsys):
+    feat, _ = _generate(["--clusters", "4", "--per-cluster", "3"])
+    assert main(["dmatch", str(feat), "--agents", "2", "--out", "d.json"]) == 0
+    Path("bad.json").write_text("{not json")
+    Path("meta.json").write_text('{"clusters": [], "meta": [1, 2]}')
+    Path("latin1.txt").write_bytes(b"0 0 1.0 \xe9\n")
+    Path("adir").mkdir()
+    capsys.readouterr()
+    assert main(_BAD_INPUTS[case]) == 1
+    assert "error:" in capsys.readouterr().err

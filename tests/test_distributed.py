@@ -339,6 +339,20 @@ def test_m1_pipeline_byte_identical_to_centralized_quadratic():
     assert run.ledger.scalar_count == 0
 
 
+def test_finalize_single_feature_image_uses_agent_bandwidth():
+    # Same set as the whole-set-fill case in test_quickmatch.py: image 1's
+    # lone feature is 1.0 from (0, 0). In finalize its merge bandwidth is the
+    # agent's sigma_a (the longest tree edge), so it merges; the centralized
+    # whole-set fill (image 2's 0.2) would keep it apart.
+    fs = FeatureSet.from_rows(
+        [(0, 0, [0.0]), (0, 1, [10.0]), (1, 0, [1.0]), (2, 0, [100.0]), (2, 1, [100.2])]
+    )
+    agents = _agents_for(fs, _explicit_partition(fs, [[0.0]]))
+    c = finalize(agents, fs, QUAD)
+    assert (FeatureId(0, 0), FeatureId(1, 0)) in c.clusters
+    assert len(c) == len(fs) - 1
+
+
 def test_m4_pipeline_ground_truth_exact():
     fs, truth = generate_synthetic(SynthConfig())
     run = distributed_quickmatch(fs, 4, QUAD, seed=0)

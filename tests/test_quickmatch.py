@@ -10,6 +10,7 @@ from quickmatch.centralized import (
     build_tree,
     compute_density,
     compute_distinctiveness,
+    label_groups,
     quickmatch,
 )
 from quickmatch.core import Clustering, FeatureId, FeatureSet, InputError, validate_clustering
@@ -107,8 +108,8 @@ def test_density_oracle_50_random_features(kernel, fn):
 def test_tree_two_features():
     fs = FeatureSet.from_rows([(0, 0, [0.0]), (1, 0, [1.0])])
     tree = build_tree(fs, np.array([1.0, 2.0]))
-    assert tree.parent_of(FeatureId(0, 0)) == FeatureId(1, 0)
-    assert tree.parent_of(FeatureId(1, 0)) is None
+    assert tree.parent[0] == 1  # (0, 0) -> (1, 0)
+    assert tree.parent[1] == -1  # (1, 0) is a root
     assert tree.edge_length[0] == 1.0
 
 
@@ -169,6 +170,31 @@ def test_merge_two_images_within_threshold():
 def test_same_image_features_never_merge():
     fs = FeatureSet.from_rows([(0, 0, [0.0, 0.0]), (0, 1, [0.5, 0.0])])
     assert len(quickmatch(fs)) == 2
+
+
+def test_single_feature_image_merges_under_whole_set_fill():
+    # Image 1 holds one feature, 1.0 from (0, 0). Its merge bandwidth is the
+    # smallest defined image sigma (image 2's 0.2), so rho * 0.2 < 1.0 keeps
+    # it apart. The agent fallback sigma_a (the longest tree edge, ~90 here)
+    # would merge it; see the finalize twin in test_distributed.py.
+    fs = FeatureSet.from_rows(
+        [(0, 0, [0.0]), (0, 1, [10.0]), (1, 0, [1.0]), (2, 0, [100.0]), (2, 1, [100.2])]
+    )
+    c = quickmatch(fs)
+    assert (FeatureId(1, 0),) in c.clusters
+    assert len(c) == len(fs)
+
+
+def test_label_groups_matches_dict_grouping():
+    # reference: the per-row dict loop label_groups replaced
+    rng = np.random.default_rng(4)
+    for n in (0, 1, 7, 50):
+        labels = rng.integers(0, max(n // 3, 1), size=n)
+        want: dict[int, list[int]] = {}
+        for row, lab in enumerate(labels):
+            want.setdefault(int(lab), []).append(row)
+        got = label_groups(labels)
+        assert [g.tolist() for g in got] == [want[k] for k in sorted(want)]
 
 
 def test_quickmatch_empty_set():
