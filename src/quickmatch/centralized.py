@@ -48,7 +48,10 @@ class MatchParams:
     def __post_init__(self) -> None:
         if not (isinstance(self.rho, (int, float)) and not math.isnan(self.rho) and self.rho >= 0):
             raise InputError(f"rho must be a non-negative real, got {self.rho!r}")
-        object.__setattr__(self, "kernel", Kernel(self.kernel))
+        try:
+            object.__setattr__(self, "kernel", Kernel(self.kernel))
+        except ValueError:
+            raise InputError(f"unknown kernel {self.kernel!r}") from None
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 distributed matching, evaluation, and comparison sweeps.
 
 Every flag default can be overridden by an environment variable prefixed
-``QM_`` (e.g. ``QM_RHO=1.3``); explicit flags always win. Exit codes: 0 on
-success, 1 on invalid input, 2 on an internal invariant violation.
+``QM_`` (e.g. ``QM_RHO=1.3``); explicit flags always win, and a malformed
+``QM_*`` value exits 1 like a malformed flag. Exit codes: 0 on success, 1 on
+invalid input or an unwritable output, 2 on an internal invariant violation.
 """
 
 from __future__ import annotations
@@ -11,15 +12,17 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
-import time
 from pathlib import Path
 from typing import Any, Sequence
 
 from .centralized import MatchParams, quickmatch
 from .core import (
+    Clustering,
     FeatureId,
+    FeatureSet,
     InputError,
     ProtocolError,
     canonical_cluster_bytes,
@@ -30,8 +33,9 @@ from .core import (
     save_clustering,
     save_features,
     sha256_hex,
+    timed,
 )
-from .distributed import CONTESTED_SIGMA_MODES, DEFAULT_CONTESTED_SIGMA, distributed_quickmatch
+from .distributed import CONTESTED_SIGMA_MODES, DEFAULT_CONTESTED_SIGMA, DistributedRun, distributed_quickmatch
 from .kernels import Kernel
 from .metrics import compare_clusterings, split_quality
 from .partition import Partition
@@ -50,7 +54,26 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _env(name: str, default: Any) -> Any:
+    """A flag default from ``QM_<name>``. A string default goes through the
+    flag's ``type`` at parse time, so a malformed value is a usage error."""
     return os.environ.get(f"QM_{name}", default)
+
+
+def _add_match_args(parser: argparse.ArgumentParser, kernel: Kernel) -> None:
+    parser.add_argument("input")
+    parser.add_argument("--rho", type=float, default=_env("RHO", 1.1))
+    parser.add_argument("--kernel", choices=_KERNELS, default=_env("KERNEL", kernel.value))
+
+
+def _add_distributed_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--seed", type=int, default=_env("SEED", 0))
+    parser.add_argument("--seeding", choices=["kmeans", "random"], default=_env("SEEDING", "kmeans"))
+    parser.add_argument(
+        "--contested-sigma",
+        choices=list(CONTESTED_SIGMA_MODES),
+        default=_env("CONTESTED_SIGMA", DEFAULT_CONTESTED_SIGMA),
+    )
+    parser.add_argument("--workers", type=int, default=_env("WORKERS", 1))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,33 +81,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a synthetic feature file plus ground truth")
-    gen.add_argument("--clusters", type=int, default=int(_env("CLUSTERS", 25)))
-    gen.add_argument("--per-cluster", type=int, default=int(_env("PER_CLUSTER", 10)))
-    gen.add_argument("--dim", type=int, default=int(_env("DIM", 2)))
-    gen.add_argument("--spread", type=float, default=float(_env("SPREAD", 0.25)))
-    gen.add_argument("--extent", type=float, default=float(_env("EXTENT", 10.0)))
-    gen.add_argument("--seed", type=int, default=int(_env("SEED", 0)))
+    gen.add_argument("--clusters", type=int, default=_env("CLUSTERS", 25))
+    gen.add_argument("--per-cluster", type=int, default=_env("PER_CLUSTER", 10))
+    gen.add_argument("--dim", type=int, default=_env("DIM", 2))
+    gen.add_argument("--spread", type=float, default=_env("SPREAD", 0.25))
+    gen.add_argument("--extent", type=float, default=_env("EXTENT", 10.0))
+    gen.add_argument("--seed", type=int, default=_env("SEED", 0))
     gen.add_argument("--out", default=_env("OUT", "features.txt"))
 
     match = sub.add_parser("match", help="run centralized matching on a feature file")
-    match.add_argument("input")
-    match.add_argument("--rho", type=float, default=float(_env("RHO", 1.1)))
-    match.add_argument("--kernel", choices=_KERNELS, default=_env("KERNEL", Kernel.GAUSSIAN.value))
+    _add_match_args(match, Kernel.GAUSSIAN)
     match.add_argument("--out", default=_env("OUT", "clusters.json"))
 
     dmatch = sub.add_parser("dmatch", help="run distributed matching on a feature file")
-    dmatch.add_argument("input")
-    dmatch.add_argument("--agents", "-m", type=int, default=int(_env("AGENTS", 4)))
-    dmatch.add_argument("--rho", type=float, default=float(_env("RHO", 1.1)))
-    dmatch.add_argument("--kernel", choices=_KERNELS, default=_env("KERNEL", Kernel.QUADRATIC.value))
-    dmatch.add_argument("--seed", type=int, default=int(_env("SEED", 0)))
-    dmatch.add_argument("--seeding", choices=["kmeans", "random"], default=_env("SEEDING", "kmeans"))
-    dmatch.add_argument(
-        "--contested-sigma",
-        choices=list(CONTESTED_SIGMA_MODES),
-        default=_env("CONTESTED_SIGMA", DEFAULT_CONTESTED_SIGMA),
-    )
-    dmatch.add_argument("--workers", type=int, default=int(_env("WORKERS", 1)))
+    _add_match_args(dmatch, Kernel.QUADRATIC)
+    dmatch.add_argument("--agents", "-m", type=int, default=_env("AGENTS", 4))
+    _add_distributed_args(dmatch)
     dmatch.add_argument("--out", default=_env("OUT", "clusters.json"))
 
     ev = sub.add_parser("eval", help="compare clusterings or measure partition splits")
@@ -96,20 +108,26 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--out", default=_env("OUT", None))
 
     comp = sub.add_parser("compare", help="sweep agent counts and emit a Table-style CSV")
-    comp.add_argument("input")
+    _add_match_args(comp, Kernel.QUADRATIC)
     comp.add_argument("--agents", default=_env("AGENTS", "1,2,4,8"), help="comma separated agent counts")
-    comp.add_argument("--rho", type=float, default=float(_env("RHO", 1.1)))
-    comp.add_argument("--kernel", choices=_KERNELS, default=_env("KERNEL", Kernel.QUADRATIC.value))
-    comp.add_argument("--seed", type=int, default=int(_env("SEED", 0)))
-    comp.add_argument("--seeding", choices=["kmeans", "random"], default=_env("SEEDING", "kmeans"))
-    comp.add_argument(
-        "--contested-sigma",
-        choices=list(CONTESTED_SIGMA_MODES),
-        default=_env("CONTESTED_SIGMA", DEFAULT_CONTESTED_SIGMA),
-    )
-    comp.add_argument("--workers", type=int, default=int(_env("WORKERS", 1)))
+    _add_distributed_args(comp)
     comp.add_argument("--out", default=_env("OUT", "sweep.csv"))
     return parser
+
+
+def _params(args: argparse.Namespace) -> MatchParams:
+    # The library accepts rho = inf; a run report cannot hold it as JSON.
+    if not math.isfinite(args.rho):
+        raise InputError(f"--rho must be finite, got {args.rho}")
+    return MatchParams(rho=args.rho, kernel=args.kernel)
+
+
+def _run_distributed(fs: FeatureSet, m: int, params: MatchParams, args: argparse.Namespace) -> DistributedRun:
+    return distributed_quickmatch(
+        fs, m, params,
+        seed=args.seed, seeding=args.seeding,
+        contested_sigma=args.contested_sigma, workers=args.workers,
+    )
 
 
 def _strip_timings(obj: Any) -> Any:
@@ -121,10 +139,29 @@ def _strip_timings(obj: Any) -> Any:
     return obj
 
 
-def _finish_report(report: dict, path: Path) -> dict:
+def _write_outputs(
+    args: argparse.Namespace, fs: FeatureSet, clustering: Clustering, fields: dict
+) -> tuple[Path, Path]:
+    """Save the clustering to ``--out`` and its run report to
+    ``<out>.report.json``: the command, its resolved flags, counts, digests
+    and ``fields``. Returns both paths."""
+    out = Path(args.out)
+    save_clustering(clustering, out, fs)
+    config = {key: value for key, value in vars(args).items() if key != "command"}
+    report = {
+        "command": args.command,
+        "config": {**config, "out": str(out)},
+        "feature_count": len(fs),
+        "image_count": fs.image_count,
+        "dim": fs.dim,
+        "clusters_found": len(clustering),
+        "clusters_digest": sha256_hex(canonical_cluster_bytes(clustering)),
+        **fields,
+    }
     report["determinism_hash"] = sha256_hex(canonical_json(_strip_timings(report)).encode())
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return report
+    report_path = out.with_suffix(out.suffix + ".report.json")
+    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    return out, report_path
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -141,29 +178,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_match(args: argparse.Namespace) -> int:
     fs = load_features(args.input)
-    params = MatchParams(rho=args.rho, kernel=Kernel(args.kernel))
-    t0 = time.perf_counter()
-    clustering = quickmatch(fs, params)
-    elapsed = time.perf_counter() - t0
-    out = Path(args.out)
-    save_clustering(clustering, out, fs)
-    report = {
-        "command": "match",
-        "config": {
-            "input": str(args.input),
-            "rho": params.rho,
-            "kernel": params.kernel.value,
-            "out": str(out),
-        },
-        "feature_count": len(fs),
-        "image_count": fs.image_count,
-        "dim": fs.dim,
-        "clusters_found": len(clustering),
-        "clusters_digest": sha256_hex(canonical_cluster_bytes(clustering)),
-        "timings_s": {"match_s": elapsed},
-    }
-    report_path = out.with_suffix(out.suffix + ".report.json")
-    _finish_report(report, report_path)
+    params = _params(args)
+    timings: dict[str, float] = {}
+    with timed(timings, "match_s"):
+        clustering = quickmatch(fs, params)
+    out, report_path = _write_outputs(args, fs, clustering, {"timings_s": timings})
     print(f"matched {len(fs)} features into {len(clustering)} clusters -> {out}")
     print(f"report -> {report_path}")
     return 0
@@ -171,45 +190,13 @@ def _cmd_match(args: argparse.Namespace) -> int:
 
 def _cmd_dmatch(args: argparse.Namespace) -> int:
     fs = load_features(args.input)
-    if args.agents < 1:
-        raise InputError(f"agent count must be >= 1, got {args.agents}")
-    params = MatchParams(rho=args.rho, kernel=Kernel(args.kernel))
-    run = distributed_quickmatch(
-        fs,
-        args.agents,
-        params,
-        seed=args.seed,
-        seeding=args.seeding,
-        contested_sigma=args.contested_sigma,
-        workers=args.workers,
-    )
-    out = Path(args.out)
-    save_clustering(run.clustering, out, fs)
-    ledger_path = out.with_suffix(out.suffix + ".ledger.json")
-    ledger_path.write_text(run.ledger.to_json() + "\n")
-    partition_path = out.with_suffix(out.suffix + ".partition.json")
-    run.partition.save(partition_path)
+    params = _params(args)
+    run = _run_distributed(fs, args.agents, params, args)
+    ledger_text = run.ledger.to_json()
 
     total_local = sum(s["local_clusters"] for s in run.per_agent_stats)
     total_contested_clusters = sum(s["contested_clusters"] for s in run.per_agent_stats)
-    report = {
-        "command": "dmatch",
-        "config": {
-            "input": str(args.input),
-            "agents": args.agents,
-            "rho": params.rho,
-            "kernel": params.kernel.value,
-            "seed": args.seed,
-            "seeding": args.seeding,
-            "contested_sigma": args.contested_sigma,
-            "workers": args.workers,
-            "out": str(out),
-        },
-        "feature_count": len(fs),
-        "image_count": fs.image_count,
-        "dim": fs.dim,
-        "clusters_found": len(run.clustering),
-        "clusters_digest": sha256_hex(canonical_cluster_bytes(run.clustering)),
+    fields = {
         "per_agent": list(run.per_agent_stats),
         "contested_features": len(run.contested_ids),
         "contested_ids": [[int(i), int(k)] for i, k in run.contested_ids],
@@ -220,7 +207,7 @@ def _cmd_dmatch(args: argparse.Namespace) -> int:
             "scalar": run.ledger.scalar_count,
             "cluster": run.ledger.cluster_count,
             "cross_agent": run.ledger.cross_agent_count(),
-            "digest": run.ledger.digest(),
+            "digest": sha256_hex(ledger_text.encode()),
             "transfer_chains": [
                 {"cluster_head": [int(members[0][0]), int(members[0][1])], "size": len(members), "chain": chain}
                 for members, chain in run.ledger.transfer_chains()
@@ -230,11 +217,14 @@ def _cmd_dmatch(args: argparse.Namespace) -> int:
     }
     if args.agents == 1:
         reference = quickmatch(fs, params)
-        report["m1_equivalent_to_centralized"] = (
+        fields["m1_equivalent_to_centralized"] = (
             canonical_cluster_bytes(reference) == canonical_cluster_bytes(run.clustering)
         )
-    report_path = out.with_suffix(out.suffix + ".report.json")
-    _finish_report(report, report_path)
+    out, report_path = _write_outputs(args, fs, run.clustering, fields)
+    ledger_path = out.with_suffix(out.suffix + ".ledger.json")
+    ledger_path.write_text(ledger_text + "\n")
+    partition_path = out.with_suffix(out.suffix + ".partition.json")
+    run.partition.save(partition_path)
     print(
         f"distributed matched {len(fs)} features into {len(run.clustering)} clusters "
         f"({args.agents} agents, {run.ledger.cluster_count} cluster transfers) -> {out}"
@@ -294,17 +284,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         raise InputError(f"bad agent list {args.agents!r}") from None
     if not m_list or any(m < 1 for m in m_list):
         raise InputError(f"agent counts must be positive, got {args.agents!r}")
-    params = MatchParams(rho=args.rho, kernel=Kernel(args.kernel))
+    params = _params(args)
     reference = quickmatch(fs, params)
 
     out = Path(args.out)
     rows = []
     for m in m_list:
-        run = distributed_quickmatch(
-            fs, m, params,
-            seed=args.seed, seeding=args.seeding,
-            contested_sigma=args.contested_sigma, workers=args.workers,
-        )
+        run = _run_distributed(fs, m, params, args)
         report = split_quality(reference, run.partition, run.contested_ids)
         comparison = compare_clusterings(run.clustering, reference)
         mean = lambda key: sum(s[key] for s in run.per_agent_stats) / m  # noqa: E731
@@ -360,14 +346,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except InputError as exc:
+    except BrokenPipeError:
+        return 0
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ProtocolError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        return 0
 
 
 if __name__ == "__main__":

@@ -10,9 +10,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -33,6 +35,7 @@ __all__ = [
     "validate_clustering",
     "canonical_json",
     "canonical_cluster_bytes",
+    "timed",
 ]
 
 
@@ -271,6 +274,17 @@ def canonical_cluster_bytes(clustering: Clustering) -> bytes:
 
 def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+# -- timing -------------------------------------------------------------------
+
+
+@contextmanager
+def timed(into: dict[str, float], key: str) -> Iterator[None]:
+    """Record the wall time of the body, in seconds, as ``into[key]``."""
+    t0 = time.perf_counter()
+    yield
+    into[key] = time.perf_counter() - t0
 
 
 # -- validation ---------------------------------------------------------------

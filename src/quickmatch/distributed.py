@@ -18,7 +18,7 @@ barriers in agent-index order.
 from __future__ import annotations
 
 import math
-import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -36,6 +36,7 @@ from .core import (
     ValidationError,
     canonical_json,
     sha256_hex,
+    timed,
     validate_clustering,
 )
 from .kernels import Kernel
@@ -109,6 +110,7 @@ class NetworkLedger:
 
     def __init__(self) -> None:
         self._messages: list[TransferMessage] = []
+        self._counts: Counter[str] = Counter()
         self._sealed = False
 
     def log(self, message: TransferMessage) -> None:
@@ -119,6 +121,7 @@ class NetworkLedger:
                 f"cluster transfer {message.from_agent}->{message.to_agent} does not decrease"
             )
         self._messages.append(message)
+        self._counts[message.kind] += 1
 
     def seal(self) -> None:
         self._sealed = True
@@ -132,7 +135,7 @@ class NetworkLedger:
         return tuple(self._messages)
 
     def count(self, kind: str) -> int:
-        return sum(1 for msg in self._messages if msg.kind == kind)
+        return self._counts[kind]
 
     @property
     def route_count(self) -> int:
@@ -278,22 +281,20 @@ def local_cluster(agent: AgentState, fs: FeatureSet, params: MatchParams) -> Age
     parent-edge length). Each feature's sigma_p is its parent-edge length,
     sigma_a for roots.
     """
-    t0 = time.perf_counter()
-    result = _cluster_agent_rows(agent.rows0, fs, params)
-    agent.parent, agent.labels, agent.sigma_a = result.parent, result.labels, result.sigma_a
-    agent.sigma_p = np.where(result.parent >= 0, result.edge_length, result.sigma_a)
-    agent.local_cluster_count = len(np.unique(agent.labels))
-    agent.timings["local_cluster_s"] = time.perf_counter() - t0
+    with timed(agent.timings, "local_cluster_s"):
+        result = _cluster_agent_rows(agent.rows0, fs, params)
+        agent.parent, agent.labels, agent.sigma_a = result.parent, result.labels, result.sigma_a
+        agent.sigma_p = np.where(result.parent >= 0, result.edge_length, result.sigma_a)
+        agent.local_cluster_count = len(np.unique(agent.labels))
     return agent
 
 
 def compute_boundary(agent: AgentState, fs: FeatureSet, part: Partition) -> AgentState:
-    t0 = time.perf_counter()
-    if len(agent.rows0) and part.m > 1:
-        agent.boundary = bisector_distances(fs.vectors[agent.rows0], part.seeds, agent.id)
-    else:
-        agent.boundary = np.full((len(agent.rows0), part.m), np.inf)
-    agent.timings["boundary_s"] = time.perf_counter() - t0
+    with timed(agent.timings, "boundary_s"):
+        if len(agent.rows0) and part.m > 1:
+            agent.boundary = bisector_distances(fs.vectors[agent.rows0], part.seeds, agent.id)
+        else:
+            agent.boundary = np.full((len(agent.rows0), part.m), np.inf)
     return agent
 
 
@@ -435,12 +436,11 @@ def finalize(
     ledger first."""
 
     def recluster(agent: AgentState) -> list[list[FeatureId]]:
-        t0 = time.perf_counter()
-        rows = agent.final_rows()
-        labels = _cluster_agent_rows(rows, fs, params).labels
-        clusters = [[fs.ids[r] for r in rows[idxs]] for idxs in label_groups(labels)]
-        agent.final_cluster_count = len(clusters)
-        agent.timings["finalize_s"] = time.perf_counter() - t0
+        with timed(agent.timings, "finalize_s"):
+            rows = agent.final_rows()
+            labels = _cluster_agent_rows(rows, fs, params).labels
+            clusters = [[fs.ids[r] for r in rows[idxs]] for idxs in label_groups(labels)]
+            agent.final_cluster_count = len(clusters)
         return clusters
 
     cluster_lists = _map_agents(recluster, agents, workers)
@@ -506,34 +506,30 @@ def distributed_quickmatch(
         raise InputError(f"unknown seeding {seeding!r}")
     if contested_sigma not in CONTESTED_SIGMA_MODES:
         raise InputError(f"unknown contested sigma mode {contested_sigma!r}")
+    if workers < 1:
+        raise InputError(f"worker count must be >= 1, got {workers}")
 
     timings: dict[str, float] = {}
-    t0 = time.perf_counter()
-    part = kmeans_seeds(fs, m, seed) if seeding == "kmeans" else random_seeds(fs, m, seed)
-    timings["partition_s"] = time.perf_counter() - t0
+    with timed(timings, "partition_s"):
+        part = kmeans_seeds(fs, m, seed) if seeding == "kmeans" else random_seeds(fs, m, seed)
 
     ledger = NetworkLedger()
-    t0 = time.perf_counter()
-    agents = init_agents(fs, part, ledger)
-    timings["route_s"] = time.perf_counter() - t0
+    with timed(timings, "route_s"):
+        agents = init_agents(fs, part, ledger)
 
-    t0 = time.perf_counter()
-    _map_agents(lambda ag: local_cluster(ag, fs, params), agents, workers)
-    timings["local_cluster_s"] = time.perf_counter() - t0
+    with timed(timings, "local_cluster_s"):
+        _map_agents(lambda ag: local_cluster(ag, fs, params), agents, workers)
 
-    t0 = time.perf_counter()
-    _map_agents(lambda ag: compute_boundary(ag, fs, part), agents, workers)
-    scalars = exchange_boundary_scalars(agents, fs, part, ledger)
-    timings["boundary_s"] = time.perf_counter() - t0
+    with timed(timings, "boundary_s"):
+        _map_agents(lambda ag: compute_boundary(ag, fs, part), agents, workers)
+        scalars = exchange_boundary_scalars(agents, fs, part, ledger)
 
-    t0 = time.perf_counter()
-    for agent in agents:
-        detect_contested(agent, scalars[agent.id], contested_sigma)
-    timings["detect_s"] = time.perf_counter() - t0
+    with timed(timings, "detect_s"):
+        for agent in agents:
+            detect_contested(agent, scalars[agent.id], contested_sigma)
 
-    t0 = time.perf_counter()
-    transfer_round(agents, fs, ledger)
-    timings["transfer_s"] = time.perf_counter() - t0
+    with timed(timings, "transfer_s"):
+        transfer_round(agents, fs, ledger)
 
     ledger.seal()
 
@@ -546,9 +542,8 @@ def distributed_quickmatch(
         "seeding": seeding,
         "contested_sigma": contested_sigma,
     }
-    t0 = time.perf_counter()
-    clustering = finalize(agents, fs, params, meta, workers)
-    timings["finalize_s"] = time.perf_counter() - t0
+    with timed(timings, "finalize_s"):
+        clustering = finalize(agents, fs, params, meta, workers)
 
     ledger.validate_protocol(len(fs), m)
 

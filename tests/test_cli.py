@@ -258,6 +258,12 @@ _BAD_INPUTS = {
     "match-directory": ["match", "adir"],
     "match-not-utf8": ["match", "latin1.txt"],
     "eval-not-utf8": ["eval", "latin1.txt", "--mode", "compare", "--truth", "d.json"],
+    "match-out-missing-dir": ["match", "features.txt", "--out", "nodir/c.json"],
+    "dmatch-out-missing-dir": ["dmatch", "features.txt", "--agents", "2", "--out", "nodir/d.json"],
+    "generate-out-missing-dir": ["generate", "--out", "nodir/f.txt"],
+    "compare-out-missing-dir": ["compare", "features.txt", "--agents", "1", "--out", "nodir/s.csv"],
+    "eval-out-missing-dir": ["eval", "d.json", "--mode", "compare", "--truth", "d.json", "--out", "nodir/e.json"],
+    "match-rho-inf": ["match", "features.txt", "--rho", "inf"],
 }
 
 
@@ -272,3 +278,24 @@ def test_bad_input_file_exits_one(case, capsys):
     capsys.readouterr()
     assert main(_BAD_INPUTS[case]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+# Per variable: a command that reads it, and the flag that overrides it.
+_BAD_ENV = {
+    "QM_AGENTS": (["dmatch", "features.txt"], ["--agents", "2"]),
+    "QM_CLUSTERS": (["generate", "--out", "g.txt"], ["--clusters", "4"]),
+    "QM_KERNEL": (["match", "features.txt"], ["--kernel", "gaussian"]),
+    "QM_RHO": (["match", "features.txt"], ["--rho", "1.1"]),
+    "QM_WORKERS": (["dmatch", "features.txt"], ["--workers", "1"]),
+}
+
+
+@pytest.mark.parametrize("var", sorted(_BAD_ENV))
+def test_malformed_env_value_exits_one(var, monkeypatch, capsys):
+    _generate(["--clusters", "4", "--per-cluster", "3"])
+    argv, override = _BAD_ENV[var]
+    monkeypatch.setenv(var, "bogus")
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+    assert main(argv + override) == 0

@@ -419,3 +419,5 @@ def test_input_validation():
         distributed_quickmatch(fs, 2, QUAD, seeding="voronoi")
     with pytest.raises(InputError):
         distributed_quickmatch(fs, 2, QUAD, contested_sigma="nope")
+    with pytest.raises(InputError):
+        distributed_quickmatch(fs, 2, QUAD, workers=0)
