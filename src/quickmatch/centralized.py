@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 from .core import Clustering, DensityTree, FeatureSet, InputError
 from .kernels import Kernel, kernel_values
@@ -35,7 +36,14 @@ __all__ = [
 # kernels stay defined.
 SIGMA_FLOOR = 1e-12
 
-_BLOCK = 1024  # column block for pairwise-distance accumulation
+_BLOCK = 1024  # column block of the dense Gaussian density sum
+_BLOCK_BYTES = 8 << 20  # size of one float64 temporary in a dense block
+_K0, _K_MAX = 16, 256  # neighbour counts tried by the parent search, doubling
+# Relative margin on kd-tree distances, which may differ from the exact
+# formula in the last ulps: a search radius or "farther" test carrying it
+# cannot drop a candidate tied under the exact formula.
+_SLACK = 1e-9
+_FINITE_SUPPORT = (Kernel.QUADRATIC, Kernel.QUADRATIC_AS_PRINTED)
 
 
 @dataclass(frozen=True)
@@ -65,13 +73,34 @@ class Distinctiveness:
         return float(self.sigma[self.image_ids.index(image_id)])
 
 
+def pair_distances(vectors: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Distance between ``vectors[rows]`` and ``vectors[cols]`` (index arrays
+    that broadcast together), bit for bit what ``cdist`` gives: squared
+    differences summed in dimension order, then the square root."""
+    acc = np.zeros(np.broadcast_shapes(np.shape(rows), np.shape(cols)))
+    for comp in np.ascontiguousarray(vectors.T):
+        t = comp[rows] - comp[cols]
+        acc += t * t
+    return np.sqrt(acc)
+
+
+def min_pair_distance(points: np.ndarray) -> float:
+    """Smallest pairwise distance among at least two points, exact as ``pdist``."""
+    tree = cKDTree(points)
+    near = float(tree.query(points, k=2)[0][:, 1].min())
+    if near == 0.0 or near == math.inf:  # a zero or overflowed sum of squares under either formula
+        return near
+    pairs = tree.query_pairs(near * (1 + _SLACK), output_type="ndarray")
+    return float(pair_distances(points, pairs[:, 0], pairs[:, 1]).min())
+
+
 def sigma_per_image(vectors: np.ndarray, image_slots: np.ndarray, n_images: int) -> np.ndarray:
     """Raw per-image minimum pairwise distance; NaN where an image has < 2 features."""
     sigma = np.full(n_images, np.nan)
     for s in range(n_images):
         rows = np.flatnonzero(image_slots == s)
         if len(rows) >= 2:
-            sigma[s] = pdist(vectors[rows]).min()
+            sigma[s] = min_pair_distance(vectors[rows])
     return sigma
 
 
@@ -89,7 +118,7 @@ def resolve_sigma(sigma_raw: np.ndarray, vectors: np.ndarray) -> np.ndarray:
         if not undefined.all():
             fill = np.nanmin(sigma)
         elif len(vectors) >= 2:
-            fill = pdist(vectors).min()
+            fill = min_pair_distance(vectors)
         else:
             fill = 1.0
         sigma[undefined] = fill
@@ -109,16 +138,38 @@ def density_values(
 ) -> np.ndarray:
     """Kernel density at each feature: sum of h(d(x, x_j); sigma[image(j)]) over all j.
 
-    The self term is included (it contributes a constant 1). Column-blocked so
-    the full pairwise matrix is never materialized.
+    The self term is included (it contributes a constant 1). The finite-support
+    kernels vanish beyond their bandwidth, so only the pairs within the
+    column's bandwidth are found (kd-tree) and summed, each row in ascending
+    column order. The Gaussians sum every pair in 1024-column blocks, visited
+    in row blocks so no temporary grows with n.
     """
     n = len(vectors)
-    out = np.zeros(n)
     sig_cols = sigma[image_slots]
+    if kernel in _FINITE_SUPPORT:
+        # A column only reaches rows within its own image's bandwidth, and one
+        # image's features lie at least that far apart, so in low dimensions
+        # each row meets a bounded number of every image's features.
+        tree = cKDTree(vectors)
+        rows, cols = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
+        for members in label_groups(image_slots):
+            radius = float(sigma[image_slots[members[0]]]) * (1 + _SLACK)
+            near = cKDTree(vectors[members]).sparse_distance_matrix(tree, radius, output_type="ndarray")
+            rows.append(near["j"])
+            cols.append(members[near["i"]])
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        order = np.argsort(rows * n + cols)
+        rows, cols = rows[order], cols[order]
+        h = kernel_values(kernel, pair_distances(vectors, rows, cols), sig_cols[cols])
+        return np.bincount(rows, weights=h, minlength=n)
+    out = np.zeros(n)
+    step = _BLOCK_BYTES // (8 * _BLOCK)
     for c0 in range(0, n, _BLOCK):
         c1 = min(c0 + _BLOCK, n)
-        d = cdist(vectors, vectors[c0:c1])
-        out += np.asarray(kernel_values(kernel, d, sig_cols[c0:c1][None, :])).sum(axis=1)
+        for r0 in range(0, n, step):
+            r1 = min(r0 + step, n)
+            d = cdist(vectors[r0:r1], vectors[c0:c1])
+            out[r0:r1] += np.asarray(kernel_values(kernel, d, sig_cols[None, c0:c1])).sum(axis=1)
     return out
 
 
@@ -137,25 +188,53 @@ def tree_arrays(
     (higher id counts as denser), so symmetric configurations still form
     edges; without this, a lone cross-image pair could never match. Equal
     candidate distances resolve to the lowest feature id.
+
+    Each row first looks among its k nearest neighbours (kd-tree), k doubling
+    from 16 to 256 while the row has no denser neighbour nearer than the k-th;
+    the rows left, mainly the modes, scan every denser feature exactly.
     """
     n = len(vectors)
     parent = np.full(n, -1, dtype=np.intp)
     edge = np.full(n, np.nan)
-    for r0 in range(0, n, _BLOCK):
-        r1 = min(r0 + _BLOCK, n)
-        d = cdist(vectors[r0:r1], vectors)
-        higher = (density[None, :] > density[r0:r1, None]) | (
-            (density[None, :] == density[r0:r1, None]) & (id_rank[None, :] > id_rank[r0:r1, None])
-        )
-        d[~higher] = np.inf
+    by_rank = np.lexsort((id_rank, density))  # ascending "denser" order
+    rank = np.empty(n, dtype=np.intp)
+    rank[by_rank] = np.arange(n)
+
+    def settle(rows: np.ndarray, cand: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """Record each row's parent among its candidate columns; returns the best distances."""
+        d = np.where(rank[cand] > rank[rows][:, None], d, np.inf)
         best = d.min(axis=1)
-        for i in range(r1 - r0):
-            if not np.isfinite(best[i]):
-                continue
-            cand = np.flatnonzero(d[i] == best[i])
-            j = cand[np.argmin(id_rank[cand])]
-            parent[r0 + i] = j
-            edge[r0 + i] = best[i]
+        pick = np.where(d == best[:, None], id_rank[cand], np.iinfo(np.intp).max).argmin(axis=1)
+        found = np.isfinite(best)
+        parent[rows[found]] = cand[found, pick[found]]
+        edge[rows[found]] = best[found]
+        return best
+
+    tree = cKDTree(vectors)
+    todo = np.arange(n)
+    k = _K0
+    while len(todo) and k <= _K_MAX:
+        kk = min(k, n)
+        kd, nbr = tree.query(vectors[todo], k=kk)
+        nbr = nbr.reshape(len(todo), kk)
+        best = settle(todo, nbr, pair_distances(vectors, todo[:, None], nbr))
+        if kk == n:
+            return parent, edge
+        todo = todo[~(kd.reshape(len(todo), kk)[:, -1] > best * (1 + _SLACK))]
+        k *= 2
+    # Exact scan, densest rows first, each block against every feature denser
+    # than its least dense row, sized so one block holds about _BLOCK_BYTES.
+    todo = todo[np.argsort(-rank[todo])]
+    s = 0
+    while s < len(todo):
+        e = s + 1
+        while e < len(todo) and (e + 1 - s) * (n - rank[todo[e]]) * 8 <= _BLOCK_BYTES:
+            e += 1
+        rows = todo[s:e]
+        cols = by_rank[rank[rows[-1]] + 1:]
+        if len(cols):
+            settle(rows, np.broadcast_to(cols, (len(rows), len(cols))), cdist(vectors[rows], vectors[cols]))
+        s = e
     return parent, edge
 
 

@@ -122,6 +122,19 @@ def _params(args: argparse.Namespace) -> MatchParams:
     return MatchParams(rho=args.rho, kernel=args.kernel)
 
 
+def _check_out(out: str | None, *inputs: str | None) -> None:
+    """Refuse, before any work, an ``--out`` whose directory does not exist or
+    that names one of the command's input files."""
+    if out is None:
+        return
+    path = Path(out)
+    if not path.parent.is_dir():
+        raise InputError(f"--out {out}: directory {path.parent} does not exist")
+    for name in inputs:
+        if name is not None and Path(name).resolve() == path.resolve():
+            raise InputError(f"--out {out} would overwrite the input file {name}")
+
+
 def _run_distributed(fs: FeatureSet, m: int, params: MatchParams, args: argparse.Namespace) -> DistributedRun:
     return distributed_quickmatch(
         fs, m, params,
@@ -165,6 +178,7 @@ def _write_outputs(
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    _check_out(args.out)
     cfg = SynthConfig(args.clusters, args.per_cluster, args.dim, args.spread, args.seed, args.extent)
     fs, truth = generate_synthetic(cfg)
     out = Path(args.out)
@@ -177,6 +191,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_match(args: argparse.Namespace) -> int:
+    _check_out(args.out, args.input)
     fs = load_features(args.input)
     params = _params(args)
     timings: dict[str, float] = {}
@@ -189,6 +204,7 @@ def _cmd_match(args: argparse.Namespace) -> int:
 
 
 def _cmd_dmatch(args: argparse.Namespace) -> int:
+    _check_out(args.out, args.input)
     fs = load_features(args.input)
     params = _params(args)
     run = _run_distributed(fs, args.agents, params, args)
@@ -244,6 +260,7 @@ def _load_contested(path: str) -> list[FeatureId]:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    _check_out(args.out, args.pred, args.truth, args.partition, args.contested_from)
     pred = load_clustering(args.pred)
     if args.mode == "compare":
         if not args.truth:
@@ -277,6 +294,7 @@ _SWEEP_COLUMNS = [
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    _check_out(args.out, args.input)
     fs = load_features(args.input)
     try:
         m_list = [int(tok) for tok in str(args.agents).replace(" ", "").split(",") if tok]

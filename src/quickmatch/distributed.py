@@ -340,11 +340,11 @@ def detect_contested(
     if n == 0 or agent.boundary is None:
         return agent.contested
     sigma_ref = agent.sigma_p if sigma_mode == "per-feature" else np.full(n, agent.sigma_a)
-    hit = (agent.boundary + scalars_row[None, :]) < sigma_ref[:, None]
-    for i in range(n):
-        triggers = np.flatnonzero(hit[i])
-        if len(triggers):
-            agent.contested[i] = tuple(int(t) for t in triggers)
+    rows, triggers = np.nonzero((agent.boundary + scalars_row[None, :]) < sigma_ref[:, None])
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    ends = np.append(starts[1:], len(rows)).tolist()
+    triggers = triggers.tolist()
+    agent.contested = {i: tuple(triggers[a:b]) for i, a, b in zip(rows[starts].tolist(), starts.tolist(), ends)}
     return agent.contested
 
 

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from quickmatch import cli
 from quickmatch.cli import main
 from quickmatch.core import load_clustering, load_features
 
@@ -299,3 +300,56 @@ def test_malformed_env_value_exits_one(var, monkeypatch, capsys):
     assert main(argv) == 1
     assert "error:" in capsys.readouterr().err
     assert main(argv + override) == 0
+
+
+# Per command: a run whose --out names one of its own input files.
+_OUT_IS_INPUT = {
+    "match": ["match", "features.txt", "--out", "features.txt"],
+    "dmatch": ["dmatch", "features.txt", "--agents", "2", "--out", "./features.txt"],
+    "compare": ["compare", "features.txt", "--agents", "1", "--out", "features.txt"],
+    "eval-pred": ["eval", "d.json", "--mode", "compare", "--truth", "features.truth.json", "--out", "d.json"],
+    "eval-truth": ["eval", "d.json", "--mode", "compare", "--truth", "features.truth.json",
+                   "--out", "features.truth.json"],
+    "eval-partition": ["eval", "d.json", "--mode", "split", "--partition", "d.json.partition.json",
+                       "--out", "d.json.partition.json"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OUT_IS_INPUT))
+def test_out_naming_an_input_is_refused(case, capsys):
+    _generate(["--clusters", "4", "--per-cluster", "3"])
+    assert main(["dmatch", "features.txt", "--agents", "2", "--out", "d.json"]) == 0
+    before = {p: p.read_bytes() for p in Path(".").iterdir()}
+    capsys.readouterr()
+    assert main(_OUT_IS_INPUT[case]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in Path(".").iterdir()} == before
+
+
+def test_qm_out_shared_by_generate_and_match_keeps_the_features(monkeypatch, capsys):
+    monkeypatch.setenv("QM_OUT", "data.txt")
+    assert main(["generate", "--clusters", "4", "--per-cluster", "3"]) == 0
+    capsys.readouterr()
+    assert main(["match", "data.txt"]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert len(load_features("data.txt")) == 12
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["match", "features.txt", "--out", "nodir/c.json"],
+        ["dmatch", "features.txt", "--agents", "2", "--out", "nodir/d.json"],
+        ["compare", "features.txt", "--agents", "1", "--out", "nodir/s.csv"],
+        ["eval", "c.json", "--mode", "compare", "--truth", "c.json", "--out", "nodir/e.json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_missing_out_dir_is_refused_before_any_work(argv, monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    for name in ("load_features", "load_clustering", "quickmatch", "distributed_quickmatch"):
+        monkeypatch.setattr(cli, name, forbidden)
+    assert main(argv) == 1
+    assert "does not exist" in capsys.readouterr().err

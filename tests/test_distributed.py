@@ -14,6 +14,7 @@ from quickmatch.core import (
     validate_clustering,
 )
 from quickmatch.distributed import (
+    CONTESTED_SIGMA_MODES,
     AgentState,
     NetworkLedger,
     TransferMessage,
@@ -205,6 +206,28 @@ def test_detect_contested_strictness_at_equality():
     agent.sigma_a = 3.0
     agent.boundary = np.array([[1.0, np.inf]])
     assert detect_contested(agent, np.array([2.0, np.inf]), "per-feature") == {}
+
+
+def test_detect_contested_matches_row_loop():
+    rng = np.random.default_rng(5)
+    n, m = 300, 6
+    agent = AgentState(2, np.zeros(2), np.arange(n), np.ones(n, dtype=bool))
+    agent.sigma_p = rng.uniform(0, 2, n)
+    agent.sigma_a = 1.5
+    agent.boundary = rng.uniform(0, 2, (n, m))
+    agent.boundary[:, 2] = np.inf
+    scalars_row = np.append(rng.uniform(0, 1, m - 1), np.inf)
+    for mode in CONTESTED_SIGMA_MODES:
+        sigma_ref = agent.sigma_p if mode == "per-feature" else np.full(n, agent.sigma_a)
+        want = {}
+        for i in range(n):
+            triggers = np.flatnonzero(agent.boundary[i] + scalars_row < sigma_ref[i])
+            if len(triggers):
+                want[i] = tuple(int(t) for t in triggers)
+        got = detect_contested(agent, scalars_row, mode)
+        assert 0 < len(got) < n
+        assert list(got.items()) == list(want.items())  # same insertion order
+        assert all(type(t) is int for ts in got.values() for t in ts)
 
 
 def test_bisecting_partition_detects_all_split_features():
