@@ -36,8 +36,9 @@ __all__ = [
 # kernels stay defined.
 SIGMA_FLOOR = 1e-12
 
-_BLOCK = 1024  # column block of the dense Gaussian density sum
-_BLOCK_BYTES = 8 << 20  # size of one float64 temporary in a dense block
+_BLOCK = 1024  # rows and columns of one tile of the dense Gaussian density sum
+_STRIP = 128  # tile rows per kernel evaluation, so its temporaries stay at 1 MB
+_BLOCK_BYTES = 8 << 20  # size of one float64 temporary in an exact parent-scan block
 _K0, _K_MAX = 16, 256  # neighbour counts tried by the parent search, doubling
 # Relative margin on kd-tree distances, which may differ from the exact
 # formula in the last ulps: a search radius or "farther" test carrying it
@@ -97,10 +98,9 @@ def min_pair_distance(points: np.ndarray) -> float:
 def sigma_per_image(vectors: np.ndarray, image_slots: np.ndarray, n_images: int) -> np.ndarray:
     """Raw per-image minimum pairwise distance; NaN where an image has < 2 features."""
     sigma = np.full(n_images, np.nan)
-    for s in range(n_images):
-        rows = np.flatnonzero(image_slots == s)
+    for rows in label_groups(image_slots):
         if len(rows) >= 2:
-            sigma[s] = min_pair_distance(vectors[rows])
+            sigma[image_slots[rows[0]]] = min_pair_distance(vectors[rows])
     return sigma
 
 
@@ -141,8 +141,9 @@ def density_values(
     The self term is included (it contributes a constant 1). The finite-support
     kernels vanish beyond their bandwidth, so only the pairs within the
     column's bandwidth are found (kd-tree) and summed, each row in ascending
-    column order. The Gaussians sum every pair in 1024-column blocks, visited
-    in row blocks so no temporary grows with n.
+    column order. The Gaussians sum every pair in 1024-column blocks; each
+    1024 x 1024 distance tile is computed once and serves both of its row
+    blocks, so no temporary grows with n.
     """
     n = len(vectors)
     sig_cols = sigma[image_slots]
@@ -163,13 +164,26 @@ def density_values(
         h = kernel_values(kernel, pair_distances(vectors, rows, cols), sig_cols[cols])
         return np.bincount(rows, weights=h, minlength=n)
     out = np.zeros(n)
-    step = _BLOCK_BYTES // (8 * _BLOCK)
-    for c0 in range(0, n, _BLOCK):
-        c1 = min(c0 + _BLOCK, n)
-        for r0 in range(0, n, step):
-            r1 = min(r0 + step, n)
-            d = cdist(vectors[r0:r1], vectors[c0:c1])
-            out[r0:r1] += np.asarray(kernel_values(kernel, d, sig_cols[None, c0:c1])).sum(axis=1)
+
+    def add_terms(rows: slice, d: np.ndarray, cols: slice) -> None:
+        """``out[rows] +=`` each row's kernel terms over ``cols``, given their
+        distances ``d``; a strip of rows at a time, each row contiguous, so
+        numpy sums it exactly as it would the whole row."""
+        for r0 in range(0, len(d), _STRIP):
+            part = np.ascontiguousarray(d[r0:r0 + _STRIP])
+            r = rows.start + r0
+            out[r:r + len(part)] += kernel_values(kernel, part, sig_cols[None, cols]).sum(axis=1)
+
+    for a0 in range(0, n, _BLOCK):
+        a = slice(a0, min(a0 + _BLOCK, n))
+        for b0 in range(a0, n, _BLOCK):
+            b = slice(b0, min(b0 + _BLOCK, n))
+            d = cdist(vectors[a], vectors[b])
+            add_terms(a, d, b)
+            if b0 > a0:
+                # cdist is symmetric bit for bit; the rows of block b take
+                # column block a now, before any later one, as a row scan would.
+                add_terms(b, d.T, a)
     return out
 
 
@@ -259,7 +273,7 @@ def merge_labels(
     Equal-length edges are processed in lowest-child-id order.
     """
     n = len(parent)
-    uf = np.arange(n, dtype=np.intp)
+    uf = list(range(n))
 
     def find(x: int) -> int:
         root = x
@@ -269,27 +283,30 @@ def merge_labels(
             uf[x], x = root, uf[x]
         return root
 
-    images: dict[int, set[int]] = {r: {int(image_slots[r])} for r in range(n)}
-    min_sigma: dict[int, float] = {r: float(sigma[image_slots[r]]) for r in range(n)}
+    # Plain Python values: the loop runs once per tree edge, and indexing
+    # numpy arrays element by element costs more than the work itself.
+    slots, sig = image_slots.tolist(), sigma.tolist()
+    images = [{s} for s in slots]  # per cluster root
+    min_sigma = [sig[s] for s in slots]
+    par, length = parent.tolist(), edge_length.tolist()
 
     children = np.flatnonzero(parent >= 0)
     order = children[np.lexsort((id_rank[children], edge_length[children]))]
-    for child in order:
-        a, b = find(int(child)), find(int(parent[child]))
+    for child in order.tolist():
+        a, b = find(child), find(par[child])
         if a == b:  # cannot happen in a forest, guard anyway
             continue
         ia, ib = images[a], images[b]
-        if ia & ib:
+        if not ia.isdisjoint(ib):
             continue
         threshold = rho * min(min_sigma[a], min_sigma[b])
-        if edge_length[child] <= threshold:
+        if length[child] <= threshold:
             if len(ia) < len(ib):
                 a, b = b, a
                 ia, ib = ib, ia
             uf[b] = a
             ia |= ib
             min_sigma[a] = min(min_sigma[a], min_sigma[b])
-            del images[b], min_sigma[b]
 
     return np.array([find(r) for r in range(n)], dtype=np.intp)
 

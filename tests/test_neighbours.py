@@ -12,6 +12,7 @@ import oracles
 from quickmatch import centralized
 from quickmatch.centralized import (
     MatchParams,
+    cluster_rows,
     compute_density,
     compute_distinctiveness,
     density_values,
@@ -150,6 +151,17 @@ def test_adversarial_inputs_match_dense_scan(case, settings, monkeypatch):
         np.testing.assert_array_equal(edge, want_edge)
 
 
+def test_sigma_per_image_leaves_small_and_empty_slots_nan():
+    """Slots 1 and 3 hold no rows and slot 4 one row; rows of one image
+    arrive interleaved with the others."""
+    vectors = np.random.default_rng(12).normal(0, 1, (9, 3))
+    slots = np.array([2, 0, 2, 4, 0, 2, 0, 0, 2])
+    raw = sigma_per_image(vectors, slots, 5)
+    assert raw[0] == pdist(vectors[slots == 0]).min()
+    assert raw[2] == pdist(vectors[slots == 2]).min()
+    assert np.isnan(raw[[1, 3, 4]]).all()
+
+
 def test_row_subset_keeps_global_id_ranks():
     """Agents cluster a subset of rows whose id ranks are not 0..n-1."""
     fs, _ = generate_synthetic(SynthConfig(120, 6, 2, 0.25, 3, 20.0))
@@ -223,3 +235,60 @@ def test_gaussian_density_row_blocks_keep_every_bit(kernel, monkeypatch):
         want += kernel_values(kernel, d, sig_cols[None, c0:c0 + 1024]).sum(axis=1)
     monkeypatch.setattr(centralized, "_BLOCK_BYTES", 8 * 1024 * 100)  # 100-row blocks
     np.testing.assert_array_equal(density_values(fs.vectors, fs.image_slots, sigma, kernel), want)
+
+
+def column_block_density(vectors, image_slots, sigma, kernel):
+    """Every row against all columns, summed 1024 columns at a time in
+    ascending blocks: the order the symmetric tiles must keep."""
+    sig_cols = sigma[image_slots]
+    want = np.zeros(len(vectors))
+    for c0 in range(0, len(vectors), 1024):
+        d = cdist(vectors, vectors[c0:c0 + 1024])
+        want += kernel_values(kernel, d, sig_cols[None, c0:c0 + 1024]).sum(axis=1)
+    return want
+
+
+@pytest.mark.parametrize("kernel", [Kernel.GAUSSIAN, Kernel.GAUSSIAN_SQUARED], ids=lambda k: k.value)
+def test_gaussian_density_symmetric_tiles_keep_every_bit(kernel, monkeypatch):
+    """Each 1024 x 1024 distance tile is computed once and serves both of its
+    row blocks; every row still adds its column blocks in ascending order."""
+    for n in (1, 2, 1023, 1024, 1025, 2049, 3000):
+        for dim in (3, 128):
+            rng = np.random.default_rng(n * 1000 + dim)
+            vectors = rng.normal(0.0, 1.0, (n, dim))
+            slots = rng.integers(0, 9, n)
+            sigma = rng.uniform(0.5, 2.0, 9) * math.sqrt(dim)  # per image, so tile (a, b) needs both blocks' sigmas
+            got = density_values(vectors, slots, sigma, kernel)
+            np.testing.assert_array_equal(got, column_block_density(vectors, slots, sigma, kernel), err_msg=f"n={n} dim={dim}")
+
+    # An agent's rows: a subset whose id ranks are not 0..n-1, clustered with
+    # the sigma_a fallback, checked where cluster_rows takes its density.
+    fs, _ = generate_synthetic(SynthConfig(350, 10, 3, 0.25, 4, 30.0))
+    rows = np.flatnonzero(np.arange(len(fs)) % 3 != 1)
+    tiled, checked = centralized.density_values, []
+
+    def checking(vectors, image_slots, sigma, kern):
+        got = tiled(vectors, image_slots, sigma, kern)
+        np.testing.assert_array_equal(got, column_block_density(vectors, image_slots, sigma, kern))
+        checked.append(len(vectors))
+        return got
+
+    monkeypatch.setattr(centralized, "density_values", checking)
+    cluster_rows(fs.vectors[rows], fs.image_slots[rows], fs.id_rank[rows], fs.image_count,
+                 MatchParams(kernel=kernel), fallback_sigma_a=True)
+    assert checked == [len(rows)] and len(rows) > 2048
+
+
+def test_gaussian_quickmatch_memory_is_bounded():
+    """6k 128-D features: the traced peak measured 16.1 MiB, and the bound
+    leaves two 1024 x 1024 tiles (8 MiB each) of margin; one 6000 x 1024
+    strip alone would be 47 MiB, and an n x n distance matrix 275 MiB."""
+    fs, _ = generate_synthetic(SynthConfig(300, 20, 128, 0.25, 0, 20.0 * 17))
+    assert len(fs) == 6000
+    tracemalloc.start()
+    try:
+        quickmatch(fs, MatchParams(kernel=Kernel.GAUSSIAN))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20

@@ -11,6 +11,7 @@ from quickmatch.centralized import (
     compute_density,
     compute_distinctiveness,
     label_groups,
+    merge_labels,
     quickmatch,
 )
 from quickmatch.core import Clustering, FeatureId, FeatureSet, InputError, validate_clustering
@@ -195,6 +196,64 @@ def test_label_groups_matches_dict_grouping():
             want.setdefault(int(lab), []).append(row)
         got = label_groups(labels)
         assert [g.tolist() for g in got] == [want[k] for k in sorted(want)]
+
+
+def reference_merge_labels(parent, edge_length, image_slots, sigma, rho, id_rank):
+    """The merge loop as it was written over dicts and ndarray elements."""
+    n = len(parent)
+    uf = np.arange(n, dtype=np.intp)
+
+    def find(x):
+        root = x
+        while uf[root] != root:
+            root = uf[root]
+        while uf[x] != root:
+            uf[x], x = root, uf[x]
+        return root
+
+    images = {r: {int(image_slots[r])} for r in range(n)}
+    min_sigma = {r: float(sigma[image_slots[r]]) for r in range(n)}
+    children = np.flatnonzero(parent >= 0)
+    order = children[np.lexsort((id_rank[children], edge_length[children]))]
+    for child in order:
+        a, b = find(int(child)), find(int(parent[child]))
+        if a == b:
+            continue
+        ia, ib = images[a], images[b]
+        if ia & ib:
+            continue
+        threshold = rho * min(min_sigma[a], min_sigma[b])
+        if edge_length[child] <= threshold:
+            if len(ia) < len(ib):
+                a, b = b, a
+                ia, ib = ib, ia
+            uf[b] = a
+            ia |= ib
+            min_sigma[a] = min(min_sigma[a], min_sigma[b])
+            del images[b], min_sigma[b]
+    return np.array([find(r) for r in range(n)], dtype=np.intp)
+
+
+def test_merge_labels_matches_reference_loop():
+    rng = np.random.default_rng(11)
+    for trial in range(60):
+        n = int(rng.integers(1, 120))
+        n_images = 1 if trial % 5 == 0 else int(rng.integers(2, 8))
+        # A random forest: each row's parent comes earlier in a random order.
+        order = rng.permutation(n)
+        parent = np.full(n, -1, dtype=np.intp)
+        for pos in range(1, n):
+            if rng.random() < 0.85:
+                parent[order[pos]] = order[rng.integers(0, pos)]
+        slots = rng.integers(0, n_images, n)
+        sigma = rng.uniform(0.2, 1.5, n_images)
+        # Many equal lengths, some exactly at a rho = 1.1 threshold.
+        lengths = np.concatenate([np.arange(1, 6) * 0.25, 1.1 * sigma])
+        edge = np.where(parent >= 0, rng.choice(lengths, n), np.nan)
+        id_rank = rng.permutation(n)
+        for rho in (0.0, 1.1, math.inf):
+            got = merge_labels(parent, edge, slots, sigma, rho, id_rank)
+            np.testing.assert_array_equal(got, reference_merge_labels(parent, edge, slots, sigma, rho, id_rank))
 
 
 def test_quickmatch_empty_set():
