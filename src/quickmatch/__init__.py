@@ -41,9 +41,7 @@ from .metrics import (
 )
 from .partition import (
     Partition,
-    boundary_distance,
     kmeans_seeds,
-    min_boundary_distance,
     random_seeds,
 )
 from .synthetic import SynthConfig, generate_synthetic
@@ -69,7 +67,6 @@ __all__ = [
     "SynthConfig",
     "ValidationError",
     "baseline_ratio_match",
-    "boundary_distance",
     "canonical_cluster_bytes",
     "compare_clusterings",
     "detect_contested",
@@ -82,7 +79,6 @@ __all__ = [
     "load_features",
     "local_cluster",
     "match_counts_vs_reference",
-    "min_boundary_distance",
     "pr_curve",
     "quickmatch",
     "random_seeds",

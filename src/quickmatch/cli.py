@@ -29,6 +29,7 @@ from .core import (
     canonical_json,
     load_clustering,
     load_features,
+    read_ids,
     read_input,
     save_clustering,
     save_features,
@@ -171,7 +172,9 @@ def _write_outputs(
         "clusters_digest": sha256_hex(canonical_cluster_bytes(clustering)),
         **fields,
     }
-    report["determinism_hash"] = sha256_hex(canonical_json(_strip_timings(report)).encode())
+    # Paths name where a run happened, not what it computed.
+    hashed = {**report, "config": {k: v for k, v in report["config"].items() if k not in ("input", "out")}}
+    report["determinism_hash"] = sha256_hex(canonical_json(_strip_timings(hashed)).encode())
     report_path = out.with_suffix(out.suffix + ".report.json")
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return out, report_path
@@ -254,7 +257,7 @@ def _load_contested(path: str) -> list[FeatureId]:
         ids = payload.get("contested_ids") if isinstance(payload, dict) else payload
         if ids is None:
             raise InputError(f"{path}: no contested_ids field")
-        return [FeatureId(int(i), int(k)) for i, k in ids]
+        return [FeatureId(i, k) for i, k in read_ids(path, ids)]
 
     return read_input(path, convert)
 

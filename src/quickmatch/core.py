@@ -1,4 +1,4 @@
-"""Core domain types, the feature-space metric, and on-disk formats.
+"""Core domain types, input checks and on-disk formats.
 
 Everything downstream (matching, partitioning, the distributed harness,
 metrics) is built on the types in this module. All of them are immutable
@@ -13,6 +13,7 @@ import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
@@ -27,7 +28,6 @@ __all__ = [
     "FeatureSet",
     "Clustering",
     "DensityTree",
-    "distance",
     "load_features",
     "save_features",
     "load_clustering",
@@ -63,17 +63,6 @@ class FeatureId(NamedTuple):
     index: int
 
 
-def distance(a: Sequence[float], b: Sequence[float]) -> float:
-    """Euclidean distance between two feature vectors of equal dimension."""
-    av = np.asarray(a, dtype=np.float64)
-    bv = np.asarray(b, dtype=np.float64)
-    if av.shape != bv.shape or av.ndim != 1:
-        raise InputError(f"dimension mismatch: {av.shape} vs {bv.shape}")
-    if not (np.all(np.isfinite(av)) and np.all(np.isfinite(bv))):
-        raise InputError("feature vectors must be finite")
-    return float(np.linalg.norm(av - bv))
-
-
 class FeatureSet:
     """All descriptors of a dataset, indexed by (image, feature index).
 
@@ -107,7 +96,6 @@ class FeatureSet:
         self._image_ids = tuple(sorted({fid.image for fid in ids}))
         slot = {img: s for s, img in enumerate(self._image_ids)}
         self._image_slots = np.array([slot[fid.image] for fid in ids], dtype=np.intp)
-        self._row_of = {fid: r for r, fid in enumerate(ids)}
         # rank[r] = position of row r when features are sorted by id
         order = sorted(range(len(ids)), key=lambda r: ids[r])
         self._id_rank = np.empty(len(ids), dtype=np.intp)
@@ -174,12 +162,6 @@ class FeatureSet:
     __hash__ = None  # type: ignore[assignment]
 
     # -- lookups -------------------------------------------------------------
-
-    def row_of(self, fid: FeatureId) -> int:
-        try:
-            return self._row_of[FeatureId(*fid)]
-        except KeyError:
-            raise InputError(f"unknown feature id {tuple(fid)}") from None
 
     def for_images(self, image_ids: Sequence[int]) -> "FeatureSet":
         """Sub-FeatureSet keeping only the given images (row order preserved)."""
@@ -348,6 +330,17 @@ def read_input(path: str | Path, convert: Callable[[Any], T] | None = None) -> s
         raise ParseError(f"{path}: unexpected payload ({type(exc).__name__}: {exc})") from None
 
 
+def read_ids(path: str | Path, rows: Any, width: int = 2) -> list[list[int]]:
+    """Check JSON rows of ``width`` ids (image, feature and, in a partition,
+    agent) and return them. Each id must be a non-negative int: a float, bool
+    or string raises ParseError naming ``path``, never truncated or coerced."""
+    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}
+            and set(map(type, chain.from_iterable(rows))) <= {int} and min(map(min, rows), default=0) >= 0):
+        bad = next(r for r in rows if type(r) is not list or len(r) != width or any(type(v) is not int or v < 0 for v in r))
+        raise ParseError(f"{path}: expected {width} non-negative integer ids, got {bad!r}")
+    return rows
+
+
 # -- descriptor text format ---------------------------------------------------
 #
 # One feature per line: `image_id feature_id v1 v2 ... vF`, whitespace
@@ -421,7 +414,8 @@ def load_clustering(path: str | Path) -> Clustering:
         meta = payload.get("meta", {})
         if not isinstance(meta, dict):
             raise ParseError(f"{path}: `meta` must be an object")
-        clusters = [[FeatureId(int(i), int(k)) for i, k in members] for members in payload["clusters"]]
-        return Clustering(clusters, meta)
+        clusters = payload["clusters"]
+        read_ids(path, [pair for members in clusters for pair in members])
+        return Clustering([[FeatureId(i, k) for i, k in members] for members in clusters], meta)
 
     return read_input(path, convert)

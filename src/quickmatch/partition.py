@@ -2,31 +2,26 @@
 
 Voronoi seeds come either from plain Lloyd k-means or from a shared integer
 seed (uniform draws in the data bounding box, so every agent can reproduce
-the same seeds from one communicated integer). Boundary distances to a
-neighboring region reduce to a closed-form projection onto the bisector
-hyperplane of the two seeds; the quadratic program it solves is kept in the
-test suite as an independent oracle.
+the same seeds from one communicated integer). A feature's distance to a
+neighboring region, :func:`bisector_distances`, is a closed-form projection
+onto the bisector hyperplane of the two seeds; the quadratic program it
+solves is kept in the test suite as an independent oracle.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import FeatureId, FeatureSet, InputError, ProtocolError, canonical_json, read_input
+from .core import FeatureId, FeatureSet, InputError, ProtocolError, canonical_json, read_ids, read_input
 
 __all__ = [
     "Partition",
-    "BoundaryDistance",
     "kmeans_seeds",
     "random_seeds",
-    "boundary_distance",
-    "min_boundary_distance",
     "bisector_distances",
     "KMEANS_ITERATIONS",
 ]
@@ -88,21 +83,13 @@ class Partition:
     @classmethod
     def load(cls, path: str | Path) -> "Partition":
         def convert(payload: dict) -> Partition:
-            ids = [FeatureId(i, k) for i, k, _ in payload["assignment"]]
-            assignment = [a for _, _, a in payload["assignment"]]
+            rows = read_ids(path, payload["assignment"], 3)
+            ids = [FeatureId(i, k) for i, k, _ in rows]
+            assignment = [a for _, _, a in rows]
             return cls(np.array(payload["seeds"], dtype=np.float64), np.array(assignment), tuple(ids),
                        payload.get("method", "explicit"), payload.get("seed"))
 
         return read_input(path, convert)
-
-
-@dataclass(frozen=True)
-class BoundaryDistance:
-    """Minimum distance from a feature to one neighboring region's bisector."""
-
-    d_min: float
-    nearest_other: int
-    x_min: np.ndarray
 
 
 def _finalize_partition(fs: FeatureSet, seeds: np.ndarray, method: str, seed: int | None) -> Partition:
@@ -183,48 +170,10 @@ def random_seeds(fs: FeatureSet, m: int, seed: int = 0) -> Partition:
     return _finalize_partition(fs, seeds, "random", seed)
 
 
-def boundary_distance(x_t: Sequence[float], part: Partition, e: int) -> BoundaryDistance:
-    """Distance from ``x_t`` to the bisector hyperplane between its own seed
-    and seed ``e``: the closed-form solution of projecting onto the active
-    half-space constraint.
-    """
-    x = np.asarray(x_t, dtype=np.float64)
-    if x.shape != (part.seeds.shape[1],):
-        raise InputError(f"expected a {part.seeds.shape[1]}-vector")
-    if not 0 <= e < part.m:
-        raise InputError(f"agent index {e} out of range")
-    t = int(assign_to_seeds(x[None, :], part.seeds)[0])
-    if e == t:
-        raise InputError(f"feature belongs to agent {t}; boundary to itself is undefined")
-    p_t, p_e = part.seeds[t], part.seeds[e]
-    u = p_e - p_t
-    gap = float(np.linalg.norm(u))
-    u_hat = u / gap
-    d_min = gap / 2.0 - float(u_hat @ (x - p_t))
-    if d_min < -1e-9:
-        raise ProtocolError(f"feature assigned to agent {t} lies beyond the {t}/{e} bisector")
-    d_min = max(d_min, 0.0)
-    return BoundaryDistance(d_min, e, x + d_min * u_hat)
-
-
-def min_boundary_distance(x_t: Sequence[float], part: Partition) -> tuple[float, int | None]:
-    """Minimum bisector distance over every other agent; ties pick the lower
-    index. With a single agent there is no boundary and the result is +inf.
-    """
-    if part.m == 1:
-        return math.inf, None
-    x = np.asarray(x_t, dtype=np.float64)
-    t = int(assign_to_seeds(x[None, :], part.seeds)[0])
-    d = bisector_distances(x[None, :], part.seeds, t)[0]
-    e = int(np.argmin(d))
-    return float(d[e]), e
-
-
 def bisector_distances(vectors: np.ndarray, seeds: np.ndarray, t: int) -> np.ndarray:
-    """(n, m) distances from rows (all assigned to agent ``t``) to each other
-    agent's bisector; column ``t`` is +inf. Vectorized form of
-    :func:`boundary_distance` used by the distributed pipeline.
-    """
+    """(n, m) distances ``d = |p_e - p_t|/2 - û·(x - p_t)`` from rows (all of agent
+    ``t``) to each agent e's bisector, with ``û`` the unit vector from ``p_t`` to
+    ``p_e``; ``x + d·û`` is the nearest bisector point. Column ``t`` is +inf."""
     m = len(seeds)
     out = np.full((len(vectors), m), np.inf)
     for e in range(m):

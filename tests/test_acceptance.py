@@ -38,7 +38,7 @@ from quickmatch.metrics import (
     pr_curve,
     split_quality,
 )
-from quickmatch.partition import Partition, assign_to_seeds, boundary_distance, kmeans_seeds
+from quickmatch.partition import Partition, assign_to_seeds, bisector_distances, kmeans_seeds
 from quickmatch.synthetic import SynthConfig, generate_synthetic
 
 import oracles
@@ -83,7 +83,7 @@ def test_criterion_2_degenerate_equivalence():
 
 
 def test_criterion_3_boundary_distance_qp_oracle():
-    with criterion(3, "closed-form boundary distance matches iterative QP oracle to 1e-9 (1000 instances)"):
+    with criterion(3, "closed-form bisector_distances matches iterative QP oracle to 1e-9 (1000 instances)"):
         rng = np.random.default_rng(2024)
         per_dim = {2: 334, 8: 333, 128: 333}
         total = 0
@@ -104,9 +104,8 @@ def test_criterion_3_boundary_distance_qp_oracle():
             closed = np.empty(count)
             for i in range(count):
                 seeds = np.vstack([p_t[i], p_e[i]])
-                fs_seeds = FeatureSet.from_rows([(0, k, seeds[k]) for k in range(2)])
-                part = Partition(seeds, assign_to_seeds(fs_seeds.vectors, seeds), fs_seeds.ids)
-                closed[i] = boundary_distance(x[i], part, 1).d_min
+                assert assign_to_seeds(x[i:i + 1], seeds)[0] == 0
+                closed[i] = bisector_distances(x[i:i + 1], seeds, 0)[0, 1]
             want = oracles.qp_boundary_distance_batch(x, p_t, p_e)
             np.testing.assert_allclose(closed, want, rtol=0, atol=1e-9)
             total += count

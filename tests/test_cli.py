@@ -137,6 +137,22 @@ def test_dmatch_report_schema_valid():
     jsonschema.validate(report, DMATCH_REPORT_SCHEMA)
 
 
+@pytest.mark.parametrize("command", [["match"], ["dmatch", "--agents", "2"]], ids=lambda argv: argv[0])
+def test_determinism_hash_ignores_input_and_out_paths(command, capsys):
+    feat, _ = _generate(["--clusters", "4", "--per-cluster", "3"])
+    hashes = []
+    for folder, out in (("a", "clusters.json"), ("b", "other.json")):
+        Path(folder).mkdir()
+        Path(folder, "features.txt").write_bytes(feat.read_bytes())
+        out = str(Path(folder, out))
+        assert main([command[0], str(Path(folder, "features.txt")), *command[1:], "--out", out]) == 0
+        report = json.loads(Path(out + ".report.json").read_text())
+        assert report["config"]["input"] == str(Path(folder, "features.txt"))  # still written
+        hashes.append(report["determinism_hash"])
+    capsys.readouterr()
+    assert hashes[0] == hashes[1]
+
+
 def test_dmatch_rejects_bad_agents(capsys):
     feat, _ = _generate()
     assert main(["dmatch", str(feat), "--agents", "0"]) == 1
@@ -267,6 +283,38 @@ _BAD_INPUTS = {
     "match-rho-inf": ["match", "features.txt", "--rho", "inf"],
 }
 
+# An id that is not a non-negative int, written into each JSON input by
+# _write_bad_ids: a clustering, a partition (feature id and agent index) and a
+# contested set.
+_BAD_IDS = {"fractional": 0.7, "negative": -1, "bool": True, "string": "0"}
+for _kind in _BAD_IDS:
+    _BAD_INPUTS.update({
+        f"clustering-id-{_kind}": ["eval", f"clusters-{_kind}.json", "--mode", "compare", "--truth", "d.json"],
+        f"partition-id-{_kind}": ["eval", "d.json", "--mode", "split", "--partition", f"part-id-{_kind}.json"],
+        f"partition-agent-{_kind}": ["eval", "d.json", "--mode", "split", "--partition", f"part-agent-{_kind}.json"],
+        f"contested-id-{_kind}": [
+            "eval", "d.json", "--mode", "split", "--partition", "d.json.partition.json",
+            "--contested-from", f"contested-{_kind}.json",
+        ],
+    })
+
+
+def _write_bad_ids():
+    """Copies of the dmatch outputs in ``d.json*`` with one id replaced."""
+    def write(name, source, keys, value):
+        payload = json.loads(Path(source).read_text())
+        target = payload
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        Path(name).write_text(json.dumps(payload))
+
+    for kind, bad in _BAD_IDS.items():
+        write(f"clusters-{kind}.json", "d.json", ("clusters", 0, 0, 1), bad)
+        write(f"part-id-{kind}.json", "d.json.partition.json", ("assignment", 0, 1), bad)
+        write(f"part-agent-{kind}.json", "d.json.partition.json", ("assignment", 0, 2), bad)
+        write(f"contested-{kind}.json", "d.json.report.json", ("contested_ids",), [[0, bad]])
+
 
 @pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
 def test_bad_input_file_exits_one(case, capsys):
@@ -276,6 +324,7 @@ def test_bad_input_file_exits_one(case, capsys):
     Path("meta.json").write_text('{"clusters": [], "meta": [1, 2]}')
     Path("latin1.txt").write_bytes(b"0 0 1.0 \xe9\n")
     Path("adir").mkdir()
+    _write_bad_ids()
     capsys.readouterr()
     assert main(_BAD_INPUTS[case]) == 1
     assert "error:" in capsys.readouterr().err

@@ -181,7 +181,7 @@ def test_scalar_exhaustive_oracle():
 
 
 def test_detect_contested_direct_inequality():
-    agent = AgentState(1, np.zeros(2), np.array([0]), np.ones(1, dtype=bool))
+    agent = AgentState(1, np.array([0]), np.ones(1, dtype=bool))
     agent.sigma_p = np.array([10.0])
     agent.sigma_a = 10.0
     agent.boundary = np.array([[1.0, np.inf]])
@@ -192,7 +192,7 @@ def test_detect_contested_direct_inequality():
 
 def test_detect_contested_negative_case():
     # boundary geometry where d_ika + d_aa' >= sigma_p: not contested
-    agent = AgentState(1, np.zeros(2), np.array([0]), np.ones(1, dtype=bool))
+    agent = AgentState(1, np.array([0]), np.ones(1, dtype=bool))
     agent.sigma_p = np.array([2.5])
     agent.sigma_a = 2.5
     agent.boundary = np.array([[3.0, np.inf]])
@@ -201,7 +201,7 @@ def test_detect_contested_negative_case():
 
 
 def test_detect_contested_strictness_at_equality():
-    agent = AgentState(1, np.zeros(2), np.array([0]), np.ones(1, dtype=bool))
+    agent = AgentState(1, np.array([0]), np.ones(1, dtype=bool))
     agent.sigma_p = np.array([3.0])
     agent.sigma_a = 3.0
     agent.boundary = np.array([[1.0, np.inf]])
@@ -211,7 +211,7 @@ def test_detect_contested_strictness_at_equality():
 def test_detect_contested_matches_row_loop():
     rng = np.random.default_rng(5)
     n, m = 300, 6
-    agent = AgentState(2, np.zeros(2), np.arange(n), np.ones(n, dtype=bool))
+    agent = AgentState(2, np.arange(n), np.ones(n, dtype=bool))
     agent.sigma_p = rng.uniform(0, 2, n)
     agent.sigma_a = 1.5
     agent.boundary = rng.uniform(0, 2, (n, m))
@@ -374,6 +374,22 @@ def test_finalize_single_feature_image_uses_agent_bandwidth():
     c = finalize(agents, fs, QUAD)
     assert (FeatureId(0, 0), FeatureId(1, 0)) in c.clusters
     assert len(c) == len(fs) - 1
+
+
+@pytest.mark.parametrize("fault", ["owned-twice", "lost"])
+def test_finalize_rejects_a_feature_owned_twice_or_lost(fault):
+    fs, _, _, agents, _ = _bisecting_setup("agent-max")
+    ledger = NetworkLedger()
+    transfer_round(agents, fs, ledger)
+    ledger.seal()
+    kept = np.flatnonzero(agents[0].kept)
+    assert len(kept)
+    if fault == "owned-twice":
+        agents[1].adopted.append(agents[0].rows0[kept[:1]])  # agent 0 still keeps it
+    else:
+        agents[0].kept[kept[0]] = False  # sent nowhere
+    with pytest.raises(ProtocolError):
+        finalize(agents, fs, QUAD)
 
 
 def test_m4_pipeline_ground_truth_exact():

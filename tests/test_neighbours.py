@@ -224,16 +224,17 @@ def test_parent_ties_at_the_kth_neighbour():
 
 @pytest.mark.parametrize("kernel", [Kernel.GAUSSIAN, Kernel.GAUSSIAN_SQUARED], ids=lambda k: k.value)
 def test_gaussian_density_row_blocks_keep_every_bit(kernel, monkeypatch):
-    """Row blocks inside the 1024-column blocks leave each row's sum as it was
-    when every row of a column block was summed at once."""
+    """With 100 x 100 tiles and 7-row strips, 24 column blocks per row, each
+    row's sum is still its column blocks added in ascending order."""
     fs, _ = generate_synthetic(SynthConfig(300, 8, 3, 0.25, 2, 30.0))
     sigma = compute_distinctiveness(fs).sigma
     sig_cols = sigma[fs.image_slots]
     want = np.zeros(len(fs))
-    for c0 in range(0, len(fs), 1024):
-        d = cdist(fs.vectors, fs.vectors[c0:c0 + 1024])
-        want += kernel_values(kernel, d, sig_cols[None, c0:c0 + 1024]).sum(axis=1)
-    monkeypatch.setattr(centralized, "_BLOCK_BYTES", 8 * 1024 * 100)  # 100-row blocks
+    for c0 in range(0, len(fs), 100):
+        d = cdist(fs.vectors, fs.vectors[c0:c0 + 100])
+        want += kernel_values(kernel, d, sig_cols[None, c0:c0 + 100]).sum(axis=1)
+    monkeypatch.setattr(centralized, "_BLOCK", 100)
+    monkeypatch.setattr(centralized, "_STRIP", 7)  # strips that do not divide a tile
     np.testing.assert_array_equal(density_values(fs.vectors, fs.image_slots, sigma, kernel), want)
 
 

@@ -10,9 +10,7 @@ from quickmatch.partition import (
     Partition,
     assign_to_seeds,
     bisector_distances,
-    boundary_distance,
     kmeans_seeds,
-    min_boundary_distance,
     random_seeds,
 )
 from quickmatch.synthetic import SynthConfig, generate_synthetic
@@ -155,29 +153,32 @@ def test_random_seeds_degenerate_box_widened():
 # -- boundary distances ----------------------------------------------------------
 
 
-def _two_seed_partition(p0, p1):
-    fs = FeatureSet.from_rows([(0, 0, list(p0)), (0, 1, list(p1))])
-    seeds = np.array([p0, p1], dtype=float)
-    return Partition(seeds, assign_to_seeds(fs.vectors, seeds), fs.ids)
+def _one_row(x, seeds):
+    """``bisector_distances`` for one point, from the agent that owns it."""
+    x = np.asarray(x, dtype=np.float64)[None, :]
+    seeds = np.asarray(seeds, dtype=np.float64)
+    t = int(assign_to_seeds(x, seeds)[0])
+    return t, bisector_distances(x, seeds, t)[0]
 
 
 def test_boundary_distance_midpoint_is_zero():
-    part = _two_seed_partition([0.0, 0.0], [2.0, 2.0])
-    bd = boundary_distance([1.0, 1.0], part, 1)
-    assert bd.d_min == pytest.approx(0.0, abs=1e-12)
+    _, d = _one_row([1.0, 1.0], [[0.0, 0.0], [2.0, 2.0]])
+    assert d[1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_boundary_distance_1d_analytic():
-    part = _two_seed_partition([0.0], [2.0])
-    bd = boundary_distance([0.5], part, 1)
-    assert bd.d_min == pytest.approx(0.5)
-    assert bd.x_min == pytest.approx([1.0])
+    seeds = np.array([[0.0], [2.0]])
+    t, d = _one_row([0.5], seeds)
+    assert t == 0
+    assert d[1] == pytest.approx(0.5)
+    u_hat = (seeds[1] - seeds[0]) / np.linalg.norm(seeds[1] - seeds[0])
+    assert np.array([0.5]) + d[1] * u_hat == pytest.approx([1.0])
 
 
 def test_boundary_distance_rejects_own_agent():
-    part = _two_seed_partition([0.0], [2.0])
-    with pytest.raises(InputError):
-        boundary_distance([0.5], part, 0)
+    t, d = _one_row([0.5], [[0.0], [2.0]])
+    assert t == 0
+    assert d[t] == math.inf  # no boundary to itself
 
 
 def test_projection_lies_on_bisector_and_residual_is_normal():
@@ -185,23 +186,21 @@ def test_projection_lies_on_bisector_and_residual_is_normal():
     for _ in range(50):
         dim = int(rng.choice([2, 3, 8]))
         seeds = rng.normal(size=(4, dim)) * 5
-        part_fs = FeatureSet.from_rows([(0, k, seeds[k]) for k in range(4)])
-        part = Partition(seeds, assign_to_seeds(part_fs.vectors, seeds), part_fs.ids)
         x = rng.normal(size=dim) * 5
-        t = int(assign_to_seeds(x[None, :], seeds)[0])
+        t, d = _one_row(x, seeds)
         e = int(rng.choice([a for a in range(4) if a != t]))
-        bd = boundary_distance(x, part, e)
         u = seeds[e] - seeds[t]
         u_hat = u / np.linalg.norm(u)
+        x_min = x + d[e] * u_hat
         # on the bisector: u_hat . (x_min - p_t) == |u|/2
-        assert float(u_hat @ (bd.x_min - seeds[t])) == pytest.approx(
+        assert float(u_hat @ (x_min - seeds[t])) == pytest.approx(
             float(np.linalg.norm(u)) / 2, abs=1e-9
         )
         # residual is parallel to the normal
-        resid = x - bd.x_min
+        resid = x - x_min
         tangential = resid - (resid @ u_hat) * u_hat
         assert float(np.linalg.norm(tangential)) == pytest.approx(0.0, abs=1e-9)
-        assert bd.d_min == pytest.approx(float(np.linalg.norm(resid)), abs=1e-12)
+        assert d[e] == pytest.approx(float(np.linalg.norm(resid)), abs=1e-12)
 
 
 def test_closed_form_matches_qp_oracle_sampled():
@@ -210,13 +209,10 @@ def test_closed_form_matches_qp_oracle_sampled():
         dim = int(rng.choice([2, 8, 128]))
         seeds = rng.normal(size=(3, dim)) * 4
         x = rng.normal(size=dim) * 4
-        t = int(assign_to_seeds(x[None, :], seeds)[0])
+        t, d = _one_row(x, seeds)
         e = (t + 1) % 3
-        fs = FeatureSet.from_rows([(0, k, seeds[k]) for k in range(3)])
-        part = Partition(seeds, assign_to_seeds(fs.vectors, seeds), fs.ids)
         want = oracles.qp_boundary_distance(x, seeds[t], seeds[e])
-        got = boundary_distance(x, part, e).d_min
-        assert got == pytest.approx(want, abs=1e-9)
+        assert d[e] == pytest.approx(want, abs=1e-9)
 
 
 def test_qp_oracle_agrees_with_scipy_slsqp():
@@ -246,18 +242,17 @@ def test_qp_oracle_agrees_with_scipy_slsqp():
 
 
 def test_min_boundary_distance_m2_equals_single_pair():
-    part = _two_seed_partition([0.0, 0.0], [4.0, 0.0])
-    d, e = min_boundary_distance([1.0, 0.0], part)
-    assert e == 1
-    assert d == pytest.approx(boundary_distance([1.0, 0.0], part, 1).d_min)
+    t, d = _one_row([1.0, 0.0], [[0.0, 0.0], [4.0, 0.0]])
+    assert t == 0
+    assert int(np.argmin(d)) == 1
+    assert d.min() == pytest.approx(1.0)  # the 0/1 bisector is x = 2
 
 
 def test_min_boundary_distance_m1_infinite():
-    fs = FeatureSet.from_rows([(0, 0, [1.0, 1.0])])
-    part = Partition(np.array([[0.0, 0.0]]), np.array([0]), fs.ids)
-    d, e = min_boundary_distance([1.0, 1.0], part)
-    assert math.isinf(d)
-    assert e is None
+    t, d = _one_row([1.0, 1.0], [[0.0, 0.0]])
+    assert t == 0
+    assert d.shape == (1,)
+    assert math.isinf(d.min())
 
 
 def test_min_boundary_distance_exhaustive_oracle():
@@ -275,9 +270,9 @@ def test_min_boundary_distance_exhaustive_oracle():
             d = oracles.bisector_point_distance(x, part.seeds[t], part.seeds[e])
             if d < want - 1e-15:
                 want, want_e = d, e
-        d, e = min_boundary_distance(x, part)
-        assert d == pytest.approx(want, abs=1e-9)
-        assert e == want_e
+        d = bisector_distances(fs.vectors[row:row + 1], part.seeds, t)[0]
+        assert d.min() == pytest.approx(want, abs=1e-9)
+        assert int(np.argmin(d)) == want_e
 
 
 def test_bisector_distances_bound_sampled_region_points():
