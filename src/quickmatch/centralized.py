@@ -294,8 +294,6 @@ def merge_labels(
     order = children[np.lexsort((id_rank[children], edge_length[children]))]
     for child in order.tolist():
         a, b = find(child), find(par[child])
-        if a == b:  # cannot happen in a forest, guard anyway
-            continue
         ia, ib = images[a], images[b]
         if not ia.isdisjoint(ib):
             continue

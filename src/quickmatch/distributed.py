@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .centralized import MatchParams, RowClusters, cluster_rows, label_groups
 from .core import (
@@ -75,7 +74,7 @@ class TransferMessage:
 
     kind "route": one feature delivered to its owning agent (round 0).
     kind "scalar": a boundary scalar d_aa' (round 1).
-    kind "cluster": a whole cluster with its vectors (rounds 2+); cluster
+    kind "cluster": a whole cluster with its vectors (round 2); cluster
     transfers only ever move to a strictly lower agent index.
     """
 
@@ -348,25 +347,22 @@ def _clusters_in_order(agent: AgentState, fs: FeatureSet) -> list[np.ndarray]:
     return sorted(label_groups(agent.labels), key=lambda idxs: rank[idxs].min())
 
 
-def _cluster_message(round_: int, sender: int, dest: int, rows: np.ndarray, fs: FeatureSet) -> TransferMessage:
+def _cluster_message(sender: int, dest: int, rows: np.ndarray, fs: FeatureSet) -> TransferMessage:
     ids = tuple(fs.ids[r] for r in rows)
-    return TransferMessage(round_, "cluster", sender, dest, ids, None, fs.vectors[rows])
+    return TransferMessage(2, "cluster", sender, dest, ids, None, fs.vectors[rows])
 
 
 def transfer_round(agents: Sequence[AgentState], fs: FeatureSet, ledger: NetworkLedger) -> Sequence[AgentState]:
-    """Move contested clusters toward lower agent indices.
+    """Move contested clusters toward lower agent indices, one hop each.
 
-    Send phase: every local cluster containing a contested feature goes whole
-    to the minimum triggering agent index, if that index is lower than the
-    owner's. Receive phase, processed from the highest agent index down: for
-    each arriving cluster the agent finds its nearest remaining local
-    feature; if that feature is itself contested with some lower index, both
-    the arrival and that feature's cluster are forwarded there. Every hop
-    strictly decreases the destination, so a cluster moves at most m-1 times.
+    Every local cluster containing a contested feature goes whole to the
+    lowest agent index any member is contested with, if that index is lower
+    than the owner's, and settles there. No second hop is ever needed: a
+    feature the owner keeps is either uncontested or contested only with
+    indices above the owner's, since otherwise its cluster would have been
+    sent. Agents send in index order, so each agent's ``adopted`` lists its
+    arrivals by sender index, then by smallest member id.
     """
-    m = len(agents)
-    queues: list[list[np.ndarray]] = [[] for _ in range(m)]
-
     for agent in agents:
         if agent.labels is None or len(agent.rows0) == 0:
             continue
@@ -379,40 +375,9 @@ def transfer_round(agents: Sequence[AgentState], fs: FeatureSet, ledger: Network
             if dest >= agent.id:
                 continue
             rows = agent.rows0[members]
-            ledger.log(_cluster_message(2, agent.id, dest, rows, fs))
-            queues[dest].append(rows)
+            ledger.log(_cluster_message(agent.id, dest, rows, fs))
+            agents[dest].adopted.append(rows)
             agent.kept[members] = False
-
-    for a in range(m - 1, -1, -1):
-        agent = agents[a]
-        qi = 0
-        while qi < len(queues[a]):
-            rows = queues[a][qi]
-            qi += 1
-            remaining = np.flatnonzero(agent.kept)
-            if len(remaining) == 0:
-                agent.adopted.append(rows)
-                continue
-            d = cdist(fs.vectors[agent.rows0[remaining]], fs.vectors[rows])
-            best = d.min()
-            cand_local, cand_member = np.nonzero(d == best)
-            rank_local = fs.id_rank[agent.rows0[remaining[cand_local]]]
-            rank_member = fs.id_rank[rows[cand_member]]
-            pick = np.lexsort((rank_member, rank_local))[0]
-            y = int(remaining[cand_local[pick]])
-            if y in agent.contested:
-                dest = min(agent.contested[y])
-                if dest < a:
-                    assert agent.labels is not None
-                    own = np.flatnonzero((agent.labels == agent.labels[y]) & agent.kept)
-                    ledger.log(_cluster_message(3, a, dest, rows, fs))
-                    queues[dest].append(rows)
-                    own_rows = agent.rows0[own]
-                    ledger.log(_cluster_message(3, a, dest, own_rows, fs))
-                    queues[dest].append(own_rows)
-                    agent.kept[own] = False
-                    continue
-            agent.adopted.append(rows)
     return agents
 
 

@@ -22,6 +22,11 @@ def _generate(extra=()):
     return Path("features.txt"), Path("features.truth.json")
 
 
+def _csv_rows(path, reader=csv.DictReader):
+    with open(path, newline="") as f:
+        return list(reader(f))
+
+
 def test_generate_defaults():
     feat, truth = _generate()
     fs = load_features(feat)
@@ -204,7 +209,7 @@ def test_eval_requires_mode_companion(capsys):
 def test_compare_m1_row_matches_match_report():
     feat, _ = _generate()
     assert main(["compare", str(feat), "--agents", "1", "--out", "sweep.csv"]) == 0
-    rows = list(csv.DictReader(Path("sweep.csv").open()))
+    rows = _csv_rows("sweep.csv")
     assert len(rows) == 1
     assert rows[0]["Number of Agents"] == "1"
     assert rows[0]["QP Time Per Agent (s)"] == "NA"
@@ -219,14 +224,14 @@ def test_compare_sweep_contested_found_100_on_clean_data():
     feat, _ = _generate()
     m_list = "2,3,4,5,6,7,8"
     assert main(["compare", str(feat), "--agents", m_list, "--out", "sweep.csv"]) == 0
-    rows = list(csv.DictReader(Path("sweep.csv").open()))
+    rows = _csv_rows("sweep.csv")
     assert len(rows) == 7
     for row in rows:
         if row["% Contested Features Found"] != "NA":
             assert float(row["% Contested Features Found"]) == 100.0
     # plot data emitted per m
     for m in (2, 8):
-        points = list(csv.reader(Path(f"sweep.m{m}.points.csv").open()))
+        points = _csv_rows(f"sweep.m{m}.points.csv", csv.reader)
         assert points[0] == ["image", "feature", "x0", "x1", "cluster", "agent"]
         assert len(points) == 251
 
@@ -237,7 +242,7 @@ def test_compare_deterministic_across_reruns():
     main(["compare", str(feat), "--agents", "2,4", "--seed", "1", "--out", "b.csv"])
 
     def strip_times(path):
-        rows = list(csv.DictReader(Path(path).open()))
+        rows = _csv_rows(path)
         return [
             {k: v for k, v in row.items() if "Time" not in k}
             for row in rows
@@ -279,6 +284,8 @@ _BAD_INPUTS = {
     "dmatch-out-missing-dir": ["dmatch", "features.txt", "--agents", "2", "--out", "nodir/d.json"],
     "generate-out-missing-dir": ["generate", "--out", "nodir/f.txt"],
     "compare-out-missing-dir": ["compare", "features.txt", "--agents", "1", "--out", "nodir/s.csv"],
+    "compare-agents-not-int": ["compare", "features.txt", "--agents", "x,2"],
+    "compare-agents-zero": ["compare", "features.txt", "--agents", "0"],
     "eval-out-missing-dir": ["eval", "d.json", "--mode", "compare", "--truth", "d.json", "--out", "nodir/e.json"],
     "match-rho-inf": ["match", "features.txt", "--rho", "inf"],
 }

@@ -110,6 +110,15 @@ def test_load_features_errors_name_line(tmp_path):
     path.write_text("0 0 banana\n")
     with pytest.raises(ParseError, match=r":1:"):
         load_features(path)
+    path.write_text("0 0 1.0\n0 1\n")
+    with pytest.raises(ParseError, match=r":2: expected `image feature v1..vF`, got 2 fields"):
+        load_features(path)
+    path.write_text("# header\n0 -1 1.0\n")
+    with pytest.raises(ParseError, match=r":2: ids must be non-negative"):
+        load_features(path)
+    path.write_text("0 0 1.0 2.0\n\n0 1 nan 2.0\n")
+    with pytest.raises(ParseError, match=r":3: non-finite component"):
+        load_features(path)
 
 
 def test_load_features_missing_file(tmp_path):

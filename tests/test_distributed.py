@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quickmatch.centralized import MatchParams, quickmatch
 from quickmatch.core import (
@@ -335,6 +337,51 @@ def test_transferred_cluster_carries_vectors():
         if msg.kind == "cluster":
             assert msg.vectors is not None
             assert msg.vectors.shape == (len(msg.feature_ids), fs.dim)
+
+
+@st.composite
+def _transfer_cases(draw):
+    """A small feature set (integer grids with ties, or floats) and a run config."""
+    dim = draw(st.integers(1, 3))
+    counts = draw(st.lists(st.integers(1, 8), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        coord = st.integers(0, 4).map(float)
+    else:
+        coord = st.floats(-10, 10, allow_nan=False)
+    vectors = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=sum(counts), max_size=sum(counts)))
+    distinct = len({tuple(v) for v in vectors})
+    assume(distinct >= 2)
+    ids = [(img, k) for img, count in enumerate(counts) for k in range(count)]
+    fs = FeatureSet.from_rows([(img, k, v) for (img, k), v in zip(ids, vectors)])
+    m = draw(st.integers(2, min(16, distinct)))
+    return fs, m, draw(st.sampled_from(CONTESTED_SIGMA_MODES)), draw(st.sampled_from(("kmeans", "random")))
+
+
+@settings(max_examples=120, database=None, deadline=None, derandomize=True)
+@given(_transfer_cases(), st.sampled_from((Kernel.QUADRATIC, Kernel.GAUSSIAN)), st.integers(0, 3))
+def test_every_contested_cluster_moves_one_hop_to_its_lowest_trigger(case, kernel, seed):
+    fs, m, mode, seeding = case
+    run = distributed_quickmatch(fs, m, MatchParams(kernel=kernel), seed=seed, seeding=seeding, contested_sigma=mode)
+    agents = run.agents
+    for agent in agents:
+        for i, triggers in agent.contested.items():
+            assert not agent.kept[i] or min(triggers) > agent.id
+    local = {fs.ids[r]: (agent, i) for agent in agents for i, r in enumerate(agent.rows0)}
+    arrivals = [[] for _ in range(m)]
+    for msg in run.ledger.messages:
+        if msg.kind != "cluster":
+            continue
+        assert msg.round == 2
+        sender, members = agents[msg.from_agent], [local[fid][1] for fid in msg.feature_ids]
+        assert all(local[fid][0] is sender for fid in msg.feature_ids)
+        label = sender.labels[members[0]]
+        assert sorted(members) == np.flatnonzero(sender.labels == label).tolist()  # the whole local cluster
+        assert msg.to_agent == min(min(sender.contested[i]) for i in members if i in sender.contested)
+        arrivals[msg.to_agent].append(msg.feature_ids)
+    for agent in agents:
+        assert [tuple(fs.ids[r] for r in rows) for rows in agent.adopted] == arrivals[agent.id]
+    validate_clustering(run.clustering, fs)
+    run.ledger.validate_protocol(len(fs), m)
 
 
 def test_ledger_rejects_nondecreasing_cluster_transfer():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from quickmatch import partition
 from quickmatch.core import FeatureSet, InputError
 from quickmatch.partition import (
     KMEANS_ITERATIONS,
@@ -95,8 +96,8 @@ def test_kmeans_voronoi_correctness_and_objective_monotone():
 
 
 def test_kmeans_empty_cluster_repair_reseeds_farthest():
-    # two tight pairs and one far outlier; three seeds initialised so one
-    # empties after the first update, forcing the repair path
+    # two tight pairs and one far outlier; no update empties an agent here,
+    # the next test pins an input that does
     fs = FeatureSet.from_rows(
         [
             (0, 0, [0.0, 0.0]),
@@ -110,6 +111,32 @@ def test_kmeans_empty_cluster_repair_reseeds_farthest():
     assert len(set(part.assignment)) == 3  # no agent ends empty
     # the outlier necessarily sits alone under any 3-means optimum here
     assert sum(part.assignment == part.assignment[4]) == 1
+
+
+def test_kmeans_empty_cluster_repair_runs_and_repeats(monkeypatch):
+    # three tight blobs of four and four agents: with seed 2 an update leaves
+    # one agent without features, so the repair reseeds it on a far feature
+    pts = [
+        (3.02, 5.94), (3.01, 6.07), (3.02, 6.02), (3.04, 5.99),
+        (2.87, 9.93), (2.96, 10.02), (2.99, 9.97), (2.97, 10.07),
+        (6.89, 10.06), (6.98, 9.97), (7.01, 10.04), (6.99, 9.96),
+    ]
+    fs = FeatureSet.from_rows([(0, k, list(p)) for k, p in enumerate(pts)])
+    emptied = []
+
+    def spy(vectors, seeds):
+        labels = assign_to_seeds(vectors, seeds)
+        emptied.append(len(np.unique(labels)) < len(seeds))
+        return labels
+
+    monkeypatch.setattr(partition, "assign_to_seeds", spy)
+    part = kmeans_seeds(fs, 4, seed=2)
+    assert any(emptied)  # the repair path ran
+    assert sorted(set(part.assignment.tolist())) == [0, 1, 2, 3]
+    assert part.assignment.tolist() == [2, 1, 1, 1, 0, 0, 0, 0, 3, 3, 3, 3]
+    again = kmeans_seeds(fs, 4, seed=2)
+    assert np.array_equal(again.assignment, part.assignment)
+    assert np.array_equal(again.seeds, part.seeds)
 
 
 # -- random seeds ----------------------------------------------------------------
