@@ -355,19 +355,19 @@ def cluster_rows(
     return RowClusters(labels, parent, edge, sigma_a)
 
 
-def _labels_to_clustering(labels: np.ndarray, ids, params: MatchParams) -> Clustering:
+def _labels_to_clustering(labels: np.ndarray, id_array: np.ndarray, params: MatchParams) -> Clustering:
     meta = {"algorithm": "quickmatch", "rho": params.rho, "kernel": params.kernel.value}
-    return Clustering([[ids[r] for r in rows] for rows in label_groups(labels)], meta)
+    return Clustering.from_labels(id_array, labels, meta)
 
 
 def break_and_merge(
     fs: FeatureSet, tree: DensityTree, dist: Distinctiveness, params: MatchParams
 ) -> Clustering:
     labels = merge_labels(tree.parent, tree.edge_length, fs.image_slots, dist.sigma, params.rho, fs.id_rank)
-    return _labels_to_clustering(labels, fs.ids, params)
+    return _labels_to_clustering(labels, fs.id_array, params)
 
 
 def quickmatch(fs: FeatureSet, params: MatchParams = MatchParams()) -> Clustering:
     """Full centralized pipeline: :func:`cluster_rows` over every feature."""
     labels = cluster_rows(fs.vectors, fs.image_slots, fs.id_rank, fs.image_count, params).labels
-    return _labels_to_clustering(labels, fs.ids, params)
+    return _labels_to_clustering(labels, fs.id_array, params)

@@ -257,7 +257,7 @@ def _load_contested(path: str) -> list[FeatureId]:
         ids = payload.get("contested_ids") if isinstance(payload, dict) else payload
         if ids is None:
             raise InputError(f"{path}: no contested_ids field")
-        return [FeatureId(i, k) for i, k in read_ids(path, ids)]
+        return list(map(FeatureId._make, read_ids(path, ids).tolist()))
 
     return read_input(path, convert)
 

@@ -11,8 +11,9 @@ import hashlib
 import json
 import math
 import time
+import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
@@ -63,16 +64,45 @@ class FeatureId(NamedTuple):
     index: int
 
 
+_ID_END = 1 << 63  # ids are stored as int64, so each must lie in [0, 2**63)
+
+
+def _id_array(ids: Sequence[FeatureId] | np.ndarray) -> np.ndarray:
+    """``ids`` as a new ``(n, 2)`` int64 array; an id outside int64 raises
+    ValidationError."""
+    if len(ids) == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    try:
+        out = np.array(ids, dtype=np.int64)
+    except OverflowError:
+        bad = next(f for f in ids if not all(-_ID_END <= int(v) < _ID_END for v in f))
+        raise ValidationError(f"id {tuple(map(int, bad))} does not fit in int64") from None
+    if out.shape != (len(ids), 2):
+        raise ValidationError(f"expected (image, feature) id pairs, got an array of shape {out.shape}")
+    return out
+
+
+def _sorted_order(id_array: np.ndarray) -> np.ndarray:
+    """Row order that sorts ``(n, 2)`` ids by (image, index); stable."""
+    return np.lexsort((id_array[:, 1], id_array[:, 0]))
+
+
+def _repeats(sorted_ids: np.ndarray) -> np.ndarray:
+    """Mask over ``sorted_ids[1:]``: True where a row equals the one before."""
+    return (sorted_ids[1:] == sorted_ids[:-1]).all(axis=1)
+
+
 class FeatureSet:
     """All descriptors of a dataset, indexed by (image, feature index).
 
-    Vectors are dense float64 rows kept in input order. Image ids from input
-    files may be arbitrary non-negative integers; they are preserved verbatim
-    in :class:`FeatureId` and mapped to contiguous slots ``0..N-1`` (sorted id
-    order) for internal per-image bookkeeping.
+    Vectors are dense float64 rows and ids one ``(n, 2)`` int64 array
+    (:attr:`id_array`), both kept in input order. Image ids from input files
+    may be arbitrary integers in [0, 2**63); they are preserved verbatim and
+    mapped to contiguous slots ``0..N-1`` (sorted id order) for internal
+    per-image bookkeeping.
     """
 
-    def __init__(self, vectors: np.ndarray, ids: Sequence[FeatureId], dim: int | None = None):
+    def __init__(self, vectors: np.ndarray, ids: Sequence[FeatureId] | np.ndarray, dim: int | None = None):
         vectors = np.ascontiguousarray(np.asarray(vectors, dtype=np.float64))
         if vectors.ndim != 2:
             vectors = vectors.reshape(len(ids), -1 if len(ids) else (dim or 0))
@@ -82,26 +112,26 @@ class FeatureSet:
             raise ValidationError("vector count does not match id count")
         if vectors.size and not np.all(np.isfinite(vectors)):
             raise ValidationError("feature vectors must be finite")
-        ids = tuple(FeatureId(int(i), int(k)) for i, k in ids)
-        if len(set(ids)) != len(ids):
+        id_array = _id_array(ids)
+        order = _sorted_order(id_array)
+        if _repeats(id_array[order]).any():
             raise ValidationError("duplicate (image, feature) id")
-        for fid in ids:
-            if fid.image < 0 or fid.index < 0:
-                raise ValidationError(f"negative id {fid}")
+        negative = (id_array < 0).any(axis=1)
+        if negative.any():
+            raise ValidationError(f"negative id {FeatureId(*id_array[negative][0].tolist())}")
 
-        vectors.setflags(write=False)
         self._vectors = vectors
-        self._ids = ids
+        self._id_array = id_array
+        self._ids: tuple[FeatureId, ...] | None = None
         self._dim = int(vectors.shape[1]) if vectors.size or dim is None else int(dim)
-        self._image_ids = tuple(sorted({fid.image for fid in ids}))
-        slot = {img: s for s, img in enumerate(self._image_ids)}
-        self._image_slots = np.array([slot[fid.image] for fid in ids], dtype=np.intp)
+        image_ids, slots = np.unique(id_array[:, 0], return_inverse=True)
+        self._image_ids = tuple(image_ids.tolist())
+        self._image_slots = slots.astype(np.intp, copy=False).reshape(-1)
         # rank[r] = position of row r when features are sorted by id
-        order = sorted(range(len(ids)), key=lambda r: ids[r])
-        self._id_rank = np.empty(len(ids), dtype=np.intp)
-        self._id_rank[order] = np.arange(len(ids))
-        self._id_rank.setflags(write=False)
-        self._image_slots.setflags(write=False)
+        self._id_rank = np.empty(len(id_array), dtype=np.intp)
+        self._id_rank[order] = np.arange(len(id_array))
+        for array in (vectors, id_array, self._image_slots, self._id_rank):
+            array.setflags(write=False)
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple[int, int, Sequence[float]]]) -> "FeatureSet":
@@ -109,7 +139,7 @@ class FeatureSet:
         if not rows:
             raise InputError("no features")
         vecs = np.array([r[2] for r in rows], dtype=np.float64)
-        return cls(vecs, [FeatureId(r[0], r[1]) for r in rows])
+        return cls(vecs, [(r[0], r[1]) for r in rows])
 
     @classmethod
     def empty(cls, dim: int) -> "FeatureSet":
@@ -122,7 +152,15 @@ class FeatureSet:
         return self._vectors
 
     @property
+    def id_array(self) -> np.ndarray:
+        """Read-only ``(n, 2)`` int64 array of (image, index), one row per feature."""
+        return self._id_array
+
+    @property
     def ids(self) -> tuple[FeatureId, ...]:
+        """The ids as :class:`FeatureId` tuples, built on first use."""
+        if self._ids is None:
+            self._ids = tuple(map(FeatureId._make, self._id_array.tolist()))
         return self._ids
 
     @property
@@ -148,13 +186,13 @@ class FeatureSet:
         return self._id_rank
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return len(self._id_array)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FeatureSet):
             return NotImplemented
         return (
-            self._ids == other._ids
+            np.array_equal(self._id_array, other._id_array)
             and self._dim == other._dim
             and np.array_equal(self._vectors, other._vectors)
         )
@@ -165,9 +203,8 @@ class FeatureSet:
 
     def for_images(self, image_ids: Sequence[int]) -> "FeatureSet":
         """Sub-FeatureSet keeping only the given images (row order preserved)."""
-        keep = set(image_ids)
-        rows = [r for r, fid in enumerate(self._ids) if fid.image in keep]
-        return FeatureSet(self._vectors[rows], [self._ids[r] for r in rows], dim=self._dim)
+        keep = np.isin(self._id_array[:, 0], np.asarray(list(image_ids), dtype=np.int64))
+        return FeatureSet(self._vectors[keep], self._id_array[keep], dim=self._dim)
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-dimension (min, max) of all vectors."""
@@ -176,43 +213,101 @@ class FeatureSet:
         return self._vectors.min(axis=0), self._vectors.max(axis=0)
 
 
-@dataclass(frozen=True)
 class Clustering:
     """A multi-image match set: disjoint clusters of feature ids.
 
     Clusters are canonicalized on construction (members sorted by id,
     clusters sorted by their smallest member), so two clusterings with the
     same content compare and serialize identically no matter how they were
-    assembled. ``meta`` records which algorithm and parameters produced it.
+    assembled. They are stored as arrays: :attr:`id_array` holds every
+    member id, cluster after cluster, and cluster ``c`` is rows
+    ``offsets[c]:offsets[c + 1]`` of it. ``clusters`` gives the same content
+    as tuples of :class:`FeatureId`, built on first use. ``meta`` records
+    which algorithm and parameters produced it.
     """
 
-    clusters: tuple[tuple[FeatureId, ...], ...]
-    meta: Mapping[str, Any] = field(default_factory=dict)
-
     def __init__(self, clusters: Iterable[Iterable[FeatureId]], meta: Mapping[str, Any] | None = None):
-        canon = []
-        for members in clusters:
-            members = tuple(sorted(FeatureId(*m) for m in members))
-            if not members:
-                raise ValidationError("empty cluster")
-            canon.append(members)
-        canon.sort(key=lambda c: c[0])
-        object.__setattr__(self, "clusters", tuple(canon))
-        object.__setattr__(self, "meta", dict(meta or {}))
+        groups = [list(members) for members in clusters]
+        if not all(groups):
+            raise ValidationError("empty cluster")
+        labels = np.repeat(np.arange(len(groups)), list(map(len, groups)))
+        self._canonicalize(_id_array(list(chain.from_iterable(groups))), labels, meta)
+
+    @classmethod
+    def from_labels(
+        cls, id_array: np.ndarray, labels: np.ndarray, meta: Mapping[str, Any] | None = None
+    ) -> "Clustering":
+        """One cluster per distinct value of ``labels``: row ``r`` of the
+        ``(n, 2)`` ``id_array`` belongs to the cluster labelled ``labels[r]``."""
+        self = cls.__new__(cls)
+        self._canonicalize(_id_array(id_array), np.asarray(labels).reshape(-1), meta)
+        return self
+
+    def _canonicalize(self, ids: np.ndarray, labels: np.ndarray, meta: Mapping[str, Any] | None) -> None:
+        if len(labels) != len(ids):
+            raise ValidationError(f"{len(labels)} labels for {len(ids)} ids")
+        n = len(ids)
+        rank = np.empty(n, dtype=np.int64)
+        rank[_sorted_order(ids)] = np.arange(n)
+        distinct, group = np.unique(labels, return_inverse=True)
+        group = group.reshape(-1)
+        head = np.full(len(distinct), n, dtype=np.int64)
+        np.minimum.at(head, group, rank)  # rank of each cluster's smallest member
+        key = head[group]
+        order = np.lexsort((rank, key))
+        self._id_array = ids[order]
+        self._offsets = np.append(np.flatnonzero(np.diff(key[order], prepend=-1)), n)
+        self._id_array.setflags(write=False)
+        self._offsets.setflags(write=False)
+        self._clusters: tuple[tuple[FeatureId, ...], ...] | None = None
+        self.meta = dict(meta or {})
+
+    @property
+    def id_array(self) -> np.ndarray:
+        """Read-only ``(n, 2)`` int64 member ids in canonical order."""
+        return self._id_array
+
+    @property
+    def offsets(self) -> np.ndarray:
+        """Read-only start row of each cluster in :attr:`id_array`, then its length."""
+        return self._offsets
+
+    @property
+    def cluster_of(self) -> np.ndarray:
+        """The cluster index of each row of :attr:`id_array`."""
+        return np.repeat(np.arange(len(self)), np.diff(self._offsets))
+
+    @property
+    def clusters(self) -> tuple[tuple[FeatureId, ...], ...]:
+        if self._clusters is None:
+            flat = self.feature_ids()
+            bounds = self._offsets.tolist()
+            self._clusters = tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+        return self._clusters
 
     def __len__(self) -> int:
-        return len(self.clusters)
+        return len(self._offsets) - 1
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            np.array_equal(self._offsets, other._offsets)
+            and np.array_equal(self._id_array, other._id_array)
+            and self.meta == other.meta
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"Clustering(clusters={self.clusters!r}, meta={self.meta!r})"
 
     def feature_ids(self) -> list[FeatureId]:
-        return [fid for members in self.clusters for fid in members]
+        return list(map(FeatureId._make, self._id_array.tolist()))
 
     def labels(self) -> dict[FeatureId, int]:
         """Map each feature id to the index of its cluster."""
-        out: dict[FeatureId, int] = {}
-        for c, members in enumerate(self.clusters):
-            for fid in members:
-                out[fid] = c
-        return out
+        return dict(zip(self.feature_ids(), self.cluster_of.tolist()))
 
 
 @dataclass(frozen=True)
@@ -250,8 +345,14 @@ def canonical_cluster_bytes(clustering: Clustering) -> bytes:
     clustering regardless of which algorithm produced it, and the value
     hashed into determinism digests.
     """
-    payload = [[[int(i), int(k)] for i, k in members] for members in clustering.clusters]
-    return (canonical_json(payload) + "\n").encode()
+    return (canonical_json(_cluster_lists(clustering)) + "\n").encode()
+
+
+def _cluster_lists(clustering: Clustering) -> list[list[list[int]]]:
+    """The clusters as nested lists of ``[image, index]``, the JSON payload."""
+    flat = clustering.id_array.tolist()
+    bounds = clustering.offsets.tolist()
+    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def sha256_hex(data: bytes) -> str:
@@ -278,25 +379,36 @@ def validate_clustering(clustering: Clustering, source: FeatureSet | None = None
     C2 and pairwise disjointness are always checked. The cover half of C1
     requires the source FeatureSet and is checked when one is given.
     """
-    seen: set[FeatureId] = set()
-    for c, members in enumerate(clustering.clusters):
-        images = [fid.image for fid in members]
-        if len(set(images)) != len(images):
-            dup = next(i for i in images if images.count(i) > 1)
-            raise ValidationError(f"cluster {c} has two features of image {dup} (C2)")
-        for fid in members:
-            if fid in seen:
-                raise ValidationError(f"feature {tuple(fid)} appears in two clusters (C1)")
-            seen.add(fid)
-    if source is not None:
-        missing = set(source.ids) - seen
-        extra = seen - set(source.ids)
-        if missing:
-            fid = min(missing)
-            raise ValidationError(f"feature {tuple(fid)} missing from clustering (C1)")
-        if extra:
-            fid = min(extra)
-            raise ValidationError(f"feature {tuple(fid)} not in the source feature set (C1)")
+    ids, cluster_of = clustering.id_array, clustering.cluster_of
+    # Members are sorted by id, so two features of one image in a cluster are
+    # neighbours; report the first cluster that breaks C2 or repeats a
+    # feature of an earlier cluster, as a scan in cluster order would.
+    c2 = np.flatnonzero((ids[1:, 0] == ids[:-1, 0]) & (cluster_of[1:] == cluster_of[:-1]))
+    p = _repeated_row(ids)
+    if c2.size and (p is None or cluster_of[c2[0]] <= cluster_of[p]):
+        raise ValidationError(f"cluster {cluster_of[c2[0]]} has two features of image {ids[c2[0], 0]} (C2)")
+    if p is not None:
+        raise ValidationError(_in_two_clusters(ids, p))
+    if source is None:
+        return
+    src = source.id_array
+    if np.array_equal(ids[_sorted_order(ids)], src[_sorted_order(src)]):
+        return
+    seen, known = set(map(tuple, ids.tolist())), set(map(tuple, src.tolist()))
+    if known - seen:
+        raise ValidationError(f"feature {min(known - seen)} missing from clustering (C1)")
+    raise ValidationError(f"feature {min(seen - known)} not in the source feature set (C1)")
+
+
+def _repeated_row(ids: np.ndarray) -> int | None:
+    """The first row of ``ids`` that repeats an earlier row, or None."""
+    order = _sorted_order(ids)
+    repeated = order[np.flatnonzero(_repeats(ids[order])) + 1]  # every occurrence after the first
+    return int(repeated.min()) if repeated.size else None
+
+
+def _in_two_clusters(ids: np.ndarray, row: int) -> str:
+    return f"feature {tuple(ids[row].tolist())} appears in two clusters (C1)"
 
 
 # -- input files --------------------------------------------------------------
@@ -330,15 +442,25 @@ def read_input(path: str | Path, convert: Callable[[Any], T] | None = None) -> s
         raise ParseError(f"{path}: unexpected payload ({type(exc).__name__}: {exc})") from None
 
 
-def read_ids(path: str | Path, rows: Any, width: int = 2) -> list[list[int]]:
+def read_ids(path: str | Path, rows: Any, width: int = 2) -> np.ndarray:
     """Check JSON rows of ``width`` ids (image, feature and, in a partition,
-    agent) and return them. Each id must be a non-negative int: a float, bool
-    or string raises ParseError naming ``path``, never truncated or coerced."""
-    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}
-            and set(map(type, chain.from_iterable(rows))) <= {int} and min(map(min, rows), default=0) >= 0):
-        bad = next(r for r in rows if type(r) is not list or len(r) != width or any(type(v) is not int or v < 0 for v in r))
-        raise ParseError(f"{path}: expected {width} non-negative integer ids, got {bad!r}")
-    return rows
+    agent) and return them as an ``(n, width)`` int64 array. Each id must be
+    an int in [0, 2**63): a float, bool or string raises ParseError naming
+    ``path``, never truncated or coerced, and so does an id int64 cannot hold."""
+    ids = None
+    if (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}
+            and set(map(type, chain.from_iterable(rows))) <= {int}):
+        try:
+            ids = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=width * len(rows)).reshape(-1, width)
+        except OverflowError:
+            pass
+    if ids is None or (ids < 0).any():
+        bad = next(
+            r for r in rows
+            if type(r) is not list or len(r) != width or any(type(v) is not int or not 0 <= v < _ID_END for v in r)
+        )
+        raise ParseError(f"{path}: expected {width} integer ids in [0, 2**63), got {bad!r}")
+    return ids
 
 
 # -- descriptor text format ---------------------------------------------------
@@ -348,11 +470,34 @@ def read_ids(path: str | Path, rows: Any, width: int = 2) -> list[list[int]]:
 
 
 def load_features(path: str | Path) -> FeatureSet:
+    """Parse a descriptor file in one ``np.loadtxt`` pass.
+
+    A file that pass rejects, or whose values fail a FeatureSet check, is
+    parsed again line by line by :func:`_parse_lines`, which raises the
+    ParseError naming the first bad line. Every value the fast pass accepts,
+    the line parser reads the same, bit for bit.
+    """
     path = Path(path)
+    lines = read_input(path).splitlines()
+    first = next((fields for fields in (line.split("#", 1)[0].split() for line in lines) if fields), [])
+    if len(first) >= 3:
+        dtype = np.dtype([("image", np.int64), ("index", np.int64), ("v", np.float64, (len(first) - 2,))])
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows = np.loadtxt(lines, dtype=dtype, comments="#", ndmin=1)
+            return FeatureSet(rows["v"], np.stack([rows["image"], rows["index"]], axis=1))
+        except (ValueError, Warning):  # the line parser names the fault, or reads what numpy would not
+            pass
+    return _parse_lines(path, lines)
+
+
+def _parse_lines(path: Path, lines: Sequence[str]) -> FeatureSet:
+    """The reference parser: one line at a time, so every error names its line."""
     rows: list[tuple[int, int, list[float]]] = []
     dim: int | None = None
-    seen: set[FeatureId] = set()
-    for lineno, raw in enumerate(read_input(path).splitlines(), start=1):
+    seen: set[tuple[int, int]] = set()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -366,16 +511,17 @@ def load_features(path: str | Path) -> FeatureSet:
             raise ParseError(f"{path}:{lineno}: {exc}") from None
         if img < 0 or idx < 0:
             raise ParseError(f"{path}:{lineno}: ids must be non-negative")
+        if img >= _ID_END or idx >= _ID_END:
+            raise ParseError(f"{path}:{lineno}: ids must be below 2**63")
         if not all(math.isfinite(v) for v in vec):
             raise ParseError(f"{path}:{lineno}: non-finite component")
         if dim is None:
             dim = len(vec)
         elif len(vec) != dim:
             raise ParseError(f"{path}:{lineno}: dimension {len(vec)} != {dim} of first row")
-        fid = FeatureId(img, idx)
-        if fid in seen:
-            raise ParseError(f"{path}:{lineno}: duplicate feature id {tuple(fid)}")
-        seen.add(fid)
+        if (img, idx) in seen:
+            raise ParseError(f"{path}:{lineno}: duplicate feature id {(img, idx)}")
+        seen.add((img, idx))
         rows.append((img, idx, vec))
     if not rows:
         raise ParseError(f"{path}: no features")
@@ -400,14 +546,15 @@ def save_clustering(clustering: Clustering, path: str | Path, source: FeatureSet
     clusters or members before saving cannot change the output bytes.
     """
     validate_clustering(clustering, source)
-    payload = {
-        "clusters": [[[int(i), int(k)] for i, k in members] for members in clustering.clusters],
-        "meta": dict(clustering.meta),
-    }
+    payload = {"clusters": _cluster_lists(clustering), "meta": dict(clustering.meta)}
     Path(path).write_text(canonical_json(payload) + "\n")
 
 
 def load_clustering(path: str | Path) -> Clustering:
+    """Read a clustering file, naming ``path`` in any error. A feature listed
+    twice raises ValidationError; C2 and cover are left to
+    :func:`validate_clustering`."""
+
     def convert(payload: Any) -> Clustering:
         if not isinstance(payload, dict) or "clusters" not in payload:
             raise ParseError(f"{path}: missing `clusters` key")
@@ -415,7 +562,14 @@ def load_clustering(path: str | Path) -> Clustering:
         if not isinstance(meta, dict):
             raise ParseError(f"{path}: `meta` must be an object")
         clusters = payload["clusters"]
-        read_ids(path, [pair for members in clusters for pair in members])
-        return Clustering([[FeatureId(i, k) for i, k in members] for members in clusters], meta)
+        ids = read_ids(path, list(chain.from_iterable(clusters)))
+        sizes = list(map(len, clusters))
+        if 0 in sizes:
+            raise ValidationError(f"{path}: empty cluster")
+        clustering = Clustering.from_labels(ids, np.repeat(np.arange(len(sizes)), sizes), meta)
+        p = _repeated_row(clustering.id_array)
+        if p is not None:
+            raise ValidationError(f"{path}: {_in_two_clusters(clustering.id_array, p)}")
+        return clustering
 
     return read_input(path, convert)

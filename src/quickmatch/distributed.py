@@ -393,17 +393,19 @@ def finalize(
     the global result. Requires no communication; the caller seals the
     ledger first."""
 
-    def recluster(agent: AgentState) -> list[list[FeatureId]]:
+    def recluster(agent: AgentState) -> tuple[np.ndarray, np.ndarray]:
         with timed(agent.timings, "finalize_s"):
             rows = agent.final_rows()
             labels = _cluster_agent_rows(rows, fs, params).labels
-            clusters = [[fs.ids[r] for r in rows[idxs]] for idxs in label_groups(labels)]
-            agent.final_cluster_count = len(clusters)
-        return clusters
+            agent.final_cluster_count = len(np.unique(labels))
+        return rows, labels
 
-    cluster_lists = _map_agents(recluster, agents, workers)
-    clusters = [members for sub in cluster_lists for members in sub]
-    clustering = Clustering(clusters, meta or {"algorithm": "distributed-quickmatch"})
+    results = _map_agents(recluster, agents, workers)
+    rows = np.concatenate([np.empty(0, dtype=np.intp)] + [r for r, _ in results])
+    # Labels index an agent's rows; offset them so no two agents share one.
+    starts = np.cumsum([0] + [len(r) for r, _ in results])
+    labels = np.concatenate([np.empty(0, dtype=np.intp)] + [lab + s for (_, lab), s in zip(results, starts)])
+    clustering = Clustering.from_labels(fs.id_array[rows], labels, meta or {"algorithm": "distributed-quickmatch"})
     # C1 against fs catches a feature two agents own or one lost in transfer.
     try:
         validate_clustering(clustering, fs)

@@ -9,7 +9,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import Clustering, FeatureId, FeatureSet, InputError
+from .core import Clustering, FeatureId, FeatureSet, InputError, _repeats, _sorted_order
 from .partition import Partition
 
 __all__ = [
@@ -125,35 +125,62 @@ class ClusterComparison:
         }
 
 
-def _pairs(n: int) -> int:
-    return n * (n - 1) // 2
+def _pairs(counts: np.ndarray) -> int:
+    """Number of unordered pairs within groups of the given sizes."""
+    return int((counts * (counts - 1) // 2).sum())
+
+
+def _by_id(clustering: Clustering, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row order that sorts the clustering's ids, the sorted ids and each
+    one's cluster index; a feature listed twice raises InputError."""
+    order = _sorted_order(clustering.id_array)
+    ids = clustering.id_array[order]
+    repeated = np.flatnonzero(_repeats(ids))
+    if repeated.size:
+        raise InputError(f"clustering {name} lists feature {tuple(ids[repeated[0]].tolist())} twice")
+    return order, ids, clustering.cluster_of[order]
+
+
+def _unmatched(clustering: Clustering, other_label: np.ndarray, other_sizes: np.ndarray) -> tuple:
+    """Clusters with no identical cluster in the other clustering, in order.
+
+    ``other_label`` gives, per row of ``clustering.id_array``, the other
+    clustering's cluster; a cluster is matched when all its members share one
+    and that cluster is exactly as large."""
+    starts, sizes = clustering.offsets[:-1], np.diff(clustering.offsets)
+    if not len(sizes):
+        return ()
+    low = np.minimum.reduceat(other_label, starts)
+    same = (low == np.maximum.reduceat(other_label, starts)) & (other_sizes[low] == sizes)
+    flat, bounds = clustering.id_array, clustering.offsets
+    return tuple(
+        tuple(map(FeatureId._make, flat[bounds[c]:bounds[c + 1]].tolist())) for c in np.flatnonzero(~same).tolist()
+    )
 
 
 def compare_clusterings(a: Clustering, b: Clustering) -> ClusterComparison:
     """Exact equality up to relabeling plus pairwise F1 of the induced
     same-cluster relation. Two clusterings with no co-clustered pairs at all
-    agree perfectly, so their F1 is 1."""
-    ids_a, ids_b = set(a.feature_ids()), set(b.feature_ids())
-    if ids_a != ids_b:
+    agree perfectly, so their F1 is 1. A feature listed twice in one
+    clustering, or in only one of them, raises InputError."""
+    order_a, ids_a, label_a = _by_id(a, "a")
+    order_b, ids_b, label_b = _by_id(b, "b")
+    if not np.array_equal(ids_a, ids_b):
         raise InputError("clusterings cover different feature sets")
-    label_b = b.labels()
-    tp = 0
-    pairs_a = 0
-    for members in a.clusters:
-        pairs_a += _pairs(len(members))
-        counts: dict[int, int] = {}
-        for fid in members:
-            lb = label_b[fid]
-            counts[lb] = counts.get(lb, 0) + 1
-        tp += sum(_pairs(c) for c in counts.values())
-    pairs_b = sum(_pairs(len(members)) for members in b.clusters)
+    sizes_a, sizes_b = np.diff(a.offsets), np.diff(b.offsets)
+    # Same-cluster pairs in both: pairs within each cell of the contingency table.
+    _, cells = np.unique(label_a * max(len(b), 1) + label_b, return_counts=True)
+    tp, pairs_a, pairs_b = _pairs(cells), _pairs(sizes_a), _pairs(sizes_b)
     denom = pairs_a + pairs_b
     f1 = 2.0 * tp / denom if denom else 1.0
 
-    set_a = set(a.clusters)
-    set_b = set(b.clusters)
-    only_a = tuple(c for c in a.clusters if c not in set_b)
-    only_b = tuple(c for c in b.clusters if c not in set_a)
+    # Each clustering's rows, labelled with the other clustering's clusters.
+    b_of_a = np.empty(len(ids_a), dtype=np.intp)
+    b_of_a[order_a] = label_b
+    a_of_b = np.empty(len(ids_b), dtype=np.intp)
+    a_of_b[order_b] = label_a
+    only_a = _unmatched(a, b_of_a, sizes_b)
+    only_b = _unmatched(b, a_of_b, sizes_a)
     return ClusterComparison(not only_a and not only_b, f1, tp, pairs_a, pairs_b, only_a, only_b)
 
 

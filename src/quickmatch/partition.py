@@ -84,9 +84,8 @@ class Partition:
     def load(cls, path: str | Path) -> "Partition":
         def convert(payload: dict) -> Partition:
             rows = read_ids(path, payload["assignment"], 3)
-            ids = [FeatureId(i, k) for i, k, _ in rows]
-            assignment = [a for _, _, a in rows]
-            return cls(np.array(payload["seeds"], dtype=np.float64), np.array(assignment), tuple(ids),
+            ids = tuple(map(FeatureId._make, rows[:, :2].tolist()))
+            return cls(np.array(payload["seeds"], dtype=np.float64), rows[:, 2].copy(), ids,
                        payload.get("method", "explicit"), payload.get("seed"))
 
         return read_input(path, convert)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Clustering, FeatureId, FeatureSet, InputError
+from .core import Clustering, FeatureSet, InputError
 
 __all__ = ["SynthConfig", "grid_centers", "generate_synthetic"]
 
@@ -65,14 +65,12 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[FeatureSet, Clustering]:
     jitter = rng.normal(0.0, cfg.spread, size=(cfg.n_clusters, cfg.per_cluster, cfg.dim))
     samples = centers[:, None, :] + jitter
 
-    rows = []
-    for j in range(cfg.per_cluster):
-        for c in range(cfg.n_clusters):
-            rows.append((j, c, samples[c, j]))
-    fs = FeatureSet.from_rows(rows)
+    images, entities = np.divmod(np.arange(cfg.per_cluster * cfg.n_clusters), cfg.n_clusters)
+    fs = FeatureSet(samples.transpose(1, 0, 2).reshape(-1, cfg.dim), np.stack([images, entities], axis=1))
 
-    truth = Clustering(
-        [[FeatureId(j, c) for j in range(cfg.per_cluster)] for c in range(cfg.n_clusters)],
+    truth = Clustering.from_labels(
+        fs.id_array,
+        entities,
         {
             "algorithm": "ground-truth",
             "n_clusters": cfg.n_clusters,

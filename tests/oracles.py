@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from quickmatch.core import FeatureSet
+from quickmatch.core import FeatureId, FeatureSet
 
 
 def dist_fsum(a, b) -> float:
@@ -205,3 +205,44 @@ def random_feature_set(rng: np.random.Generator, n_images=None, dim=None, max_pe
         for k in range(int(rng.integers(5, max_per_image + 1))):
             rows.append((img, k, rng.uniform(0, 10, dim)))
     return FeatureSet.from_rows(rows)
+
+
+def canonical_clusters(groups) -> tuple:
+    """Clusters as sorted tuples of FeatureId, ordered by smallest member
+    (a stable sort, so equal heads keep their input order)."""
+    canon = [tuple(sorted(FeatureId(*fid) for fid in members)) for members in groups]
+    return tuple(sorted(canon, key=lambda members: members[0]))
+
+
+def canonical_cluster_bytes(clusters) -> bytes:
+    """The clusters file's ``clusters`` value, written member by member."""
+    body = ",".join("[" + ",".join(f"[{i},{k}]" for i, k in members) + "]" for members in clusters)
+    return ("[" + body + "]\n").encode()
+
+
+def clustering_fault(clusters, source_ids=None) -> str | None:
+    """The first C2 or C1 fault met scanning clusters in order, as the
+    validation message, or None for a valid clustering."""
+    seen = set()
+    for c, members in enumerate(clusters):
+        images = [fid[0] for fid in members]
+        for image in images:
+            if images.count(image) > 1:
+                return f"cluster {c} has two features of image {image} (C2)"
+        for fid in members:
+            if fid in seen:
+                return f"feature {tuple(fid)} appears in two clusters (C1)"
+            seen.add(fid)
+    if source_ids is not None:
+        missing, extra = set(source_ids) - seen, seen - set(source_ids)
+        if missing:
+            return f"feature {tuple(min(missing))} missing from clustering (C1)"
+        if extra:
+            return f"feature {tuple(min(extra))} not in the source feature set (C1)"
+    return None
+
+
+def unmatched_clusters(a, b) -> tuple[tuple, tuple]:
+    """Clusters of ``a`` not in ``b`` and of ``b`` not in ``a``, by set lookup."""
+    set_a, set_b = set(a), set(b)
+    return tuple(c for c in a if c not in set_b), tuple(c for c in b if c not in set_a)

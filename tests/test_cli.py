@@ -290,10 +290,10 @@ _BAD_INPUTS = {
     "match-rho-inf": ["match", "features.txt", "--rho", "inf"],
 }
 
-# An id that is not a non-negative int, written into each JSON input by
+# An id that is not an int in [0, 2**63), written into each JSON input by
 # _write_bad_ids: a clustering, a partition (feature id and agent index) and a
 # contested set.
-_BAD_IDS = {"fractional": 0.7, "negative": -1, "bool": True, "string": "0"}
+_BAD_IDS = {"fractional": 0.7, "negative": -1, "bool": True, "string": "0", "above-int64": 2**63}
 for _kind in _BAD_IDS:
     _BAD_INPUTS.update({
         f"clustering-id-{_kind}": ["eval", f"clusters-{_kind}.json", "--mode", "compare", "--truth", "d.json"],
@@ -335,6 +335,22 @@ def test_bad_input_file_exits_one(case, capsys):
     capsys.readouterr()
     assert main(_BAD_INPUTS[case]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_eval_rejects_a_clustering_that_lists_a_feature_twice(capsys):
+    """Truth feature (0, 0) copied into a second cluster: eval must not score
+    it (it once printed F1 0.75)."""
+    feat, truth = _generate(["--clusters", "2", "--per-cluster", "3"])
+    assert main(["match", str(feat), "--out", "p.json"]) == 0
+    payload = json.loads(truth.read_text())
+    payload["clusters"][1].append([0, 0])
+    Path("bad.truth.json").write_text(json.dumps(payload))
+    capsys.readouterr()
+    for argv in (["p.json", "--truth", "bad.truth.json"], ["bad.truth.json", "--truth", "p.json"]):
+        assert main(["eval", argv[0], "--mode", "compare", *argv[1:], "--out", "e.json"]) == 1
+        assert capsys.readouterr().err == "error: bad.truth.json: feature (0, 0) appears in two clusters (C1)\n"
+    assert not Path("e.json").exists()
+    assert main(["eval", "p.json", "--mode", "compare", "--truth", str(truth)]) == 0
 
 
 # Per variable: a command that reads it, and the flag that overrides it.

@@ -1,8 +1,14 @@
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quickmatch import core
 from quickmatch.centralized import pair_distances
 from quickmatch.core import (
     Clustering,
@@ -18,7 +24,9 @@ from quickmatch.core import (
     save_features,
     validate_clustering,
 )
+from quickmatch.core import _parse_lines
 
+import oracles
 from oracles import dist_fsum
 
 
@@ -219,3 +227,183 @@ def test_random_partitions_with_injected_duplicate_image_rejected():
 def test_empty_cluster_rejected():
     with pytest.raises(ValidationError):
         Clustering([[]])
+
+
+def test_clustering_from_labels_matches_the_tuple_constructor_and_the_reference():
+    rng = np.random.default_rng(21)
+    for _ in range(40):
+        n = int(rng.integers(0, 60))
+        images = rng.choice([0, 3, 17, 2**40, 2**63 - 1], size=n)
+        pairs = {(int(i), int(k)) for i, k in zip(images, rng.integers(0, 2**62, size=n))}
+        ids = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)[rng.permutation(len(pairs))]
+        # Arbitrary, sparse and negative labels, with many singletons.
+        labels = rng.choice(rng.integers(-10**9, 10**9, size=max(1, len(ids))), size=len(ids))
+        groups = {}
+        for fid, label in zip(map(tuple, ids.tolist()), labels.tolist()):
+            groups.setdefault(label, []).append(fid)
+        want = oracles.canonical_clusters(groups.values())
+        for clustering in (Clustering.from_labels(ids, labels, {"k": 1}), Clustering(groups.values(), {"k": 1})):
+            assert clustering.clusters == want
+            assert all(type(fid) is FeatureId for members in clustering.clusters for fid in members)
+            assert canonical_cluster_bytes(clustering) == oracles.canonical_cluster_bytes(want)
+            assert len(clustering) == len(want)
+        assert Clustering.from_labels(ids, labels, {"k": 1}) == Clustering(groups.values(), {"k": 1})
+
+
+def test_clustering_keeps_a_repeated_feature_where_the_tuple_order_put_it():
+    groups = [[(1, 0), (0, 0)], [(0, 0)], [(2, 0), (0, 0)]]
+    want = oracles.canonical_clusters(groups)
+    assert Clustering(groups).clusters == want
+    ids = np.array([fid for members in groups for fid in members])
+    assert Clustering.from_labels(ids, np.repeat([5, 1, 3], [2, 1, 2])).clusters == want
+
+
+_FAULT_KINDS = ("(C2)", "two clusters", "missing", "not in the source")
+
+
+def test_validate_messages_match_a_scan_in_cluster_order():
+    rng = np.random.default_rng(8)
+    universe = [(i, k) for i in range(3) for k in range(3)]
+    seen = set()
+    for _ in range(400):
+        n = int(rng.integers(1, 10))
+        ids = np.array(universe)[rng.integers(0, len(universe), size=n)]
+        clustering = Clustering.from_labels(ids, rng.integers(0, 5, size=n))
+        # The clustering's own ids, often with one dropped or one added.
+        source_ids = sorted(set(map(tuple, ids.tolist())))
+        source_ids = [source_ids[1:], source_ids + [(5, 5)], source_ids][int(rng.integers(0, 3))] or [(5, 5)]
+        source = FeatureSet(np.zeros((len(source_ids), 1)), source_ids)
+        for src in (None, source):
+            want = oracles.clustering_fault(clustering.clusters, None if src is None else src.ids)
+            if want is None:
+                validate_clustering(clustering, src)
+            else:
+                with pytest.raises(ValidationError, match=f"^{re.escape(want)}$"):
+                    validate_clustering(clustering, src)
+            seen.add(next((kind for kind in _FAULT_KINDS if kind in (want or "")), want))
+    assert seen == {None, *_FAULT_KINDS}  # every fault, and valid clusterings, were met
+
+
+def test_feature_set_ids_are_an_int64_array_with_cached_feature_ids():
+    fs = FeatureSet(np.zeros((3, 1)), [(2, 5), (0, 1), (2, 0)])
+    assert fs.id_array.dtype == np.int64 and fs.id_array.tolist() == [[2, 5], [0, 1], [2, 0]]
+    assert not fs.id_array.flags.writeable
+    assert fs.ids == (FeatureId(2, 5), FeatureId(0, 1), FeatureId(2, 0)) and fs.ids is fs.ids
+    assert fs.id_rank.tolist() == [2, 0, 1]
+    assert fs.image_ids == (0, 2) and fs.image_slots.tolist() == [1, 0, 1]
+    assert fs.for_images([2]).ids == (FeatureId(2, 5), FeatureId(2, 0))
+
+
+def test_ids_outside_int64_are_rejected_naming_the_source(tmp_path):
+    with pytest.raises(ValidationError, match=r"id \(9223372036854775808, 0\) does not fit in int64"):
+        FeatureSet(np.zeros((2, 1)), [(0, 0), (2**63, 0)])
+    FeatureSet(np.zeros((1, 1)), [(2**63 - 1, 2**63 - 1)])  # the largest id fits
+    path = tmp_path / "f.txt"
+    path.write_text("9223372036854775807 0 1.0\n0 9223372036854775808 2.0\n")
+    with pytest.raises(ParseError, match=r"f\.txt:2: ids must be below 2\*\*63$"):
+        load_features(path)
+    path = tmp_path / "c.json"
+    path.write_text('{"clusters": [[[0, 0]], [[9223372036854775808, 1]]]}')
+    with pytest.raises(ParseError, match=r"c\.json: expected 2 integer ids in \[0, 2\*\*63\), got \[9223372036854775808, 1\]"):
+        load_clustering(path)
+
+
+def test_load_clustering_rejects_double_membership_naming_the_file(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text('{"clusters": [[[0, 0], [1, 0]], [[0, 1], [1, 1], [0, 0]]]}')
+    with pytest.raises(ValidationError, match=r"c\.json: feature \(0, 0\) appears in two clusters \(C1\)"):
+        load_clustering(path)
+    path.write_text('{"clusters": [[[0, 0], [1, 0]], [[0, 1], [1, 1], [0, 2]]]}')
+    with pytest.raises(ValidationError, match=r"^cluster 1 has two features of image 0 \(C2\)$"):
+        validate_clustering(load_clustering(path))  # C2 is checked here, not on load
+    path.write_text('{"clusters": [[[0, 0]], []]}')
+    with pytest.raises(ValidationError, match="empty cluster"):
+        load_clustering(path)
+
+
+# -- parser fast path against the line parser ----------------------------------------
+
+# Tokens both parsers accept, then tokens at least one of them rejects. Ids
+# from 2**53 up are not exact as float64.
+_ID_TOKENS = ["+1", "007", "-0", "9007199254740993", "9223372036854775807"]
+_BAD_ID_TOKENS = ["-1", "1_0", "١", "9223372036854775808", "1.0", "0x1"]
+_VALUE_TOKENS = ["+0.25", "007.5", "-0", "1e3", ".5", "5.", "4.9e-324", "1e-320", "-1E+2"]
+_BAD_VALUE_TOKENS = ["1_0.5", "١.٥", "0x10", "1,5", "banana", "1.5\x00"]
+_NON_FINITE_TOKENS = ["nan", "-inf", "Infinity", "1e999"]
+_SEPARATORS = [" ", "  ", "\t", "\xa0", "\u2003", " \t "]
+_LINE_ENDS = ["\n", "\r\n", "\x0c", "\r"]
+
+
+@st.composite
+def _descriptor_texts(draw):
+    """Descriptor text with the tokens, separators and line shapes where
+    numpy's parser and int()/float() could disagree: either well formed, or
+    with exactly one fault (a bad token, a short or wide row, a repeated id)."""
+    dim = draw(st.integers(1, 3))
+    ids = st.one_of(st.integers(0, 99).map(str), st.sampled_from(_ID_TOKENS))
+    values = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.integers(-5, 5).map(str),
+        st.sampled_from(_VALUE_TOKENS),
+    )
+    rows = [
+        [draw(ids), draw(ids)] + [draw(values) for _ in range(dim)] if draw(st.integers(0, 3)) else []
+        for _ in range(draw(st.integers(0, 6)))
+    ]  # an empty row is a blank or comment line
+    data = [row for row in rows if row]
+    fault = draw(st.sampled_from(["none", "none", "id", "value", "non-finite", "short", "wide", "repeat"]))
+    if data and fault != "none":
+        row = data[draw(st.integers(0, len(data) - 1))]
+        if fault == "id":
+            row[draw(st.integers(0, 1))] = draw(st.sampled_from(_BAD_ID_TOKENS))
+        elif fault in ("value", "non-finite"):
+            tokens = _BAD_VALUE_TOKENS if fault == "value" else _NON_FINITE_TOKENS
+            row[draw(st.integers(2, len(row) - 1))] = draw(st.sampled_from(tokens))
+        elif fault == "short":
+            del row[draw(st.integers(1, 2)):]
+        elif fault == "wide":
+            row.append(draw(values))
+        elif len(data) > 1:
+            row[:2] = data[0][:2] if row is not data[0] else data[1][:2]
+    text = ""
+    for row in rows:
+        sep = draw(st.sampled_from(_SEPARATORS))
+        line = sep.join(row) + sep if row else draw(st.sampled_from(["", sep, "# 0 0 1.0"]))
+        if row and draw(st.booleans()):
+            line += "# note"
+        text += line + draw(st.sampled_from(_LINE_ENDS))
+    return text
+
+
+@settings(max_examples=200, database=None, deadline=None, derandomize=True)
+@given(_descriptor_texts())
+def test_parse_fast_path_agrees_with_the_line_parser(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.txt"
+        path.write_bytes(text.encode())
+        outcomes = []
+        for parse in (load_features, lambda p: _parse_lines(p, text.splitlines())):
+            try:
+                outcomes.append(parse(path))
+            except ParseError as exc:
+                outcomes.append(str(exc))
+    fast, slow = outcomes
+    if isinstance(slow, str):
+        assert fast == slow
+    else:
+        assert not isinstance(fast, str), fast
+        assert fast.ids == slow.ids and fast.dim == slow.dim
+        assert fast.vectors.tobytes() == slow.vectors.tobytes()
+
+
+def test_a_well_formed_file_never_reaches_the_line_parser(tmp_path, monkeypatch):
+    path = tmp_path / "f.txt"
+    path.write_text("# header\r\n0 +007 1.5\t-0\n\n9223372036854775807 9007199254740993 4.9e-324\xa01e3  # note\n")
+
+    def refuse(path, lines):
+        raise AssertionError("fell back to the line parser")
+
+    monkeypatch.setattr(core, "_parse_lines", refuse)
+    fs = load_features(path)
+    assert fs.id_array.tolist() == [[0, 7], [2**63 - 1, 2**53 + 1]]  # exact, not rounded through float64
+    assert fs.vectors.tobytes() == np.array([[1.5, -0.0], [5e-324, 1000.0]]).tobytes()

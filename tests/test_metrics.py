@@ -265,3 +265,34 @@ def test_pr_requires_positive_truth():
 def test_pr_mismatched_inputs():
     with pytest.raises(InputError):
         pr_curve([1.0], [True, False])
+
+
+def test_compare_matches_the_pair_oracle_and_the_set_lookup_of_clusters():
+    rng = np.random.default_rng(31)
+    for _ in range(60):
+        n = int(rng.integers(1, 40))
+        pairs = {(int(i), int(k)) for i, k in rng.integers(0, [2**40, 2**62], size=(n, 2))}
+        ids = [FeatureId(*fid) for fid in sorted(pairs)]
+        la = dict(zip(ids, rng.integers(0, int(rng.integers(1, 8)), size=len(ids)).tolist()))
+        lb = dict(la)
+        for r in rng.choice(len(ids), size=int(rng.integers(0, len(ids) + 1)), replace=False):
+            lb[ids[int(r)]] = int(rng.integers(0, 8))
+
+        def to_clustering(labels):
+            return Clustering.from_labels(np.array(list(labels)), np.array(list(labels.values())))
+
+        a, b = to_clustering(la), to_clustering(lb)
+        result = compare_clusterings(a, b)
+        assert result.pairwise_f1 == pytest.approx(oracles.pairwise_f1(la, lb), abs=1e-12)
+        assert (result.only_in_a, result.only_in_b) == oracles.unmatched_clusters(a.clusters, b.clusters)
+        assert result.exact_equal == (a.clusters == b.clusters)
+        assert result.pairs_a == sum(len(c) * (len(c) - 1) // 2 for c in a.clusters)
+        assert type(result.pair_tp) is int and type(result.pairs_b) is int
+
+
+def test_compare_rejects_a_feature_listed_twice():
+    twice = Clustering([[FeatureId(0, 0)], [FeatureId(0, 0), FeatureId(1, 0)]])
+    once = Clustering([[FeatureId(0, 0), FeatureId(1, 0)]])
+    for a, b, name in ((twice, once, "a"), (once, twice, "b")):
+        with pytest.raises(InputError, match=rf"clustering {name} lists feature \(0, 0\) twice"):
+            compare_clusterings(a, b)
