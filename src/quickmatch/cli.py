@@ -160,7 +160,7 @@ def _write_outputs(
     ``<out>.report.json``: the command, its resolved flags, counts, digests
     and ``fields``. Returns both paths."""
     out = Path(args.out)
-    save_clustering(clustering, out, fs)
+    clusters_digest = sha256_hex(save_clustering(clustering, out, fs))
     config = {key: value for key, value in vars(args).items() if key != "command"}
     report = {
         "command": args.command,
@@ -169,7 +169,7 @@ def _write_outputs(
         "image_count": fs.image_count,
         "dim": fs.dim,
         "clusters_found": len(clustering),
-        "clusters_digest": sha256_hex(canonical_cluster_bytes(clustering)),
+        "clusters_digest": clusters_digest,
         **fields,
     }
     # Paths name where a run happened, not what it computed.

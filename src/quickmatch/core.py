@@ -345,14 +345,9 @@ def canonical_cluster_bytes(clustering: Clustering) -> bytes:
     clustering regardless of which algorithm produced it, and the value
     hashed into determinism digests.
     """
-    return (canonical_json(_cluster_lists(clustering)) + "\n").encode()
-
-
-def _cluster_lists(clustering: Clustering) -> list[list[list[int]]]:
-    """The clusters as nested lists of ``[image, index]``, the JSON payload."""
     flat = clustering.id_array.tolist()
     bounds = clustering.offsets.tolist()
-    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+    return (canonical_json([flat[a:b] for a, b in zip(bounds, bounds[1:])]) + "\n").encode()
 
 
 def sha256_hex(data: bytes) -> str:
@@ -539,15 +534,20 @@ def save_features(fs: FeatureSet, path: str | Path) -> None:
 # -- clustering JSON format ---------------------------------------------------
 
 
-def save_clustering(clustering: Clustering, path: str | Path, source: FeatureSet | None = None) -> None:
+def save_clustering(clustering: Clustering, path: str | Path, source: FeatureSet | None = None) -> bytes:
     """Serialize canonically: `{"clusters": [[[i,k],...],...], "meta": {...}}`.
 
     The clustering is validated before anything is written; permuting
     clusters or members before saving cannot change the output bytes.
+    Returns :func:`canonical_cluster_bytes` of the clustering, which the file
+    embeds: `"clusters"` sorts before `"meta"`, so the file is the
+    canonical JSON of the whole payload.
     """
     validate_clustering(clustering, source)
-    payload = {"clusters": _cluster_lists(clustering), "meta": dict(clustering.meta)}
-    Path(path).write_text(canonical_json(payload) + "\n")
+    clusters = canonical_cluster_bytes(clustering)
+    meta = canonical_json(dict(clustering.meta)).encode()
+    Path(path).write_bytes(b'{"clusters":' + clusters[:-1] + b',"meta":' + meta + b"}\n")
+    return clusters
 
 
 def load_clustering(path: str | Path) -> Clustering:

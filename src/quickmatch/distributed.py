@@ -43,7 +43,6 @@ from .partition import Partition, bisector_distances, kmeans_seeds, random_seeds
 
 __all__ = [
     "AgentState",
-    "TransferMessage",
     "NetworkLedger",
     "DistributedRun",
     "route_features",
@@ -68,61 +67,43 @@ DEFAULT_CONTESTED_SIGMA = "agent-max"
 INGEST = -1  # pseudo-sender for the initial routing round
 
 
-@dataclass(frozen=True, eq=False)
-class TransferMessage:
-    """One logged network message.
-
-    kind "route": one feature delivered to its owning agent (round 0).
-    kind "scalar": a boundary scalar d_aa' (round 1).
-    kind "cluster": a whole cluster with its vectors (round 2); cluster
-    transfers only ever move to a strictly lower agent index.
-    """
-
-    round: int
-    kind: str
-    from_agent: int
-    to_agent: int
-    feature_ids: tuple[FeatureId, ...] = ()
-    value: float | None = None
-    vectors: np.ndarray | None = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "round": self.round,
-            "kind": self.kind,
-            "from": self.from_agent,
-            "to": self.to_agent,
-        }
-        if self.feature_ids:
-            out["ids"] = [[int(i), int(k)] for i, k in self.feature_ids]
-        if self.value is not None:
-            out["value"] = self.value if math.isfinite(self.value) else "inf"
-        return out
-
-
 class NetworkLedger:
     """Append-only message log with protocol checks.
+
+    Each message is kept as the JSON record :meth:`to_json` writes:
+    ``round``, ``kind``, ``from`` and ``to``, plus ``ids`` (``[image, index]``
+    lists) when it carries features and ``value`` when it carries a scalar.
+
+    kind "route": one feature delivered to its owning agent (round 0).
+    kind "scalar": a boundary scalar d_aa' (round 1), ``"inf"`` when infinite.
+    kind "cluster": a whole cluster, listed by its members' ids (round 2);
+    cluster transfers only ever move to a strictly lower agent index.
 
     Sealed before the finalize phase: any attempt to log afterwards is a
     protocol bug and raises.
     """
 
     def __init__(self) -> None:
-        self._messages: list[TransferMessage] = []
+        self._messages: list[dict] = []
         self._counts: Counter[str] = Counter()
         self._pairs: Counter[tuple[int, int]] = Counter()
         self._sealed = False
 
-    def log(self, message: TransferMessage) -> None:
+    def log(
+        self, round: int, kind: str, src: int, dst: int, ids: list[list[int]] | None = None, value: float | None = None
+    ) -> None:
         if self._sealed:
             raise ProtocolError("message logged after the ledger was sealed")
-        if message.kind == "cluster" and message.to_agent >= message.from_agent:
-            raise ProtocolError(
-                f"cluster transfer {message.from_agent}->{message.to_agent} does not decrease"
-            )
-        self._messages.append(message)
-        self._counts[message.kind] += 1
-        self._pairs[message.from_agent, message.to_agent] += 1
+        if kind == "cluster" and dst >= src:
+            raise ProtocolError(f"cluster transfer {src}->{dst} does not decrease")
+        record: dict = {"round": round, "kind": kind, "from": src, "to": dst}
+        if ids:
+            record["ids"] = ids
+        if value is not None:
+            record["value"] = value if math.isfinite(value) else "inf"
+        self._messages.append(record)
+        self._counts[kind] += 1
+        self._pairs[src, dst] += 1
 
     def seal(self) -> None:
         self._sealed = True
@@ -130,10 +111,6 @@ class NetworkLedger:
     @property
     def sealed(self) -> bool:
         return self._sealed
-
-    @property
-    def messages(self) -> tuple[TransferMessage, ...]:
-        return tuple(self._messages)
 
     def count(self, kind: str) -> int:
         return self._counts[kind]
@@ -159,13 +136,13 @@ class NetworkLedger:
         chains: dict[tuple[FeatureId, ...], list[int]] = {}
         order: list[tuple[FeatureId, ...]] = []
         for msg in self._messages:
-            if msg.kind != "cluster":
+            if msg["kind"] != "cluster":
                 continue
-            key = msg.feature_ids
+            key = tuple(map(FeatureId._make, msg["ids"]))
             if key not in chains:
-                chains[key] = [msg.from_agent]
+                chains[key] = [msg["from"]]
                 order.append(key)
-            chains[key].append(msg.to_agent)
+            chains[key].append(msg["to"])
         return [(key, chains[key]) for key in order]
 
     def validate_protocol(self, feature_count: int, m: int) -> None:
@@ -186,7 +163,7 @@ class NetworkLedger:
 
     def to_json(self) -> str:
         payload = {
-            "messages": [msg.to_dict() for msg in self._messages],
+            "messages": self._messages,
             "counts": {
                 "route": self.route_count,
                 "scalar": self.scalar_count,
@@ -239,11 +216,11 @@ class AgentState:
 def route_features(fs: FeatureSet, part: Partition, ledger: NetworkLedger | None = None) -> list[np.ndarray]:
     """Deliver every feature to the agent owning its region; one route message
     per feature. Returns per-agent row arrays in ascending row order."""
-    if tuple(part.ids) != tuple(fs.ids):
+    if not np.array_equal(part.ids, fs.id_array):
         raise InputError("partition was built over a different feature set")
     if ledger is not None:
-        for row, fid in enumerate(fs.ids):
-            ledger.log(TransferMessage(0, "route", INGEST, int(part.assignment[row]), (fid,)))
+        for fid, agent in zip(fs.id_array.tolist(), part.assignment.tolist()):
+            ledger.log(0, "route", INGEST, agent, [fid])
     return [np.flatnonzero(part.assignment == a).astype(np.intp) for a in range(part.m)]
 
 
@@ -308,7 +285,7 @@ def exchange_boundary_scalars(
             value = float(src.boundary[:, receiver].min()) if len(src.rows0) else math.inf
             scalars[receiver, sender] = value
             if ledger is not None:
-                ledger.log(TransferMessage(1, "scalar", sender, receiver, (), value))
+                ledger.log(1, "scalar", sender, receiver, value=value)
     return scalars
 
 
@@ -347,11 +324,6 @@ def _clusters_in_order(agent: AgentState, fs: FeatureSet) -> list[np.ndarray]:
     return sorted(label_groups(agent.labels), key=lambda idxs: rank[idxs].min())
 
 
-def _cluster_message(sender: int, dest: int, rows: np.ndarray, fs: FeatureSet) -> TransferMessage:
-    ids = tuple(fs.ids[r] for r in rows)
-    return TransferMessage(2, "cluster", sender, dest, ids, None, fs.vectors[rows])
-
-
 def transfer_round(agents: Sequence[AgentState], fs: FeatureSet, ledger: NetworkLedger) -> Sequence[AgentState]:
     """Move contested clusters toward lower agent indices, one hop each.
 
@@ -375,7 +347,7 @@ def transfer_round(agents: Sequence[AgentState], fs: FeatureSet, ledger: Network
             if dest >= agent.id:
                 continue
             rows = agent.rows0[members]
-            ledger.log(_cluster_message(agent.id, dest, rows, fs))
+            ledger.log(2, "cluster", agent.id, dest, fs.id_array[rows].tolist())
             agents[dest].adopted.append(rows)
             agent.kept[members] = False
     return agents

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import FeatureId, FeatureSet, InputError, ProtocolError, canonical_json, read_ids, read_input
+from .core import FeatureId, FeatureSet, InputError, ProtocolError, _id_array, canonical_json, read_ids, read_input
 
 __all__ = [
     "Partition",
@@ -36,11 +36,15 @@ def assign_to_seeds(vectors: np.ndarray, seeds: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Partition:
-    """Voronoi seeds plus the per-feature agent assignment they induce."""
+    """Voronoi seeds plus the per-feature agent assignment they induce.
+
+    ``ids`` is a read-only ``(n, 2)`` int64 array of (image, index), row ``r``
+    assigned to agent ``assignment[r]``; any sequence of id pairs is accepted.
+    """
 
     seeds: np.ndarray
     assignment: np.ndarray
-    ids: tuple[FeatureId, ...]
+    ids: np.ndarray
     method: str = "explicit"
     seed: int | None = None
 
@@ -51,27 +55,28 @@ class Partition:
         if len(np.unique(seeds, axis=0)) != len(seeds):
             raise InputError("seeds must be pairwise distinct")
         assignment = np.asarray(self.assignment, dtype=np.intp)
-        if assignment.shape != (len(self.ids),):
+        ids = _id_array(self.ids)
+        if assignment.shape != (len(ids),):
             raise InputError("assignment must align with feature ids")
         if len(assignment) and (assignment.min() < 0 or assignment.max() >= len(seeds)):
             raise InputError("assignment indexes outside the agent range")
-        seeds.setflags(write=False)
-        assignment.setflags(write=False)
+        for array in (seeds, assignment, ids):
+            array.setflags(write=False)
         object.__setattr__(self, "seeds", seeds)
         object.__setattr__(self, "assignment", assignment)
-        object.__setattr__(self, "ids", tuple(FeatureId(*f) for f in self.ids))
+        object.__setattr__(self, "ids", ids)
 
     @property
     def m(self) -> int:
         return len(self.seeds)
 
     def label_map(self) -> dict[FeatureId, int]:
-        return {fid: int(a) for fid, a in zip(self.ids, self.assignment)}
+        return dict(zip(map(FeatureId._make, self.ids.tolist()), self.assignment.tolist()))
 
     def to_json(self) -> str:
         payload = {
-            "seeds": [[float(v) for v in s] for s in self.seeds],
-            "assignment": [[int(f.image), int(f.index), int(a)] for f, a in zip(self.ids, self.assignment)],
+            "seeds": self.seeds.tolist(),
+            "assignment": np.column_stack([self.ids, self.assignment]).tolist(),
             "method": self.method,
             "seed": self.seed,
         }
@@ -84,8 +89,7 @@ class Partition:
     def load(cls, path: str | Path) -> "Partition":
         def convert(payload: dict) -> Partition:
             rows = read_ids(path, payload["assignment"], 3)
-            ids = tuple(map(FeatureId._make, rows[:, :2].tolist()))
-            return cls(np.array(payload["seeds"], dtype=np.float64), rows[:, 2].copy(), ids,
+            return cls(np.array(payload["seeds"], dtype=np.float64), rows[:, 2], rows[:, :2],
                        payload.get("method", "explicit"), payload.get("seed"))
 
         return read_input(path, convert)
@@ -94,7 +98,7 @@ class Partition:
 def _finalize_partition(fs: FeatureSet, seeds: np.ndarray, method: str, seed: int | None) -> Partition:
     if len(np.unique(seeds, axis=0)) != len(seeds):
         raise ProtocolError("seed update produced coincident seeds")
-    return Partition(seeds, assign_to_seeds(fs.vectors, seeds), fs.ids, method, seed)
+    return Partition(seeds, assign_to_seeds(fs.vectors, seeds), fs.id_array, method, seed)
 
 
 def kmeans_seeds(fs: FeatureSet, m: int, seed: int = 0) -> Partition:
@@ -172,7 +176,11 @@ def random_seeds(fs: FeatureSet, m: int, seed: int = 0) -> Partition:
 def bisector_distances(vectors: np.ndarray, seeds: np.ndarray, t: int) -> np.ndarray:
     """(n, m) distances ``d = |p_e - p_t|/2 - û·(x - p_t)`` from rows (all of agent
     ``t``) to each agent e's bisector, with ``û`` the unit vector from ``p_t`` to
-    ``p_e``; ``x + d·û`` is the nearest bisector point. Column ``t`` is +inf."""
+    ``p_e``; ``x + d·û`` is the nearest bisector point. Column ``t`` is +inf.
+
+    Seeds so close that their squared gap underflows are ones
+    :func:`assign_to_seeds` cannot tell apart either; every row is then taken
+    to lie on their bisector, d = 0."""
     m = len(seeds)
     out = np.full((len(vectors), m), np.inf)
     for e in range(m):
@@ -180,7 +188,7 @@ def bisector_distances(vectors: np.ndarray, seeds: np.ndarray, t: int) -> np.nda
             continue
         u = seeds[e] - seeds[t]
         gap = np.linalg.norm(u)
-        u_hat = u / gap
+        u_hat = u / gap if gap else np.zeros_like(u)
         d = gap / 2.0 - (vectors - seeds[t]) @ u_hat
         if np.any(d < -1e-9):
             raise ProtocolError(f"row assigned to agent {t} lies beyond the {t}/{e} bisector")

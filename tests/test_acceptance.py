@@ -20,7 +20,6 @@ from quickmatch.core import (
 )
 from quickmatch.distributed import (
     NetworkLedger,
-    TransferMessage,
     compute_boundary,
     init_agents,
     detect_contested,
@@ -182,11 +181,11 @@ def test_criterion_5_invariant_suite():
             detect_contested(ag, scalars[ag.id])
         transfer_round(agents, fs, ledger)
         ledger.seal()
-        before = len(ledger.messages)
+        before = ledger.to_json()
         finalize(agents, fs, QUAD)
-        assert len(ledger.messages) == before
+        assert ledger.to_json() == before
         with pytest.raises(ProtocolError):
-            ledger.log(TransferMessage(4, "scalar", 1, 0, (), 1.0))
+            ledger.log(4, "scalar", 1, 0, value=1.0)
 
 
 def test_criterion_6_contested_detection_recall():

@@ -152,7 +152,10 @@ def test_save_clustering_roundtrip(tmp_path):
     fs = _fs_three_singletons()
     c = Clustering([[fid] for fid in fs.ids], {"algorithm": "test"})
     path = tmp_path / "c.json"
-    save_clustering(c, path, fs)
+    written = save_clustering(c, path, fs)
+    assert written == canonical_cluster_bytes(c)
+    payload = {"clusters": [[list(fid)] for fid in fs.ids], "meta": c.meta}
+    assert path.read_bytes() == (core.canonical_json(payload) + "\n").encode()
     loaded = load_clustering(path)
     assert loaded.clusters == c.clusters
     assert loaded.meta == dict(c.meta)

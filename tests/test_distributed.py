@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -19,7 +20,6 @@ from quickmatch.distributed import (
     CONTESTED_SIGMA_MODES,
     AgentState,
     NetworkLedger,
-    TransferMessage,
     compute_boundary,
     detect_contested,
     distributed_quickmatch,
@@ -320,23 +320,13 @@ def test_split_fragments_converge_to_lowest_involved_agent():
     ledger = NetworkLedger()
     transfer_round(agents, fs, ledger)
     assert ledger.cluster_count > 0
-    for msg in ledger.messages:
-        if msg.kind == "cluster":
-            assert msg.to_agent == 0  # two agents: everything moves toward agent 0
+    for msg in json.loads(ledger.to_json())["messages"]:
+        if msg["kind"] == "cluster":
+            assert msg["to"] == 0  # two agents: everything moves toward agent 0
     ledger.seal()
     final = finalize(agents, fs, QUAD)
     central = quickmatch(fs, QUAD)
     assert compare_clusterings(final, central).pairwise_f1 == 1.0
-
-
-def test_transferred_cluster_carries_vectors():
-    fs, truth, part, agents, _ = _bisecting_setup("agent-max")
-    ledger = NetworkLedger()
-    transfer_round(agents, fs, ledger)
-    for msg in ledger.messages:
-        if msg.kind == "cluster":
-            assert msg.vectors is not None
-            assert msg.vectors.shape == (len(msg.feature_ids), fs.dim)
 
 
 @st.composite
@@ -368,33 +358,58 @@ def test_every_contested_cluster_moves_one_hop_to_its_lowest_trigger(case, kerne
             assert not agent.kept[i] or min(triggers) > agent.id
     local = {fs.ids[r]: (agent, i) for agent in agents for i, r in enumerate(agent.rows0)}
     arrivals = [[] for _ in range(m)]
-    for msg in run.ledger.messages:
-        if msg.kind != "cluster":
+    for msg in json.loads(run.ledger.to_json())["messages"]:
+        if msg["kind"] != "cluster":
             continue
-        assert msg.round == 2
-        sender, members = agents[msg.from_agent], [local[fid][1] for fid in msg.feature_ids]
-        assert all(local[fid][0] is sender for fid in msg.feature_ids)
+        assert msg["round"] == 2
+        ids = tuple(map(FeatureId._make, msg["ids"]))
+        sender, members = agents[msg["from"]], [local[fid][1] for fid in ids]
+        assert all(local[fid][0] is sender for fid in ids)
         label = sender.labels[members[0]]
         assert sorted(members) == np.flatnonzero(sender.labels == label).tolist()  # the whole local cluster
-        assert msg.to_agent == min(min(sender.contested[i]) for i in members if i in sender.contested)
-        arrivals[msg.to_agent].append(msg.feature_ids)
+        assert msg["to"] == min(min(sender.contested[i]) for i in members if i in sender.contested)
+        arrivals[msg["to"]].append(ids)
     for agent in agents:
         assert [tuple(fs.ids[r] for r in rows) for rows in agent.adopted] == arrivals[agent.id]
     validate_clustering(run.clustering, fs)
     run.ledger.validate_protocol(len(fs), m)
 
 
+def test_ledger_writes_each_message_as_its_record():
+    ledger = NetworkLedger()
+    ledger.log(0, "route", -1, 1, [[3, 4]])
+    ledger.log(1, "scalar", 0, 1, value=0.25)
+    ledger.log(1, "scalar", 1, 0, value=math.inf)
+    ledger.log(2, "cluster", 1, 0, [[3, 4], [5, 0]])
+    assert json.loads(ledger.to_json()) == {
+        "messages": [
+            {"round": 0, "kind": "route", "from": -1, "to": 1, "ids": [[3, 4]]},
+            {"round": 1, "kind": "scalar", "from": 0, "to": 1, "value": 0.25},
+            {"round": 1, "kind": "scalar", "from": 1, "to": 0, "value": "inf"},
+            {"round": 2, "kind": "cluster", "from": 1, "to": 0, "ids": [[3, 4], [5, 0]]},
+        ],
+        "counts": {
+            "route": 1,
+            "scalar": 2,
+            "cluster": 1,
+            "cross_agent": 3,
+            "pairs": {"-1->1": 1, "0->1": 1, "1->0": 2},
+        },
+    }
+    assert ledger.transfer_chains() == [((FeatureId(3, 4), FeatureId(5, 0)), [1, 0])]
+
+
 def test_ledger_rejects_nondecreasing_cluster_transfer():
     ledger = NetworkLedger()
     with pytest.raises(ProtocolError):
-        ledger.log(TransferMessage(2, "cluster", 1, 2, (FeatureId(0, 0),)))
+        ledger.log(2, "cluster", 1, 2, [[0, 0]])
 
 
 def test_ledger_sealed_blocks_logging():
     ledger = NetworkLedger()
     ledger.seal()
     with pytest.raises(ProtocolError):
-        ledger.log(TransferMessage(0, "route", -1, 0, (FeatureId(0, 0),)))
+        ledger.log(0, "route", -1, 0, [[0, 0]])
 
 
 # -- full pipeline ------------------------------------------------------------------

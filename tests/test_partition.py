@@ -321,17 +321,30 @@ def test_bisector_distances_bound_sampled_region_points():
                 assert np.all(gaps >= dmat[i, e] - 1e-9)
 
 
+def test_bisector_distances_of_unresolvable_seeds_are_zero():
+    # 5e-324 squared underflows, so cdist ties both rows to agent 0 and the
+    # seed gap reads 0: the rows sit on the bisector rather than beyond it
+    seeds = np.array([[5e-324], [0.0]])
+    vectors = np.array([[0.0], [5e-324]])
+    assert assign_to_seeds(vectors, seeds).tolist() == [0, 0]
+    d = bisector_distances(vectors, seeds, 0)
+    assert d[:, 1].tolist() == [0.0, 0.0] and np.isinf(d[:, 0]).all()
+
+
 def test_partition_json_roundtrip(tmp_path):
     fs, _ = generate_synthetic(SynthConfig(seed=0))
-    part = kmeans_seeds(fs, 3, seed=5)
-    path = tmp_path / "part.json"
-    part.save(path)
-    loaded = Partition.load(path)
-    assert np.array_equal(loaded.seeds, part.seeds)
-    assert np.array_equal(loaded.assignment, part.assignment)
-    assert loaded.ids == part.ids
-    assert loaded.method == "kmeans"
-    json.loads(path.read_text())  # valid JSON
+    for seeding in (kmeans_seeds, random_seeds):
+        part = seeding(fs, 3, seed=5)
+        path, again = tmp_path / "part.json", tmp_path / "again.json"
+        part.save(path)
+        loaded = Partition.load(path)
+        assert np.array_equal(loaded.seeds, part.seeds)
+        assert np.array_equal(loaded.assignment, part.assignment)
+        assert np.array_equal(loaded.ids, part.ids)
+        assert loaded.method == part.method and loaded.seed == part.seed
+        json.loads(path.read_text())  # valid JSON
+        loaded.save(again)
+        assert again.read_bytes() == path.read_bytes()
 
 
 def test_partition_rejects_duplicate_seeds():
