@@ -74,7 +74,6 @@ def _add_distributed_args(parser: argparse.ArgumentParser) -> None:
         choices=list(CONTESTED_SIGMA_MODES),
         default=_env("CONTESTED_SIGMA", DEFAULT_CONTESTED_SIGMA),
     )
-    parser.add_argument("--workers", type=int, default=_env("WORKERS", 1))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -138,9 +137,7 @@ def _check_out(out: str | None, *inputs: str | None) -> None:
 
 def _run_distributed(fs: FeatureSet, m: int, params: MatchParams, args: argparse.Namespace) -> DistributedRun:
     return distributed_quickmatch(
-        fs, m, params,
-        seed=args.seed, seeding=args.seeding,
-        contested_sigma=args.contested_sigma, workers=args.workers,
+        fs, m, params, seed=args.seed, seeding=args.seeding, contested_sigma=args.contested_sigma
     )
 
 

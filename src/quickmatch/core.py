@@ -2,7 +2,7 @@
 
 Everything downstream (matching, partitioning, the distributed harness,
 metrics) is built on the types in this module. All of them are immutable
-after construction and safe to share between threads.
+after construction.
 """
 
 from __future__ import annotations
@@ -352,6 +352,13 @@ def canonical_cluster_bytes(clustering: Clustering) -> bytes:
 
 def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def seeded_rng(seed: int) -> np.random.Generator:
+    """numpy's PCG64 generator for a user-given seed, which must be >= 0."""
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
 
 
 # -- timing -------------------------------------------------------------------

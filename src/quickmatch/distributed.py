@@ -10,18 +10,16 @@ logged in a :class:`NetworkLedger`. The pipeline follows five phases:
    protocol,
 5. a final local re-clustering with no further communication.
 
-Phases 2, 3 and 5 may run on a thread pool; results and the ledger are
-identical regardless of worker count because all logging happens at round
-barriers in agent-index order.
+Agents run one at a time on one thread, in agent-index order, in every
+phase; each phase finishes for all agents before the next begins.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -353,30 +351,23 @@ def transfer_round(agents: Sequence[AgentState], fs: FeatureSet, ledger: Network
     return agents
 
 
-def finalize(
-    agents: Sequence[AgentState],
-    fs: FeatureSet,
-    params: MatchParams,
-    meta: dict | None = None,
-    workers: int = 1,
-) -> Clustering:
+def finalize(agents: Sequence[AgentState], fs: FeatureSet, params: MatchParams, meta: dict | None = None) -> Clustering:
     """Re-cluster every agent's final feature set with :func:`cluster_rows`
     (the same sigma_a merge fallback as :func:`local_cluster`) and assemble
     the global result. Requires no communication; the caller seals the
     ledger first."""
-
-    def recluster(agent: AgentState) -> tuple[np.ndarray, np.ndarray]:
+    rows, labels = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    offset = 0
+    for agent in agents:
         with timed(agent.timings, "finalize_s"):
-            rows = agent.final_rows()
-            labels = _cluster_agent_rows(rows, fs, params).labels
-            agent.final_cluster_count = len(np.unique(labels))
-        return rows, labels
-
-    results = _map_agents(recluster, agents, workers)
-    rows = np.concatenate([np.empty(0, dtype=np.intp)] + [r for r, _ in results])
-    # Labels index an agent's rows; offset them so no two agents share one.
-    starts = np.cumsum([0] + [len(r) for r, _ in results])
-    labels = np.concatenate([np.empty(0, dtype=np.intp)] + [lab + s for (_, lab), s in zip(results, starts)])
+            agent_rows = agent.final_rows()
+            agent_labels = _cluster_agent_rows(agent_rows, fs, params).labels
+            agent.final_cluster_count = len(np.unique(agent_labels))
+        rows.append(agent_rows)
+        # Labels index an agent's rows; offset them so no two agents share one.
+        labels.append(agent_labels + offset)
+        offset += len(agent_rows)
+    rows, labels = np.concatenate(rows), np.concatenate(labels)
     clustering = Clustering.from_labels(fs.id_array[rows], labels, meta or {"algorithm": "distributed-quickmatch"})
     # C1 against fs catches a feature two agents own or one lost in transfer.
     try:
@@ -384,14 +375,6 @@ def finalize(
     except ValidationError as exc:
         raise ProtocolError(f"final clustering violates C1/C2: {exc}") from exc
     return clustering
-
-
-def _map_agents(fn: Callable, agents: Iterable[AgentState], workers: int) -> list:
-    agents = list(agents)
-    if workers > 1 and len(agents) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, agents))
-    return [fn(agent) for agent in agents]
 
 
 @dataclass(frozen=True)
@@ -414,13 +397,8 @@ def distributed_quickmatch(
     seed: int = 0,
     seeding: str = "kmeans",
     contested_sigma: str = DEFAULT_CONTESTED_SIGMA,
-    workers: int = 1,
 ) -> DistributedRun:
-    """Full distributed pipeline; deterministic for (input, m, params, seed).
-
-    ``workers`` only controls how many agents compute concurrently; results
-    and the message ledger are identical for any value.
-    """
+    """Full distributed pipeline; deterministic for (input, m, params, seed)."""
     if params is None:
         params = MatchParams(kernel=Kernel.QUADRATIC)
     if m < 1:
@@ -431,8 +409,6 @@ def distributed_quickmatch(
         raise InputError(f"unknown seeding {seeding!r}")
     if contested_sigma not in CONTESTED_SIGMA_MODES:
         raise InputError(f"unknown contested sigma mode {contested_sigma!r}")
-    if workers < 1:
-        raise InputError(f"worker count must be >= 1, got {workers}")
 
     timings: dict[str, float] = {}
     with timed(timings, "partition_s"):
@@ -443,10 +419,12 @@ def distributed_quickmatch(
         agents = init_agents(fs, part, ledger)
 
     with timed(timings, "local_cluster_s"):
-        _map_agents(lambda ag: local_cluster(ag, fs, params), agents, workers)
+        for agent in agents:
+            local_cluster(agent, fs, params)
 
     with timed(timings, "boundary_s"):
-        _map_agents(lambda ag: compute_boundary(ag, fs, part), agents, workers)
+        for agent in agents:
+            compute_boundary(agent, fs, part)
         scalars = exchange_boundary_scalars(agents, fs, part, ledger)
 
     with timed(timings, "detect_s"):
@@ -468,7 +446,7 @@ def distributed_quickmatch(
         "contested_sigma": contested_sigma,
     }
     with timed(timings, "finalize_s"):
-        clustering = finalize(agents, fs, params, meta, workers)
+        clustering = finalize(agents, fs, params, meta)
 
     ledger.validate_protocol(len(fs), m)
 

@@ -16,7 +16,9 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import FeatureId, FeatureSet, InputError, ProtocolError, _id_array, canonical_json, read_ids, read_input
+from .core import (
+    FeatureId, FeatureSet, InputError, ProtocolError, _id_array, canonical_json, read_ids, read_input, seeded_rng,
+)
 
 __all__ = [
     "Partition",
@@ -105,14 +107,14 @@ def kmeans_seeds(fs: FeatureSet, m: int, seed: int = 0) -> Partition:
     """Plain Lloyd k-means: random distinct features as initial seeds, then
     up to KMEANS_ITERATIONS assign/update rounds, stopping early at a fixed
     point. An emptied cluster is reseeded at the feature farthest from its
-    stale seed.
+    stale seed among those not alone in their cluster.
     """
     if m < 1:
         raise InputError(f"agent count must be >= 1, got {m}")
     if len(fs) < m:
         raise InputError(f"need at least {m} features for {m} agents, got {len(fs)}")
     X = fs.vectors
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
 
     # Forgy init on pairwise-distinct vectors so no two seeds coincide.
     chosen: list[int] = []
@@ -128,18 +130,17 @@ def kmeans_seeds(fs: FeatureSet, m: int, seed: int = 0) -> Partition:
     labels: np.ndarray | None = None
     for _ in range(KMEANS_ITERATIONS):
         new = assign_to_seeds(X, seeds)
-        # empty-cluster repair, lowest agent first; each repair claims a feature
-        claimed: set[int] = set()
-        for c in range(m):
-            if np.any(new == c):
-                continue
+        # empty-cluster repair, lowest agent first; a repair never takes the
+        # only member of a cluster, so it empties none (n >= m leaves a choice)
+        sizes = np.bincount(new, minlength=m)
+        for c in np.flatnonzero(sizes == 0).tolist():
             d = np.linalg.norm(X - seeds[c], axis=1)
-            for r in claimed:
-                d[r] = -1.0
+            d[sizes[new] == 1] = -1.0
             far = int(np.argmax(d))
+            sizes[new[far]] -= 1
+            sizes[c] = 1
             seeds[c] = X[far]
             new[far] = c
-            claimed.add(far)
         if labels is not None and np.array_equal(new, labels):
             break
         labels = new
@@ -163,7 +164,7 @@ def random_seeds(fs: FeatureSet, m: int, seed: int = 0) -> Partition:
     flat = hi - lo <= 0
     lo = lo - np.where(flat, 1e-6, 0.0)
     hi = hi + np.where(flat, 1e-6, 0.0)
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     seeds = rng.uniform(lo, hi, size=(m, fs.dim))
     # duplicate rows are essentially impossible; redraw deterministically if seen
     while len(np.unique(seeds, axis=0)) != len(seeds):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Clustering, FeatureSet, InputError
+from .core import Clustering, FeatureSet, InputError, seeded_rng
 
 __all__ = ["SynthConfig", "grid_centers", "generate_synthetic"]
 
@@ -61,7 +61,7 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[FeatureSet, Clustering]:
     image-major, matching how a per-camera capture would be ingested.
     """
     centers = grid_centers(cfg.n_clusters, cfg.dim, cfg.extent)
-    rng = np.random.default_rng(cfg.seed)
+    rng = seeded_rng(cfg.seed)
     jitter = rng.normal(0.0, cfg.spread, size=(cfg.n_clusters, cfg.per_cluster, cfg.dim))
     samples = centers[:, None, :] + jitter
 

@@ -110,7 +110,7 @@ DMATCH_REPORT_SCHEMA = {
         "config": {
             "type": "object",
             "required": ["input", "agents", "rho", "kernel", "seed", "seeding",
-                         "contested_sigma", "workers", "out"],
+                         "contested_sigma", "out"],
         },
         "clusters_found": {"type": "integer", "minimum": 0},
         "per_agent": {
@@ -264,6 +264,38 @@ def test_bad_flag_exits_one(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [["dmatch", "features.txt"], ["compare", "features.txt", "--agents", "1"]],
+                         ids=lambda argv: argv[0])
+def test_workers_flag_is_refused(argv, capsys):
+    """Agents run in index order on one thread; there is no worker count to set."""
+    _generate(["--clusters", "4", "--per-cluster", "3"])
+    capsys.readouterr()
+    assert main([*argv, "--workers", "2"]) == 1
+    assert capsys.readouterr().err == "error: unrecognized arguments: --workers 2\n"
+
+
+# Per case: a command line and the environment it runs in, each with seed -1.
+_NEGATIVE_SEED = {
+    "generate": (["generate", "--seed", "-1", "--out", "g.txt"], {}),
+    "dmatch-kmeans": (["dmatch", "features.txt", "--seed", "-1", "--seeding", "kmeans"], {}),
+    "dmatch-random": (["dmatch", "features.txt", "--seed", "-1", "--seeding", "random"], {}),
+    "compare": (["compare", "features.txt", "--agents", "1,2", "--seed", "-1"], {}),
+    "QM_SEED-generate": (["generate", "--out", "g.txt"], {"QM_SEED": "-1"}),
+    "QM_SEED-dmatch": (["dmatch", "features.txt"], {"QM_SEED": "-1"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NEGATIVE_SEED))
+def test_negative_seed_exits_one(case, monkeypatch, capsys):
+    _generate(["--clusters", "4", "--per-cluster", "3"])
+    argv, env = _NEGATIVE_SEED[case]
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+
 def test_unknown_command_exits_one(capsys):
     assert main(["frobnicate"]) == 1
     capsys.readouterr()
@@ -359,7 +391,6 @@ _BAD_ENV = {
     "QM_CLUSTERS": (["generate", "--out", "g.txt"], ["--clusters", "4"]),
     "QM_KERNEL": (["match", "features.txt"], ["--kernel", "gaussian"]),
     "QM_RHO": (["match", "features.txt"], ["--rho", "1.1"]),
-    "QM_WORKERS": (["dmatch", "features.txt"], ["--workers", "1"]),
 }
 
 

@@ -473,15 +473,6 @@ def test_conservation_and_validity_across_configs():
             assert run.ledger.sealed
 
 
-def test_determinism_single_vs_multithreaded():
-    fs, _ = generate_synthetic(SynthConfig())
-    runs = [distributed_quickmatch(fs, 4, QUAD, seed=0, workers=w) for w in (1, 4)]
-    digests = {r.ledger.digest() for r in runs}
-    bytes_ = {canonical_cluster_bytes(r.clustering) for r in runs}
-    assert len(digests) == 1
-    assert len(bytes_) == 1
-
-
 def test_determinism_repeated_runs():
     fs, _ = generate_synthetic(SynthConfig(seed=5))
     a = distributed_quickmatch(fs, 4, QUAD, seed=2, seeding="random")
@@ -520,5 +511,3 @@ def test_input_validation():
         distributed_quickmatch(fs, 2, QUAD, seeding="voronoi")
     with pytest.raises(InputError):
         distributed_quickmatch(fs, 2, QUAD, contested_sigma="nope")
-    with pytest.raises(InputError):
-        distributed_quickmatch(fs, 2, QUAD, workers=0)

@@ -84,32 +84,32 @@ GOLDEN = {
     ("blobs", "dmatch-m1-agent-max"): (
         "7e94da472d5ef61b08481eb4d677a301c8823ff94cf44de1d40664d5a481acee",
         "b114f03adfb3237f07709627b1c8139a47e4f8eeda50b606113a66eadc433e6d",
-        "cab42a3c67a786ac5ca891285fb2ecc99bd81faa47bb0cbaacc58b96311b724e",
+        "8f4f0df160c98ef362ffcdc63b287dc899dca12deab5e7a44f619c79402187a4",
     ),
     ("blobs", "dmatch-m1-per-feature"): (
         "aa4d603dfa565a8903d78ebb0ea3f56809124a853bbb0dca15652fdb858770ca",
         "b114f03adfb3237f07709627b1c8139a47e4f8eeda50b606113a66eadc433e6d",
-        "ff70a973daaa31c1088d868f8b801ba189023068b9473e5e22d53f074be082ed",
+        "852145e57ff952982f6a40b1e028d5c0989e6f1f10359b12f3994325a4b941c5",
     ),
     ("blobs", "dmatch-m4-agent-max"): (
         "a1825af72e826a92191425944ac80a44e1dcf6db4a2c2a583f18c863ba8d7fa1",
         "0090eea719312d34651cea30c28e277a0a0ba3808ae453d51be1def60146c904",
-        "5477e23d74a71363cb87be9c624962e89cb09fcd52c34dba60674cf24d85b60b",
+        "62001805600d0445ba9d28936c28bfeb1cb6b1342d1d1532b162edbe41b85f55",
     ),
     ("blobs", "dmatch-m4-per-feature"): (
         "5919f1eea673b186b1b409e75ede2a89987a41cd43920322787200f85bda6a3e",
         "9bb19193259c1da9f1eb849763b6e124cffc9b848bcfa6f5e31d4c22080913ad",
-        "dd19566ec8e66fb1c3b5d874666e1ba1fc8db74a6810ae5dfdb53a987d0c636e",
+        "e8338dd06ac47d2d3dfbebce6a5507c789e22ad9b09f23044d6b6f890cfbf0fb",
     ),
     ("blobs", "dmatch-m8-agent-max"): (
         "48a010bc291be6b5a3a6db730a163a3c342ac83a06f5dca7d1815cc272bc8c91",
         "1f4c16a91b83be5e9bbf00cc564996f86a7f2763ec25f1b53dc1ddb8aa645013",
-        "6f3be190098ceeddde9e210e9dc338aa967ed44ccac3c81a1d86c0db8c924c88",
+        "d89389b2ad6efa8bd4b16b3ab7b954bc194aa4a1e63b59acc5c4896874048c83",
     ),
     ("blobs", "dmatch-m8-per-feature"): (
         "741da43d8656c1f147abdb84bf6d40b909ec762370c82af0aab2d859c42c216b",
         "44892ddb7da582b7602bc6055a2d0b060980d123c394bdd7fb0043203159784d",
-        "c881c9b6bac4b4b1af321192044c16f9de9d43fc823c8da968fc5a594d6f833a",
+        "61cd8a80f322cccbfeb61f6567bd197227fc4c871efadfd2e4f9526d62cec707",
     ),
     ("blobs", "match-gaussian"): (
         "6cc4a9279dcf2168c3c4ab42735d18eb497adaa3783b48da6642918cb44266a2",
@@ -134,32 +134,32 @@ GOLDEN = {
     ("lone", "dmatch-m1-agent-max"): (
         "245932693626af93f1bd2c3b7b3ff7cf5c907829a5df8f6387d68c5dc25b8aba",
         "60eb34ccff082b7e8e5d18b17652d1e99e653008e5200f17588cb45695abd55a",
-        "61aa4f2ff5f6636f619ab35a1a0ed3ed5e8dfa2c365e2860414a89576ef4a10d",
+        "d89f94e2149de6c2585e0c49f570cfb81b70707f000aa7ee27efce7cc032388a",
     ),
     ("lone", "dmatch-m1-per-feature"): (
         "4b69e117b390b5fe8f891ecc7c31f861c51419d701b5d728fd65a71bd403db95",
         "60eb34ccff082b7e8e5d18b17652d1e99e653008e5200f17588cb45695abd55a",
-        "d5fb2e639075dc0813d487d119c6c6ba904cc3931551cafe837f1687ce321cff",
+        "9ca7328da411055909a5e4a00b07ca50e59fec47de0c3db05fdf84d438638a59",
     ),
     ("lone", "dmatch-m4-agent-max"): (
         "3d1b3698842cce3e7929c62dfe76964ace79608b413bdb8acd10b3176595c70d",
         "f8d9725832f6b14482607abc927fc5ba7c4ad294ecb457d6c94f69ecf35ec5a5",
-        "2d6cdd15744a2009762f1685ecdf40d639d6ba641a7fbfca72dc9ef3a52adf16",
+        "e9c1827d585d1736c19beb6fbd03cc254743a641d83dcb41ff93afb7fd57fdb6",
     ),
     ("lone", "dmatch-m4-per-feature"): (
         "9f6e1f715a3490114096186177d05717079da032d4a9d681c8a6e9d1c73ee342",
         "76863c30d66c29e419ef86877150c334b092e130076ea5ede398c3d88c7c2dd7",
-        "08fac3114d45bca02096466767fc73b1322c2ff16192c0d1793fd9320d656f20",
+        "436e4565702e450bea2b3d9ec7afa9d632527cea49cc6c2f7c8e46d4bdb0aeef",
     ),
     ("lone", "dmatch-m8-agent-max"): (
         "dd9649439f3224fa5539f650be9b7382919a000239c2d9054b4073878093b492",
         "f1a4812201c0facbe3095e19cfa1fb05b415eb155eacec93f337772255a0ef97",
-        "f9331c036b1faecd4c37fa758462c15dc429a2ab227bbda4f957f4de5edbb84b",
+        "663ec2857a858c34a0dd27735e92f4d3516cf4d1d9814bab96933d14cd142b04",
     ),
     ("lone", "dmatch-m8-per-feature"): (
         "f02c1b61858a0decd29ba7badaa6c96c9d3accc65537e6119e4a8ef46835e12f",
         "e6ee3b8fa9f1f1bd2325acef6cd5e25e726ba70d798af4fe04b070cbe5b73f00",
-        "0829e751f034ab811e0337e653b2f1f382dc5a56930d573405b8790cbe90a5db",
+        "eccd89a5a803c8699f0e85cfb348437ff68af6c10945d7ae1f3ceaf79fdeaf7a",
     ),
     ("lone", "match-gaussian"): (
         "779985d5d49b0202f4563dcb3b7b885698360523b156eb15663cc43025b311ec",

@@ -139,6 +139,26 @@ def test_kmeans_empty_cluster_repair_runs_and_repeats(monkeypatch):
     assert np.array_equal(again.seeds, part.seeds)
 
 
+# Degenerate inputs on which the repair once took the only member of another
+# cluster: a NaN seed (mean of an empty cluster) on the 1-D set, coincident
+# seeds (a ProtocolError) on the 2-D one.
+_REPAIR_NEVER_EMPTIES = {
+    "1d-m6": ([[1.0], [2.0], [1.5], [0.5], [1.1e-308], [0.0]], 6),
+    "2d-m7": ([[0, 0], [0, 0], [0, 1], [0, 2], [0, 3], [0, 2.2e-313], [1, 0], [1, 1]], 7),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(_REPAIR_NEVER_EMPTIES))
+def test_kmeans_repair_never_empties_a_cluster(case):
+    vectors, m = _REPAIR_NEVER_EMPTIES[case]
+    fs = FeatureSet.from_rows([(0, k, v) for k, v in enumerate(vectors)])
+    part = kmeans_seeds(fs, m, seed=0)
+    assert part.m == m
+    assert np.isfinite(part.seeds).all()
+    assert len(np.unique(part.seeds, axis=0)) == m
+
+
 # -- random seeds ----------------------------------------------------------------
 
 
