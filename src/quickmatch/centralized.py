@@ -254,7 +254,7 @@ def tree_arrays(
 
 def build_tree(fs: FeatureSet, density: np.ndarray) -> DensityTree:
     parent, edge = tree_arrays(fs.vectors, np.asarray(density, dtype=np.float64), fs.id_rank)
-    return DensityTree(fs.ids, parent, edge, np.asarray(density, dtype=np.float64))
+    return DensityTree(parent, edge, np.asarray(density, dtype=np.float64))
 
 
 def merge_labels(

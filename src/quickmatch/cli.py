@@ -18,13 +18,15 @@ import sys
 from pathlib import Path
 from typing import Any, Sequence
 
+import numpy as np
+
 from .centralized import MatchParams, quickmatch
 from .core import (
     Clustering,
-    FeatureId,
     FeatureSet,
     InputError,
     ProtocolError,
+    _find_rows,
     canonical_cluster_bytes,
     canonical_json,
     load_clustering,
@@ -33,6 +35,7 @@ from .core import (
     read_input,
     save_clustering,
     save_features,
+    seeded_rng,
     sha256_hex,
     timed,
 )
@@ -215,7 +218,7 @@ def _cmd_dmatch(args: argparse.Namespace) -> int:
     fields = {
         "per_agent": list(run.per_agent_stats),
         "contested_features": len(run.contested_ids),
-        "contested_ids": [[int(i), int(k)] for i, k in run.contested_ids],
+        "contested_ids": run.contested_ids.tolist(),
         "percent_contested_clusters_detected": 100.0 * total_contested_clusters / total_local if total_local else 0.0,
         "percent_contested_features_found": None,  # needs a reference run; see `compare`
         "ledger": {
@@ -225,7 +228,7 @@ def _cmd_dmatch(args: argparse.Namespace) -> int:
             "cross_agent": run.ledger.cross_agent_count(),
             "digest": sha256_hex(ledger_text.encode()),
             "transfer_chains": [
-                {"cluster_head": [int(members[0][0]), int(members[0][1])], "size": len(members), "chain": chain}
+                {"cluster_head": members[0], "size": len(members), "chain": chain}
                 for members, chain in run.ledger.transfer_chains()
             ],
         },
@@ -249,12 +252,12 @@ def _cmd_dmatch(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_contested(path: str) -> list[FeatureId]:
-    def convert(payload: Any) -> list[FeatureId]:
+def _load_contested(path: str) -> np.ndarray:
+    def convert(payload: Any) -> np.ndarray:
         ids = payload.get("contested_ids") if isinstance(payload, dict) else payload
         if ids is None:
             raise InputError(f"{path}: no contested_ids field")
-        return list(map(FeatureId._make, read_ids(path, ids).tolist()))
+        return read_ids(path, ids)
 
     return read_input(path, convert)
 
@@ -302,6 +305,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         raise InputError(f"bad agent list {args.agents!r}") from None
     if not m_list or any(m < 1 for m in m_list):
         raise InputError(f"agent counts must be positive, got {args.agents!r}")
+    seeded_rng(args.seed)  # a negative seed fails here, before the centralized reference runs
     params = _params(args)
     reference = quickmatch(fs, params)
 
@@ -336,18 +340,19 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_plot_data(out: Path, m: int, fs, run) -> None:
+def _write_plot_data(out: Path, m: int, fs: FeatureSet, run: DistributedRun) -> None:
     """Scatter-plot data: coordinates with final cluster and agent labels."""
     path = out.with_suffix(f".m{m}.points.csv")
-    labels = run.clustering.labels()
-    agent_of = run.partition.label_map()
+    cluster = run.clustering.cluster_of[_find_rows(run.clustering.id_array, fs.id_array)]
+    x0 = fs.vectors[:, 0].tolist()
+    x1 = fs.vectors[:, 1].tolist() if fs.dim > 1 else [0.0] * len(fs)
+    # The run's partition lists the features in the rows of ``fs``.
+    agent = run.partition.assignment.tolist()
+    rows = zip(*fs.id_array.T.tolist(), map(repr, x0), map(repr, x1), cluster.tolist(), agent)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["image", "feature", "x0", "x1", "cluster", "agent"])
-        for fid, vec in zip(fs.ids, fs.vectors):
-            x0 = float(vec[0])
-            x1 = float(vec[1]) if fs.dim > 1 else 0.0
-            writer.writerow([fid.image, fid.index, repr(x0), repr(x1), labels[fid], agent_of[fid]])
+        writer.writerows(rows)
 
 
 _COMMANDS = {

@@ -92,6 +92,19 @@ def _repeats(sorted_ids: np.ndarray) -> np.ndarray:
     return (sorted_ids[1:] == sorted_ids[:-1]).all(axis=1)
 
 
+def _find_rows(keys: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The row of ``keys`` holding each row of ``ids`` (of repeated keys, the last), or -1."""
+    n = len(keys)
+    both = np.concatenate([keys, ids])
+    order = np.lexsort((both[:, 1], both[:, 0]))  # stable: equal rows stay in row order, keys first
+    # The last key at or before each sorted position is the only one that can equal it.
+    last = order[np.maximum.accumulate(np.where(order < n, np.arange(len(order)), 0))]
+    hit = (order >= n) & (last < n) & (both[last] == both[order]).all(axis=1)
+    out = np.full(len(ids), -1, dtype=np.intp)
+    out[order[hit] - n] = last[hit]
+    return out
+
+
 class FeatureSet:
     """All descriptors of a dataset, indexed by (image, feature index).
 
@@ -118,7 +131,7 @@ class FeatureSet:
             raise ValidationError("duplicate (image, feature) id")
         negative = (id_array < 0).any(axis=1)
         if negative.any():
-            raise ValidationError(f"negative id {FeatureId(*id_array[negative][0].tolist())}")
+            raise ValidationError(f"negative id {tuple(id_array[negative][0].tolist())}")
 
         self._vectors = vectors
         self._id_array = id_array
@@ -280,7 +293,7 @@ class Clustering:
     @property
     def clusters(self) -> tuple[tuple[FeatureId, ...], ...]:
         if self._clusters is None:
-            flat = self.feature_ids()
+            flat = list(map(FeatureId._make, self._id_array.tolist()))
             bounds = self._offsets.tolist()
             self._clusters = tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
         return self._clusters
@@ -302,13 +315,6 @@ class Clustering:
     def __repr__(self) -> str:
         return f"Clustering(clusters={self.clusters!r}, meta={self.meta!r})"
 
-    def feature_ids(self) -> list[FeatureId]:
-        return list(map(FeatureId._make, self._id_array.tolist()))
-
-    def labels(self) -> dict[FeatureId, int]:
-        """Map each feature id to the index of its cluster."""
-        return dict(zip(self.feature_ids(), self.cluster_of.tolist()))
-
 
 @dataclass(frozen=True)
 class DensityTree:
@@ -320,7 +326,6 @@ class DensityTree:
     (NaN for roots). Following parents never revisits a feature.
     """
 
-    ids: tuple[FeatureId, ...]
     parent: np.ndarray
     edge_length: np.ndarray
     density: np.ndarray
@@ -532,10 +537,10 @@ def _parse_lines(path: Path, lines: Sequence[str]) -> FeatureSet:
 
 def save_features(fs: FeatureSet, path: str | Path) -> None:
     """Write the descriptor text format; floats use repr so load is lossless."""
-    lines = ["# image feature v1..vF"]
-    for fid, vec in zip(fs.ids, fs.vectors):
-        lines.append(f"{fid.image} {fid.index} " + " ".join(repr(float(v)) for v in vec))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with Path(path).open("w") as fh:
+        fh.write("# image feature v1..vF\n")
+        rows = zip(fs.id_array.tolist(), fs.vectors)  # one row's floats at a time, so memory stays flat
+        fh.writelines(f"{i} {k} {' '.join(map(repr, vec.tolist()))}\n" for (i, k), vec in rows)
 
 
 # -- clustering JSON format ---------------------------------------------------

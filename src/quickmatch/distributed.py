@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -26,11 +27,11 @@ import numpy as np
 from .centralized import MatchParams, RowClusters, cluster_rows, label_groups
 from .core import (
     Clustering,
-    FeatureId,
     FeatureSet,
     InputError,
     ProtocolError,
     ValidationError,
+    _sorted_order,
     canonical_json,
     sha256_hex,
     timed,
@@ -129,19 +130,15 @@ class NetworkLedger:
         """Messages that actually left an agent (ingest routing excluded)."""
         return sum(n for (src, dst), n in self._pairs.items() if src >= 0 and src != dst)
 
-    def transfer_chains(self) -> list[tuple[tuple[FeatureId, ...], list[int]]]:
-        """Per transferred cluster, the agent sequence it visited, in log order."""
-        chains: dict[tuple[FeatureId, ...], list[int]] = {}
-        order: list[tuple[FeatureId, ...]] = []
+    def transfer_chains(self) -> list[tuple[list[list[int]], list[int]]]:
+        """Per transferred cluster, in log order: its members' ``[image,
+        index]`` lists, as logged, and the agent sequence it visited."""
+        chains: dict[tuple[int, ...], tuple[list[list[int]], list[int]]] = {}
         for msg in self._messages:
-            if msg["kind"] != "cluster":
-                continue
-            key = tuple(map(FeatureId._make, msg["ids"]))
-            if key not in chains:
-                chains[key] = [msg["from"]]
-                order.append(key)
-            chains[key].append(msg["to"])
-        return [(key, chains[key]) for key in order]
+            if msg["kind"] == "cluster":
+                key = tuple(chain.from_iterable(msg["ids"]))
+                chains.setdefault(key, (msg["ids"], [msg["from"]]))[1].append(msg["to"])
+        return list(chains.values())
 
     def validate_protocol(self, feature_count: int, m: int) -> None:
         """Assert the communication bounds: routing = one message per feature,
@@ -152,12 +149,12 @@ class NetworkLedger:
         expected_scalars = m * (m - 1)
         if self.scalar_count != expected_scalars:
             raise ProtocolError(f"{self.scalar_count} scalars, expected {expected_scalars}")
-        for members, chain in self.transfer_chains():
-            hops = chain[1:]
-            if any(b >= a for a, b in zip(chain, hops)):
-                raise ProtocolError(f"non-decreasing chain {chain} for cluster {members[0]}")
+        for members, agents in self.transfer_chains():
+            hops = agents[1:]
+            if any(b >= a for a, b in zip(agents, hops)):
+                raise ProtocolError(f"non-decreasing chain {agents} for cluster {members[0]}")
             if len(hops) > m - 1:
-                raise ProtocolError(f"chain {chain} longer than m-1 hops")
+                raise ProtocolError(f"chain {agents} longer than m-1 hops")
 
     def to_json(self) -> str:
         payload = {
@@ -202,8 +199,10 @@ class AgentState:
     contested_cluster_count: int = 0
     final_cluster_count: int = 0
 
-    def contested_ids(self, fs: FeatureSet) -> tuple[FeatureId, ...]:
-        return tuple(sorted(fs.ids[self.rows0[i]] for i in self.contested))
+    def contested_ids(self, fs: FeatureSet) -> np.ndarray:
+        """Ids of the contested features, as an id-sorted ``(k, 2)`` int64 array."""
+        ids = fs.id_array[self.rows0[list(self.contested)]]
+        return ids[_sorted_order(ids)]
 
     def final_rows(self) -> np.ndarray:
         parts = [self.rows0[self.kept]] + list(self.adopted)
@@ -385,7 +384,7 @@ class DistributedRun:
     ledger: NetworkLedger
     partition: Partition
     agents: tuple[AgentState, ...]
-    contested_ids: tuple[FeatureId, ...]
+    contested_ids: np.ndarray  # (k, 2) int64, sorted by id
     per_agent_stats: tuple[dict, ...]
     timings: dict
 
@@ -450,7 +449,8 @@ def distributed_quickmatch(
 
     ledger.validate_protocol(len(fs), m)
 
-    contested_ids = tuple(sorted(fid for agent in agents for fid in agent.contested_ids(fs)))
+    contested_ids = np.concatenate([agent.contested_ids(fs) for agent in agents])
+    contested_ids = contested_ids[_sorted_order(contested_ids)]
     stats = []
     for agent in agents:
         compute = agent.timings.get("local_cluster_s", 0.0) + agent.timings.get("finalize_s", 0.0)

@@ -9,7 +9,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import Clustering, FeatureId, FeatureSet, InputError, _repeats, _sorted_order
+from .core import Clustering, FeatureId, FeatureSet, InputError, _find_rows, _id_array, _repeats, _sorted_order
 from .partition import Partition
 
 __all__ = [
@@ -59,48 +59,46 @@ class SplitReport:
 def split_quality(
     clustering: Clustering,
     part: Partition,
-    contested: Iterable[FeatureId] | None = None,
+    contested: Iterable[FeatureId] | np.ndarray | None = None,
 ) -> SplitReport:
     """Split quality per cluster plus the contested-cluster fraction.
 
     For each cluster, q is the count of its largest single-agent group over
-    the cluster size. With a detected contested set the report also carries
-    the raw ratio |detected| / |features in split clusters| and the recall of
-    detected among truly split features.
+    the cluster size. With a detected contested set (id pairs, or a ``(k, 2)``
+    array; repeats count once) the report also carries the raw ratio
+    |detected| / |features in split clusters| and the recall of detected
+    among truly split features.
     """
-    agent_of = part.label_map()
-    q_values: list[float] = []
-    split_features: set[FeatureId] = set()
-    for members in clustering.clusters:
-        counts: dict[int, int] = {}
-        for fid in members:
-            if fid not in agent_of:
-                raise InputError(f"feature {tuple(fid)} not covered by the partition")
-            a = agent_of[fid]
-            counts[a] = counts.get(a, 0) + 1
-        q = max(counts.values()) / len(members)
-        q_values.append(q)
-        if q < 1.0:
-            split_features.update(members)
-    contested_clusters = sum(1 for q in q_values if q < 1.0)
-    p_contested = contested_clusters / len(q_values) if q_values else 0.0
+    ids, cluster_of = clustering.id_array, clustering.cluster_of
+    rows = _find_rows(part.ids, ids)
+    if (rows < 0).any():
+        raise InputError(f"feature {tuple(ids[np.argmax(rows < 0)].tolist())} not covered by the partition")
+    # Features per (cluster, agent) cell, in cluster order; a cluster's largest cell gives its q.
+    cells, cell_sizes = np.unique(cluster_of * part.m + part.assignment[rows], return_counts=True)
+    starts = np.flatnonzero(np.diff(cells // part.m, prepend=-1))
+    q_values = np.maximum.reduceat(cell_sizes, starts) / np.diff(clustering.offsets)
+    split = q_values < 1.0
+    split_features = _distinct(ids[split[cluster_of]])
+    contested_clusters = int(split.sum())
+    p_contested = contested_clusters / len(q_values) if len(q_values) else 0.0
 
     detected_count = p_split = recall = None
     if contested is not None:
-        detected = {FeatureId(*fid) for fid in contested}
+        detected = _distinct(_id_array(contested if isinstance(contested, np.ndarray) else list(contested)))
         detected_count = len(detected)
-        if split_features:
+        if len(split_features):
             p_split = detected_count / len(split_features)
-            recall = len(detected & split_features) / len(split_features)
-    return SplitReport(
-        tuple(q_values),
-        p_contested,
-        contested_clusters,
-        len(split_features),
-        detected_count,
-        p_split,
-        recall,
-    )
+            recall = int((_find_rows(split_features, detected) >= 0).sum()) / len(split_features)
+    return SplitReport(tuple(q_values.tolist()), p_contested, contested_clusters, len(split_features),
+                       detected_count, p_split, recall)
+
+
+def _distinct(ids: np.ndarray) -> np.ndarray:
+    """The distinct rows of ``(n, 2)`` ids, sorted."""
+    ids = ids[_sorted_order(ids)]
+    keep = np.ones(len(ids), dtype=bool)
+    keep[1:] = ~_repeats(ids)
+    return ids[keep]
 
 
 @dataclass(frozen=True)
@@ -110,8 +108,8 @@ class ClusterComparison:
     pair_tp: int
     pairs_a: int
     pairs_b: int
-    only_in_a: tuple[tuple[FeatureId, ...], ...]
-    only_in_b: tuple[tuple[FeatureId, ...], ...]
+    only_in_a: list[list[list[int]]]  # each cluster with no identical one in b, as [image, index] lists
+    only_in_b: list[list[list[int]]]
 
     def to_dict(self) -> dict:
         return {
@@ -120,8 +118,8 @@ class ClusterComparison:
             "pair_tp": self.pair_tp,
             "pairs_a": self.pairs_a,
             "pairs_b": self.pairs_b,
-            "only_in_a": [[list(f) for f in c] for c in self.only_in_a],
-            "only_in_b": [[list(f) for f in c] for c in self.only_in_b],
+            "only_in_a": self.only_in_a,
+            "only_in_b": self.only_in_b,
         }
 
 
@@ -141,7 +139,7 @@ def _by_id(clustering: Clustering, name: str) -> tuple[np.ndarray, np.ndarray, n
     return order, ids, clustering.cluster_of[order]
 
 
-def _unmatched(clustering: Clustering, other_label: np.ndarray, other_sizes: np.ndarray) -> tuple:
+def _unmatched(clustering: Clustering, other_label: np.ndarray, other_sizes: np.ndarray) -> list[list[list[int]]]:
     """Clusters with no identical cluster in the other clustering, in order.
 
     ``other_label`` gives, per row of ``clustering.id_array``, the other
@@ -149,13 +147,12 @@ def _unmatched(clustering: Clustering, other_label: np.ndarray, other_sizes: np.
     and that cluster is exactly as large."""
     starts, sizes = clustering.offsets[:-1], np.diff(clustering.offsets)
     if not len(sizes):
-        return ()
+        return []
     low = np.minimum.reduceat(other_label, starts)
-    same = (low == np.maximum.reduceat(other_label, starts)) & (other_sizes[low] == sizes)
-    flat, bounds = clustering.id_array, clustering.offsets
-    return tuple(
-        tuple(map(FeatureId._make, flat[bounds[c]:bounds[c + 1]].tolist())) for c in np.flatnonzero(~same).tolist()
-    )
+    unmatched = (low != np.maximum.reduceat(other_label, starts)) | (other_sizes[low] != sizes)
+    flat = clustering.id_array[np.repeat(unmatched, sizes)].tolist()
+    ends = np.cumsum(sizes[unmatched]).tolist()
+    return [flat[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def compare_clusterings(a: Clustering, b: Clustering) -> ClusterComparison:
@@ -202,18 +199,13 @@ def baseline_ratio_match(
     if len(fs_query) == 0 or len(fs_train) == 0:
         return []
     d = cdist(fs_query.vectors, fs_train.vectors)
-    matches: list[tuple[FeatureId, FeatureId]] = []
-    if len(fs_train) < 2:
-        for qi in range(len(fs_query)):
-            if d[qi, 0] < ratio:
-                matches.append((fs_query.ids[qi], fs_train.ids[0]))
-        return matches
-    idx = np.argsort(d, axis=1, kind="stable")
-    for qi in range(len(fs_query)):
-        j1, j2 = int(idx[qi, 0]), int(idx[qi, 1])
-        if d[qi, j1] < ratio * d[qi, j2]:
-            matches.append((fs_query.ids[qi], fs_train.ids[j1]))
-    return matches
+    rows = np.arange(len(fs_query))
+    nearest = d.argmin(axis=1)
+    d1 = d[rows, nearest]
+    d[rows, nearest] = np.inf  # the row minimum is now the second-nearest distance
+    keep = d1 < (ratio * d.min(axis=1) if len(fs_train) > 1 else ratio)
+    query_ids, train_ids = fs_query.ids, fs_train.ids
+    return [(query_ids[q], train_ids[t]) for q, t in zip(np.flatnonzero(keep).tolist(), nearest[keep].tolist())]
 
 
 def match_counts_vs_reference(clustering: Clustering, reference_image: int) -> dict[int, int]:
@@ -223,15 +215,15 @@ def match_counts_vs_reference(clustering: Clustering, reference_image: int) -> d
     exactly one matched feature pair, so this is the matched-feature count
     the threshold detector consumes.
     """
-    counts: dict[int, int] = {}
-    for members in clustering.clusters:
-        images = {fid.image for fid in members}
-        if reference_image not in images:
-            continue
-        for img in images:
-            if img != reference_image:
-                counts[img] = counts.get(img, 0) + 1
-    return counts
+    ids, cluster_of = clustering.id_array, clustering.cluster_of
+    images = ids[:, 0]
+    joined = np.isin(cluster_of, cluster_of[images == reference_image])
+    # Members are sorted by id, so a cluster's features of one image are
+    # neighbours: count each (cluster, image) pair once.
+    first = np.ones(len(ids), dtype=bool)
+    first[1:] = (images[1:] != images[:-1]) | (cluster_of[1:] != cluster_of[:-1])
+    counted, counts = np.unique(images[first & joined & (images != reference_image)], return_counts=True)
+    return dict(zip(counted.tolist(), counts.tolist()))
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import (
-    FeatureId, FeatureSet, InputError, ProtocolError, _id_array, canonical_json, read_ids, read_input, seeded_rng,
-)
+from .core import FeatureSet, InputError, ProtocolError, _id_array, canonical_json, read_ids, read_input, seeded_rng
 
 __all__ = [
     "Partition",
@@ -71,9 +69,6 @@ class Partition:
     @property
     def m(self) -> int:
         return len(self.seeds)
-
-    def label_map(self) -> dict[FeatureId, int]:
-        return dict(zip(map(FeatureId._make, self.ids.tolist()), self.assignment.tolist()))
 
     def to_json(self) -> str:
         payload = {

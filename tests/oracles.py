@@ -6,11 +6,14 @@ sharing no code with the package internals it checks.
 
 from __future__ import annotations
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 
-from quickmatch.core import FeatureId, FeatureSet
+from quickmatch.core import FeatureId, FeatureSet, InputError
+from quickmatch.metrics import SplitReport
 
 
 def dist_fsum(a, b) -> float:
@@ -246,3 +249,89 @@ def unmatched_clusters(a, b) -> tuple[tuple, tuple]:
     """Clusters of ``a`` not in ``b`` and of ``b`` not in ``a``, by set lookup."""
     set_a, set_b = set(a), set(b)
     return tuple(c for c in a if c not in set_b), tuple(c for c in b if c not in set_a)
+
+
+def labels_of(clustering) -> dict:
+    """Each feature id mapped to the index of its cluster."""
+    return {fid: c for c, members in enumerate(clustering.clusters) for fid in members}
+
+
+def agent_map(part) -> dict:
+    """Each feature id of a partition mapped to its agent; of repeated ids, the last."""
+    return dict(zip(map(FeatureId._make, part.ids.tolist()), part.assignment.tolist()))
+
+
+# The tuple-per-feature implementations the package ran before its array
+# ports, kept unchanged (bar the inlined dict lookups) as references.
+
+
+def split_quality(clustering, part, contested=None) -> SplitReport:
+    """``metrics.split_quality`` as a loop over FeatureId tuples and sets."""
+    agent_of = agent_map(part)
+    q_values: list[float] = []
+    split_features: set[FeatureId] = set()
+    for members in clustering.clusters:
+        counts: dict[int, int] = {}
+        for fid in members:
+            if fid not in agent_of:
+                raise InputError(f"feature {tuple(fid)} not covered by the partition")
+            a = agent_of[fid]
+            counts[a] = counts.get(a, 0) + 1
+        q = max(counts.values()) / len(members)
+        q_values.append(q)
+        if q < 1.0:
+            split_features.update(members)
+    contested_clusters = sum(1 for q in q_values if q < 1.0)
+    p_contested = contested_clusters / len(q_values) if q_values else 0.0
+
+    detected_count = p_split = recall = None
+    if contested is not None:
+        detected = {FeatureId(*fid) for fid in contested}
+        detected_count = len(detected)
+        if split_features:
+            p_split = detected_count / len(split_features)
+            recall = len(detected & split_features) / len(split_features)
+    return SplitReport(
+        tuple(q_values),
+        p_contested,
+        contested_clusters,
+        len(split_features),
+        detected_count,
+        p_split,
+        recall,
+    )
+
+
+def match_counts_vs_reference(clustering, reference_image: int) -> dict[int, int]:
+    """``metrics.match_counts_vs_reference`` as a loop over image sets."""
+    counts: dict[int, int] = {}
+    for members in clustering.clusters:
+        images = {fid.image for fid in members}
+        if reference_image not in images:
+            continue
+        for img in images:
+            if img != reference_image:
+                counts[img] = counts.get(img, 0) + 1
+    return counts
+
+
+def save_features(fs: FeatureSet, path) -> None:
+    """``core.save_features`` as one formatted float at a time."""
+    lines = ["# image feature v1..vF"]
+    for fid, vec in zip(fs.ids, fs.vectors):
+        lines.append(f"{fid.image} {fid.index} " + " ".join(repr(float(v)) for v in vec))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_plot_data(out: Path, m: int, fs, run) -> None:
+    """``cli._write_plot_data`` with dict lookups per feature."""
+    path = out.with_suffix(f".m{m}.points.csv")
+    labels = labels_of(run.clustering)
+    agent_of = agent_map(run.partition)
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["image", "feature", "x0", "x1", "cluster", "agent"])
+        for fid, vec in zip(fs.ids, fs.vectors):
+            x0 = float(vec[0])
+            x1 = float(vec[1]) if fs.dim > 1 else 0.0
+            writer.writerow([fid.image, fid.index, repr(x0), repr(x1), labels[fid], agent_of[fid]])

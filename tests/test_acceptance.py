@@ -147,7 +147,7 @@ def test_criterion_4_brute_force_oracles():
             clustering = quickmatch(fs, MatchParams())
             other = quickmatch(fs, MatchParams(rho=0.8))
             got_f1 = compare_clusterings(clustering, other).pairwise_f1
-            want_f1 = oracles.pairwise_f1(clustering.labels(), other.labels())
+            want_f1 = oracles.pairwise_f1(oracles.labels_of(clustering), oracles.labels_of(other))
             assert got_f1 == pytest.approx(want_f1, abs=1e-12)
 
 
@@ -202,7 +202,7 @@ def test_criterion_6_contested_detection_recall():
         detected = set()
         for ag in agents:
             detect_contested(ag, scalars[ag.id])  # default conservative mode
-            detected.update(ag.contested_ids(fs))
+            detected.update(map(tuple, ag.contested_ids(fs).tolist()))
 
         central = quickmatch(fs, QUAD)
         report = split_quality(central, part, detected)

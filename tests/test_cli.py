@@ -1,12 +1,17 @@
 import csv
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from quickmatch import cli
 from quickmatch.cli import main
-from quickmatch.core import load_clustering, load_features
+from quickmatch.core import Clustering, FeatureSet, load_clustering, load_features
+from quickmatch.partition import Partition
+
+import oracles
 
 pytestmark = pytest.mark.usefixtures("in_tmp_dir")
 
@@ -236,6 +241,23 @@ def test_compare_sweep_contested_found_100_on_clean_data():
         assert len(points) == 251
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_plot_data_has_the_bytes_of_the_per_feature_writer(dim):
+    top = 2**63 - 1
+    ids = [(top, top), (0, top), (top, 0), (3, 1), (0, 0)]
+    awkward = [-0.0, 5e-324, 1e308, 1 / 3, -2.5e-10]
+    vectors = np.resize(np.array(awkward), (len(ids), dim))
+    vectors[:, -1] = awkward[::-1]
+    fs = FeatureSet(vectors, ids)
+    # Clusters listed out of row order, so the cluster column needs a lookup.
+    clustering = Clustering.from_labels(fs.id_array, np.array([2, 0, 2, 1, 0]))
+    partition = Partition(np.array([[0.0] * dim, [1.0] * dim]), np.array([1, 0, 0, 1, 1]), fs.id_array)
+    run = SimpleNamespace(clustering=clustering, partition=partition)
+    cli._write_plot_data(Path("new.csv"), 2, fs, run)
+    oracles.write_plot_data(Path("old.csv"), 2, fs, run)
+    assert Path("new.m2.points.csv").read_bytes() == Path("old.m2.points.csv").read_bytes()
+
+
 def test_compare_deterministic_across_reruns():
     feat, _ = _generate()
     main(["compare", str(feat), "--agents", "2,4", "--seed", "1", "--out", "a.csv"])
@@ -291,6 +313,11 @@ def test_negative_seed_exits_one(case, monkeypatch, capsys):
     argv, env = _NEGATIVE_SEED[case]
     for name, value in env.items():
         monkeypatch.setenv(name, value)
+
+    def no_matching(*args, **kwargs):
+        raise AssertionError("a negative seed must be rejected before any matching")
+
+    monkeypatch.setattr(cli, "quickmatch", no_matching)
     capsys.readouterr()
     assert main(argv) == 1
     assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"

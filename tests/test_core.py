@@ -1,3 +1,4 @@
+import ast
 import math
 import re
 import tempfile
@@ -24,7 +25,7 @@ from quickmatch.core import (
     save_features,
     validate_clustering,
 )
-from quickmatch.core import _parse_lines
+from quickmatch.core import _find_rows, _parse_lines
 
 import oracles
 from oracles import dist_fsum
@@ -410,3 +411,56 @@ def test_a_well_formed_file_never_reaches_the_line_parser(tmp_path, monkeypatch)
     fs = load_features(path)
     assert fs.id_array.tolist() == [[0, 7], [2**63 - 1, 2**53 + 1]]  # exact, not rounded through float64
     assert fs.vectors.tobytes() == np.array([[1.5, -0.0], [5e-324, 1000.0]]).tobytes()
+
+
+# Values whose shortest repr is unusual: a signed zero, the smallest
+# subnormal, a value near overflow, a repeating fraction, a small negative.
+_AWKWARD_FLOATS = [-0.0, 5e-324, 1e308, 1 / 3, -2.5e-10]
+_TOP_ID = 2**63 - 1
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_save_features_writes_the_bytes_of_the_per_value_writer(tmp_path, dim):
+    ids = [(_TOP_ID, _TOP_ID), (0, _TOP_ID), (_TOP_ID, 0), (3, 1), (0, 0)]
+    vectors = np.resize(np.array(_AWKWARD_FLOATS), (len(ids), dim))
+    vectors[:, 0] = _AWKWARD_FLOATS
+    fs = FeatureSet(vectors, ids)
+    save_features(fs, tmp_path / "new.txt")
+    oracles.save_features(fs, tmp_path / "old.txt")
+    assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
+    assert load_features(tmp_path / "new.txt") == fs
+
+
+@settings(max_examples=200, database=None, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(st.sampled_from([0, 1, _TOP_ID]), st.sampled_from([0, 2, _TOP_ID - 1])), max_size=12),
+    st.lists(st.tuples(st.sampled_from([0, 1, _TOP_ID]), st.sampled_from([0, 2, _TOP_ID - 1])), max_size=12),
+)
+def test_find_rows_agrees_with_a_dict_of_the_keys(keys, ids):
+    want = {fid: r for r, fid in enumerate(keys)}  # of repeated keys, the last row
+    got = _find_rows(np.array(keys, dtype=np.int64).reshape(-1, 2), np.array(ids, dtype=np.int64).reshape(-1, 2))
+    assert got.tolist() == [want.get(fid, -1) for fid in ids]
+
+
+# The only places in the package allowed to build FeatureId tuples: the two
+# lazily built views over the int64 id arrays.
+_TUPLE_VIEWS = {"FeatureSet.ids", "Clustering.clusters"}
+
+
+def test_feature_id_tuples_are_built_only_in_the_two_views():
+    offenders, in_views = [], 0
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        views = set()  # the line numbers of the two views
+        for cls in ast.parse(text).body:
+            for fn in cls.body if isinstance(cls, ast.ClassDef) else ():
+                if isinstance(fn, ast.FunctionDef) and f"{cls.name}.{fn.name}" in _TUPLE_VIEWS:
+                    views.update(range(fn.lineno, fn.end_lineno + 1))
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if re.search(r"\bFeatureId(\(|\._make)", line) and not line.startswith("class FeatureId("):
+                if lineno in views:
+                    in_views += 1
+                else:
+                    offenders.append(f"{path.name}:{lineno}: {line.strip()}")
+    assert offenders == []
+    assert in_views == len(_TUPLE_VIEWS)

@@ -236,7 +236,7 @@ def test_bisecting_partition_detects_all_split_features():
     fs, truth, part, agents, _ = _bisecting_setup("agent-max")
     union = set()
     for ag in agents:
-        union.update(ag.contested_ids(fs))
+        union.update(map(tuple, ag.contested_ids(fs).tolist()))
     central = quickmatch(fs, QUAD)
     report = split_quality(central, part, union)
     assert report.contested_cluster_count >= 3  # bisects at least 3 blobs
@@ -249,9 +249,9 @@ def test_split_clusters_contain_contested_feature_even_per_feature_mode():
     fs, truth, part, agents, _ = _bisecting_setup("per-feature")
     union = set()
     for ag in agents:
-        union.update(ag.contested_ids(fs))
+        union.update(map(tuple, ag.contested_ids(fs).tolist()))
     central = quickmatch(fs, QUAD)
-    labels = part.label_map()
+    labels = dict(zip(map(tuple, part.ids.tolist()), part.assignment.tolist()))
     for members in central.clusters:
         if len({labels[f] for f in members}) > 1:  # truly split
             assert any(f in union for f in members)
@@ -260,7 +260,7 @@ def test_split_clusters_contain_contested_feature_even_per_feature_mode():
 def test_contested_requires_other_agents():
     fs, _ = generate_synthetic(SynthConfig(seed=1))
     run = distributed_quickmatch(fs, 1, QUAD, seed=0)
-    assert run.contested_ids == ()
+    assert run.contested_ids.shape == (0, 2)
 
 
 # -- transfers ---------------------------------------------------------------------
@@ -396,7 +396,7 @@ def test_ledger_writes_each_message_as_its_record():
             "pairs": {"-1->1": 1, "0->1": 1, "1->0": 2},
         },
     }
-    assert ledger.transfer_chains() == [((FeatureId(3, 4), FeatureId(5, 0)), [1, 0])]
+    assert ledger.transfer_chains() == [([[3, 4], [5, 0]], [1, 0])]
 
 
 def test_ledger_rejects_nondecreasing_cluster_transfer():
@@ -468,7 +468,7 @@ def test_conservation_and_validity_across_configs():
         for seeding in ("kmeans", "random"):
             run = distributed_quickmatch(fs, m, QUAD, seed=1, seeding=seeding)
             validate_clustering(run.clustering, fs)
-            assert sorted(run.clustering.feature_ids()) == sorted(fs.ids)
+            assert sorted(fid for members in run.clustering.clusters for fid in members) == sorted(fs.ids)
             run.ledger.validate_protocol(len(fs), m)
             assert run.ledger.sealed
 

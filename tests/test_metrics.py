@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quickmatch.core import Clustering, FeatureId, FeatureSet, InputError
 from quickmatch.metrics import (
@@ -94,6 +96,57 @@ def test_split_quality_rejects_uncovered_features():
         split_quality(Clustering([[FeatureId(5, 5)]]), part)
 
 
+# Ids drawn from a few small values and the top of int64.
+_ID_VALUES = st.sampled_from([0, 1, 2, 2**63 - 2, 2**63 - 1])
+
+
+@st.composite
+def _split_cases(draw):
+    """A clustering (labels blind to images, so C2 may break, and some cases
+    list a feature twice), a partition of its features, possibly missing some,
+    and a contested list that may repeat ids and name ids outside the
+    clustering."""
+    ids = draw(st.lists(st.tuples(_ID_VALUES, _ID_VALUES), min_size=1, max_size=14, unique=draw(st.booleans())))
+    labels = draw(st.lists(st.integers(0, 4), min_size=len(ids), max_size=len(ids)))
+    clustering = Clustering.from_labels(np.array(ids), np.array(labels))
+    m = draw(st.integers(1, 3))
+    covered = draw(st.permutations(ids))
+    covered = covered[draw(st.sampled_from([0, 0, 1, 2])):]  # the partition may miss features
+    assignment = draw(st.lists(st.integers(0, m - 1), min_size=len(covered), max_size=len(covered)))
+    part = Partition(np.arange(m, dtype=float).reshape(m, 1), np.array(assignment), np.array(covered).reshape(-1, 2))
+    others = st.tuples(_ID_VALUES, _ID_VALUES)
+    contested = draw(st.none() | st.lists(st.sampled_from(ids) | others, max_size=20))
+    return clustering, part, contested
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+@settings(max_examples=300, database=None, deadline=None, derandomize=True)
+@given(_split_cases(), _ID_VALUES)
+def test_split_quality_and_match_counts_agree_with_the_tuple_loops(case, reference_image):
+    clustering, part, contested = case
+    want = _outcome(oracles.split_quality, clustering, part, contested)
+    assert _outcome(split_quality, clustering, part, contested) == want
+    if contested is not None:
+        as_array = np.array(contested, dtype=np.int64).reshape(-1, 2)
+        assert _outcome(split_quality, clustering, part, as_array) == want
+    got = match_counts_vs_reference(clustering, reference_image)
+    assert got == oracles.match_counts_vs_reference(clustering, reference_image)
+    assert all(type(k) is int and type(v) is int for k, v in got.items())
+
+
+def test_split_quality_names_the_first_feature_the_partition_misses():
+    clustering = Clustering([[FeatureId(0, 0), FeatureId(1, 0)], [FeatureId(2, 7)]])
+    part = _partition_by_map([FeatureId(1, 0)], {FeatureId(1, 0): 0}, 1)
+    with pytest.raises(InputError, match=r"^feature \(0, 0\) not covered by the partition$"):
+        split_quality(clustering, part)
+
+
 # -- clustering comparison ---------------------------------------------------------
 
 
@@ -154,8 +207,9 @@ def test_compare_diff_lists():
     a = Clustering([[FeatureId(0, 0), FeatureId(1, 0)], [FeatureId(2, 0)]])
     b = Clustering([[FeatureId(0, 0)], [FeatureId(1, 0)], [FeatureId(2, 0)]])
     result = compare_clusterings(a, b)
-    assert result.only_in_a == ((FeatureId(0, 0), FeatureId(1, 0)),)
-    assert set(result.only_in_b) == {(FeatureId(0, 0),), (FeatureId(1, 0),)}
+    assert result.only_in_a == [[[0, 0], [1, 0]]]
+    assert sorted(result.only_in_b) == [[[0, 0]], [[1, 0]]]
+    assert result.to_dict()["only_in_b"] == result.only_in_b
 
 
 # -- ratio-test baseline -------------------------------------------------------------
@@ -284,7 +338,8 @@ def test_compare_matches_the_pair_oracle_and_the_set_lookup_of_clusters():
         a, b = to_clustering(la), to_clustering(lb)
         result = compare_clusterings(a, b)
         assert result.pairwise_f1 == pytest.approx(oracles.pairwise_f1(la, lb), abs=1e-12)
-        assert (result.only_in_a, result.only_in_b) == oracles.unmatched_clusters(a.clusters, b.clusters)
+        want = oracles.unmatched_clusters(a.clusters, b.clusters)
+        assert (result.only_in_a, result.only_in_b) == tuple([[list(f) for f in c] for c in side] for side in want)
         assert result.exact_equal == (a.clusters == b.clusters)
         assert result.pairs_a == sum(len(c) * (len(c) - 1) // 2 for c in a.clusters)
         assert type(result.pair_tp) is int and type(result.pairs_b) is int
