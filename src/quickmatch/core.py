@@ -68,8 +68,8 @@ _ID_END = 1 << 63  # ids are stored as int64, so each must lie in [0, 2**63)
 
 
 def _id_array(ids: Sequence[FeatureId] | np.ndarray) -> np.ndarray:
-    """``ids`` as a new ``(n, 2)`` int64 array; an id outside int64 raises
-    ValidationError."""
+    """``ids`` as a new ``(n, 2)`` int64 array; an id outside [0, 2**63)
+    raises ValidationError."""
     if len(ids) == 0:
         return np.empty((0, 2), dtype=np.int64)
     try:
@@ -79,6 +79,9 @@ def _id_array(ids: Sequence[FeatureId] | np.ndarray) -> np.ndarray:
         raise ValidationError(f"id {tuple(map(int, bad))} does not fit in int64") from None
     if out.shape != (len(ids), 2):
         raise ValidationError(f"expected (image, feature) id pairs, got an array of shape {out.shape}")
+    negative = (out < 0).any(axis=1)
+    if negative.any():
+        raise ValidationError(f"negative id {tuple(out[negative][0].tolist())}")
     return out
 
 
@@ -89,7 +92,17 @@ def _sorted_order(id_array: np.ndarray) -> np.ndarray:
 
 def _repeats(sorted_ids: np.ndarray) -> np.ndarray:
     """Mask over ``sorted_ids[1:]``: True where a row equals the one before."""
-    return (sorted_ids[1:] == sorted_ids[:-1]).all(axis=1)
+    return (sorted_ids[1:, 0] == sorted_ids[:-1, 0]) & (sorted_ids[1:, 1] == sorted_ids[:-1, 1])
+
+
+def _unique_order(id_array: np.ndarray, message: str) -> np.ndarray:
+    """:func:`_sorted_order` of ids that must be distinct; a repeat raises
+    ValidationError with ``message`` formatted with the smallest repeated id."""
+    order = _sorted_order(id_array)
+    repeated = _repeats(id_array.take(order, axis=0))  # take: several times faster than id_array[order]
+    if repeated.any():
+        raise ValidationError(message.format(tuple(id_array[order[np.argmax(repeated)]].tolist())))
+    return order
 
 
 def _find_rows(keys: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -126,12 +139,7 @@ class FeatureSet:
         if vectors.size and not np.all(np.isfinite(vectors)):
             raise ValidationError("feature vectors must be finite")
         id_array = _id_array(ids)
-        order = _sorted_order(id_array)
-        if _repeats(id_array[order]).any():
-            raise ValidationError("duplicate (image, feature) id")
-        negative = (id_array < 0).any(axis=1)
-        if negative.any():
-            raise ValidationError(f"negative id {tuple(id_array[negative][0].tolist())}")
+        order = _unique_order(id_array, "duplicate (image, feature) id {}")
 
         self._vectors = vectors
         self._id_array = id_array
@@ -227,7 +235,8 @@ class FeatureSet:
 
 
 class Clustering:
-    """A multi-image match set: disjoint clusters of feature ids.
+    """A multi-image match set: disjoint clusters of feature ids. A feature
+    listed twice raises ValidationError; :func:`validate_clustering` checks C2.
 
     Clusters are canonicalized on construction (members sorted by id,
     clusters sorted by their smallest member), so two clusterings with the
@@ -261,7 +270,7 @@ class Clustering:
             raise ValidationError(f"{len(labels)} labels for {len(ids)} ids")
         n = len(ids)
         rank = np.empty(n, dtype=np.int64)
-        rank[_sorted_order(ids)] = np.arange(n)
+        rank[_unique_order(ids, "feature {} appears in two clusters (C1)")] = np.arange(n)
         distinct, group = np.unique(labels, return_inverse=True)
         group = group.reshape(-1)
         head = np.full(len(distinct), n, dtype=np.int64)
@@ -381,21 +390,14 @@ def timed(into: dict[str, float], key: str) -> Iterator[None]:
 
 
 def validate_clustering(clustering: Clustering, source: FeatureSet | None = None) -> None:
-    """Check the partition conditions: C1 (cover, disjoint) and C2 (one per image).
-
-    C2 and pairwise disjointness are always checked. The cover half of C1
-    requires the source FeatureSet and is checked when one is given.
-    """
+    """Check C2 (one feature per image in a cluster) and, given the source
+    FeatureSet, the cover half of C1; disjointness holds by construction."""
     ids, cluster_of = clustering.id_array, clustering.cluster_of
     # Members are sorted by id, so two features of one image in a cluster are
-    # neighbours; report the first cluster that breaks C2 or repeats a
-    # feature of an earlier cluster, as a scan in cluster order would.
+    # neighbours; report the first cluster that breaks C2.
     c2 = np.flatnonzero((ids[1:, 0] == ids[:-1, 0]) & (cluster_of[1:] == cluster_of[:-1]))
-    p = _repeated_row(ids)
-    if c2.size and (p is None or cluster_of[c2[0]] <= cluster_of[p]):
+    if c2.size:
         raise ValidationError(f"cluster {cluster_of[c2[0]]} has two features of image {ids[c2[0], 0]} (C2)")
-    if p is not None:
-        raise ValidationError(_in_two_clusters(ids, p))
     if source is None:
         return
     src = source.id_array
@@ -405,17 +407,6 @@ def validate_clustering(clustering: Clustering, source: FeatureSet | None = None
     if known - seen:
         raise ValidationError(f"feature {min(known - seen)} missing from clustering (C1)")
     raise ValidationError(f"feature {min(seen - known)} not in the source feature set (C1)")
-
-
-def _repeated_row(ids: np.ndarray) -> int | None:
-    """The first row of ``ids`` that repeats an earlier row, or None."""
-    order = _sorted_order(ids)
-    repeated = order[np.flatnonzero(_repeats(ids[order])) + 1]  # every occurrence after the first
-    return int(repeated.min()) if repeated.size else None
-
-
-def _in_two_clusters(ids: np.ndarray, row: int) -> str:
-    return f"feature {tuple(ids[row].tolist())} appears in two clusters (C1)"
 
 
 # -- input files --------------------------------------------------------------
@@ -563,9 +554,9 @@ def save_clustering(clustering: Clustering, path: str | Path, source: FeatureSet
 
 
 def load_clustering(path: str | Path) -> Clustering:
-    """Read a clustering file, naming ``path`` in any error. A feature listed
-    twice raises ValidationError; C2 and cover are left to
-    :func:`validate_clustering`."""
+    """Read a clustering file, naming ``path`` in any error, the
+    :class:`Clustering` constructor's included (a feature listed twice). C2
+    and cover are left to :func:`validate_clustering`."""
 
     def convert(payload: Any) -> Clustering:
         if not isinstance(payload, dict) or "clusters" not in payload:
@@ -578,10 +569,9 @@ def load_clustering(path: str | Path) -> Clustering:
         sizes = list(map(len, clusters))
         if 0 in sizes:
             raise ValidationError(f"{path}: empty cluster")
-        clustering = Clustering.from_labels(ids, np.repeat(np.arange(len(sizes)), sizes), meta)
-        p = _repeated_row(clustering.id_array)
-        if p is not None:
-            raise ValidationError(f"{path}: {_in_two_clusters(clustering.id_array, p)}")
-        return clustering
+        try:
+            return Clustering.from_labels(ids, np.repeat(np.arange(len(sizes)), sizes), meta)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
 
     return read_input(path, convert)

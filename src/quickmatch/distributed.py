@@ -367,9 +367,9 @@ def finalize(agents: Sequence[AgentState], fs: FeatureSet, params: MatchParams, 
         labels.append(agent_labels + offset)
         offset += len(agent_rows)
     rows, labels = np.concatenate(rows), np.concatenate(labels)
-    clustering = Clustering.from_labels(fs.id_array[rows], labels, meta or {"algorithm": "distributed-quickmatch"})
-    # C1 against fs catches a feature two agents own or one lost in transfer.
+    # Construction catches a feature two agents own; C1 against fs, one lost in transfer.
     try:
+        clustering = Clustering.from_labels(fs.id_array[rows], labels, meta or {"algorithm": "distributed-quickmatch"})
         validate_clustering(clustering, fs)
     except ValidationError as exc:
         raise ProtocolError(f"final clustering violates C1/C2: {exc}") from exc

@@ -78,7 +78,7 @@ def split_quality(
     starts = np.flatnonzero(np.diff(cells // part.m, prepend=-1))
     q_values = np.maximum.reduceat(cell_sizes, starts) / np.diff(clustering.offsets)
     split = q_values < 1.0
-    split_features = _distinct(ids[split[cluster_of]])
+    split_features = ids[split[cluster_of]]
     contested_clusters = int(split.sum())
     p_contested = contested_clusters / len(q_values) if len(q_values) else 0.0
 
@@ -128,15 +128,11 @@ def _pairs(counts: np.ndarray) -> int:
     return int((counts * (counts - 1) // 2).sum())
 
 
-def _by_id(clustering: Clustering, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _by_id(clustering: Clustering) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The row order that sorts the clustering's ids, the sorted ids and each
-    one's cluster index; a feature listed twice raises InputError."""
+    one's cluster index."""
     order = _sorted_order(clustering.id_array)
-    ids = clustering.id_array[order]
-    repeated = np.flatnonzero(_repeats(ids))
-    if repeated.size:
-        raise InputError(f"clustering {name} lists feature {tuple(ids[repeated[0]].tolist())} twice")
-    return order, ids, clustering.cluster_of[order]
+    return order, clustering.id_array[order], clustering.cluster_of[order]
 
 
 def _unmatched(clustering: Clustering, other_label: np.ndarray, other_sizes: np.ndarray) -> list[list[list[int]]]:
@@ -158,10 +154,10 @@ def _unmatched(clustering: Clustering, other_label: np.ndarray, other_sizes: np.
 def compare_clusterings(a: Clustering, b: Clustering) -> ClusterComparison:
     """Exact equality up to relabeling plus pairwise F1 of the induced
     same-cluster relation. Two clusterings with no co-clustered pairs at all
-    agree perfectly, so their F1 is 1. A feature listed twice in one
-    clustering, or in only one of them, raises InputError."""
-    order_a, ids_a, label_a = _by_id(a, "a")
-    order_b, ids_b, label_b = _by_id(b, "b")
+    agree perfectly, so their F1 is 1. A feature in only one of them raises
+    InputError; neither can list a feature twice, as Clustering rejects that."""
+    order_a, ids_a, label_a = _by_id(a)
+    order_b, ids_b, label_b = _by_id(b)
     if not np.array_equal(ids_a, ids_b):
         raise InputError("clusterings cover different feature sets")
     sizes_a, sizes_b = np.diff(a.offsets), np.diff(b.offsets)

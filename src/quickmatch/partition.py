@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import FeatureSet, InputError, ProtocolError, _id_array, canonical_json, read_ids, read_input, seeded_rng
+from .core import FeatureSet, InputError, ProtocolError, _id_array, _unique_order, canonical_json
+from .core import read_ids, read_input, seeded_rng
 
 __all__ = [
     "Partition",
@@ -40,6 +41,8 @@ class Partition:
 
     ``ids`` is a read-only ``(n, 2)`` int64 array of (image, index), row ``r``
     assigned to agent ``assignment[r]``; any sequence of id pairs is accepted.
+    Coincident seeds, an agent outside ``0..m-1``, or a negative or repeated
+    feature id raises InputError, so each feature has exactly one agent.
     """
 
     seeds: np.ndarray
@@ -60,6 +63,7 @@ class Partition:
             raise InputError("assignment must align with feature ids")
         if len(assignment) and (assignment.min() < 0 or assignment.max() >= len(seeds)):
             raise InputError("assignment indexes outside the agent range")
+        _unique_order(ids, "feature {} is assigned to two agents")
         for array in (seeds, assignment, ids):
             array.setflags(write=False)
         object.__setattr__(self, "seeds", seeds)
@@ -84,10 +88,14 @@ class Partition:
 
     @classmethod
     def load(cls, path: str | Path) -> "Partition":
+        """Read a partition file, naming ``path`` in every error."""
         def convert(payload: dict) -> Partition:
             rows = read_ids(path, payload["assignment"], 3)
-            return cls(np.array(payload["seeds"], dtype=np.float64), rows[:, 2], rows[:, :2],
-                       payload.get("method", "explicit"), payload.get("seed"))
+            try:
+                return cls(np.array(payload["seeds"], dtype=np.float64), rows[:, 2], rows[:, :2],
+                           payload.get("method", "explicit"), payload.get("seed"))
+            except InputError as exc:
+                raise type(exc)(f"{path}: {exc}") from None
 
         return read_input(path, convert)
 

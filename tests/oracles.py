@@ -245,6 +245,22 @@ def clustering_fault(clusters, source_ids=None) -> str | None:
     return None
 
 
+def id_fault(ids) -> tuple[str, tuple[int, int]] | None:
+    """Why a list of (image, index) ids cannot be held by a FeatureSet,
+    Clustering or Partition, by sets: ("negative", the first negative id in
+    list order), else ("repeated", the smallest id listed twice), else None."""
+    ids = [tuple(map(int, fid)) for fid in ids]
+    for fid in ids:
+        if fid[0] < 0 or fid[1] < 0:
+            return "negative", fid
+    seen, repeated = set(), set()
+    for fid in ids:
+        if fid in seen:
+            repeated.add(fid)
+        seen.add(fid)
+    return ("repeated", min(repeated)) if repeated else None
+
+
 def unmatched_clusters(a, b) -> tuple[tuple, tuple]:
     """Clusters of ``a`` not in ``b`` and of ``b`` not in ``a``, by set lookup."""
     set_a, set_b = set(a), set(b)
@@ -257,7 +273,7 @@ def labels_of(clustering) -> dict:
 
 
 def agent_map(part) -> dict:
-    """Each feature id of a partition mapped to its agent; of repeated ids, the last."""
+    """Each feature id of a partition mapped to its agent."""
     return dict(zip(map(FeatureId._make, part.ids.tolist()), part.assignment.tolist()))
 
 

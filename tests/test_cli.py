@@ -347,6 +347,9 @@ _BAD_INPUTS = {
     "compare-agents-zero": ["compare", "features.txt", "--agents", "0"],
     "eval-out-missing-dir": ["eval", "d.json", "--mode", "compare", "--truth", "d.json", "--out", "nodir/e.json"],
     "match-rho-inf": ["match", "features.txt", "--rho", "inf"],
+    "partition-agent-out-of-range": ["eval", "d.json", "--mode", "split", "--partition", "part-agent-range.json"],
+    "partition-seeds-coincident": ["eval", "d.json", "--mode", "split", "--partition", "part-seeds.json"],
+    "partition-feature-twice": ["eval", "d.json", "--mode", "split", "--partition", "dup.json"],
 }
 
 # An id that is not an int in [0, 2**63), written into each JSON input by
@@ -382,6 +385,21 @@ def _write_bad_ids():
         write(f"contested-{kind}.json", "d.json.report.json", ("contested_ids",), [[0, bad]])
 
 
+def _write_bad_partitions():
+    """Copies of the 2-agent ``d.json.partition.json`` whose ids are well
+    formed but which the Partition constructor refuses: an agent index out of
+    range, coincident seeds, and the first feature again on the other agent."""
+    text = Path("d.json.partition.json").read_text()
+    out_of_range, coincident, twice = (json.loads(text) for _ in range(3))
+    out_of_range["assignment"][0][2] = 2
+    coincident["seeds"][1] = coincident["seeds"][0]
+    i, k, agent = twice["assignment"][0]
+    twice["assignment"].append([i, k, 1 - agent])
+    for name, payload in (("part-agent-range.json", out_of_range), ("part-seeds.json", coincident),
+                          ("dup.json", twice)):
+        Path(name).write_text(json.dumps(payload))
+
+
 @pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
 def test_bad_input_file_exits_one(case, capsys):
     feat, _ = _generate(["--clusters", "4", "--per-cluster", "3"])
@@ -391,9 +409,13 @@ def test_bad_input_file_exits_one(case, capsys):
     Path("latin1.txt").write_bytes(b"0 0 1.0 \xe9\n")
     Path("adir").mkdir()
     _write_bad_ids()
+    _write_bad_partitions()
     capsys.readouterr()
     assert main(_BAD_INPUTS[case]) == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if case.startswith("partition-"):
+        assert f"error: {_BAD_INPUTS[case][-1]}: " in err
 
 
 def test_eval_rejects_a_clustering_that_lists_a_feature_twice(capsys):
@@ -410,6 +432,18 @@ def test_eval_rejects_a_clustering_that_lists_a_feature_twice(capsys):
         assert capsys.readouterr().err == "error: bad.truth.json: feature (0, 0) appears in two clusters (C1)\n"
     assert not Path("e.json").exists()
     assert main(["eval", "p.json", "--mode", "compare", "--truth", str(truth)]) == 0
+
+
+def test_eval_split_rejects_a_partition_that_lists_a_feature_twice(capsys):
+    """One feature on agents 0 and 1: eval once exited 0 and reported a
+    contested cluster that does not exist."""
+    feat, _ = _generate(["--clusters", "4", "--per-cluster", "3"])
+    assert main(["dmatch", str(feat), "--agents", "2", "--out", "d.json"]) == 0
+    _write_bad_partitions()
+    i, k, _ = json.loads(Path("dup.json").read_text())["assignment"][-1]
+    capsys.readouterr()
+    assert main(["eval", "d.json", "--mode", "split", "--partition", "dup.json"]) == 1
+    assert capsys.readouterr().err == f"error: dup.json: feature ({i}, {k}) is assigned to two agents\n"
 
 
 # Per variable: a command that reads it, and the flag that overrides it.

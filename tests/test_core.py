@@ -26,6 +26,7 @@ from quickmatch.core import (
     validate_clustering,
 )
 from quickmatch.core import _find_rows, _parse_lines
+from quickmatch.partition import Partition
 
 import oracles
 from oracles import dist_fsum
@@ -188,9 +189,9 @@ def test_validate_rejects_duplicate_image_in_cluster():
 
 
 def test_validate_rejects_double_membership():
-    c = Clustering([[FeatureId(0, 0)], [FeatureId(0, 0), FeatureId(1, 0)]])
-    with pytest.raises(ValidationError, match="two clusters"):
-        validate_clustering(c)
+    """Refused at construction, so no Clustering reaches validation with it."""
+    with pytest.raises(ValidationError, match=r"^feature \(0, 0\) appears in two clusters \(C1\)$"):
+        Clustering([[FeatureId(0, 0)], [FeatureId(0, 0), FeatureId(1, 0)]])
 
 
 def test_validate_c1_cover():
@@ -254,12 +255,12 @@ def test_clustering_from_labels_matches_the_tuple_constructor_and_the_reference(
         assert Clustering.from_labels(ids, labels, {"k": 1}) == Clustering(groups.values(), {"k": 1})
 
 
-def test_clustering_keeps_a_repeated_feature_where_the_tuple_order_put_it():
+def test_clustering_rejects_a_repeated_feature():
     groups = [[(1, 0), (0, 0)], [(0, 0)], [(2, 0), (0, 0)]]
-    want = oracles.canonical_clusters(groups)
-    assert Clustering(groups).clusters == want
     ids = np.array([fid for members in groups for fid in members])
-    assert Clustering.from_labels(ids, np.repeat([5, 1, 3], [2, 1, 2])).clusters == want
+    for build in (lambda: Clustering(groups), lambda: Clustering.from_labels(ids, np.repeat([5, 1, 3], [2, 1, 2]))):
+        with pytest.raises(ValidationError, match=r"^feature \(0, 0\) appears in two clusters \(C1\)$"):
+            build()
 
 
 _FAULT_KINDS = ("(C2)", "two clusters", "missing", "not in the source")
@@ -272,7 +273,15 @@ def test_validate_messages_match_a_scan_in_cluster_order():
     for _ in range(400):
         n = int(rng.integers(1, 10))
         ids = np.array(universe)[rng.integers(0, len(universe), size=n)]
-        clustering = Clustering.from_labels(ids, rng.integers(0, 5, size=n))
+        labels = rng.integers(0, 5, size=n)
+        fault = oracles.id_fault(ids.tolist())
+        if fault is not None:  # a feature listed twice is refused before validation
+            want = f"feature {fault[1]} appears in two clusters (C1)"
+            with pytest.raises(ValidationError, match=f"^{re.escape(want)}$"):
+                Clustering.from_labels(ids, labels)
+            seen.add("two clusters")
+            continue
+        clustering = Clustering.from_labels(ids, labels)
         # The clustering's own ids, often with one dropped or one added.
         source_ids = sorted(set(map(tuple, ids.tolist())))
         source_ids = [source_ids[1:], source_ids + [(5, 5)], source_ids][int(rng.integers(0, 3))] or [(5, 5)]
@@ -286,6 +295,32 @@ def test_validate_messages_match_a_scan_in_cluster_order():
                     validate_clustering(clustering, src)
             seen.add(next((kind for kind in _FAULT_KINDS if kind in (want or "")), want))
     assert seen == {None, *_FAULT_KINDS}  # every fault, and valid clusterings, were met
+
+
+# Ids at both ends of int64 and around zero.
+_EDGE_IDS = st.sampled_from([-(2**63), -1, 0, 1, 2**63 - 2, 2**63 - 1])
+
+# Each type that holds ids, built from one id list, and its message for a repeated id.
+_ID_HOLDERS = {
+    "FeatureSet": (lambda ids: FeatureSet(np.zeros((len(ids), 1)), ids), "duplicate (image, feature) id {}"),
+    "Clustering": (lambda ids: Clustering.from_labels(ids, np.arange(len(ids)) % 3),
+                   "feature {} appears in two clusters (C1)"),
+    "Partition": (lambda ids: Partition(np.eye(2), np.arange(len(ids)) % 2, ids), "feature {} is assigned to two agents"),
+}
+
+
+@settings(max_examples=300, database=None, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_EDGE_IDS, _EDGE_IDS), max_size=8))
+def test_id_holders_accept_exactly_the_ids_a_set_oracle_accepts(ids):
+    fault = oracles.id_fault(ids)
+    for build, repeated in _ID_HOLDERS.values():
+        if fault is None:
+            build(ids)
+            continue
+        kind, fid = fault
+        want = f"negative id {fid}" if kind == "negative" else repeated.format(fid)
+        with pytest.raises(ValidationError, match=f"^{re.escape(want)}$"):
+            build(ids)
 
 
 def test_feature_set_ids_are_an_int64_array_with_cached_feature_ids():
@@ -464,3 +499,26 @@ def test_feature_id_tuples_are_built_only_in_the_two_views():
                     offenders.append(f"{path.name}:{lineno}: {line.strip()}")
     assert offenders == []
     assert in_views == len(_TUPLE_VIEWS)
+
+
+# Whether ids are distinct is decided once, in _unique_order, which every id
+# holder calls; metrics._distinct drops repeats from a contested list instead.
+_REPEATS_CALLERS = {"core._unique_order", "metrics._distinct"}
+
+
+def test_repeated_ids_are_found_only_in_unique_order():
+    offenders, in_callers = [], 0
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        callers = set()  # the line numbers of the allowed callers
+        for fn in ast.parse(text).body:
+            if isinstance(fn, ast.FunctionDef) and f"{path.stem}.{fn.name}" in _REPEATS_CALLERS:
+                callers.update(range(fn.lineno, fn.end_lineno + 1))
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if re.search(r"\b_repeats\(", line) and not line.startswith("def _repeats("):
+                if lineno in callers:
+                    in_callers += 1
+                else:
+                    offenders.append(f"{path.name}:{lineno}: {line.strip()}")
+    assert offenders == []
+    assert in_callers == len(_REPEATS_CALLERS)

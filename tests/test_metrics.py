@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quickmatch.core import Clustering, FeatureId, FeatureSet, InputError
+from quickmatch.core import Clustering, FeatureId, FeatureSet, InputError, ValidationError
 from quickmatch.metrics import (
     baseline_ratio_match,
     compare_clusterings,
@@ -102,21 +104,30 @@ _ID_VALUES = st.sampled_from([0, 1, 2, 2**63 - 2, 2**63 - 1])
 
 @st.composite
 def _split_cases(draw):
-    """A clustering (labels blind to images, so C2 may break, and some cases
-    list a feature twice), a partition of its features, possibly missing some,
-    and a contested list that may repeat ids and name ids outside the
-    clustering."""
+    """Raw ids and labels of a clustering (labels blind to images, so C2 may
+    break, and some cases list a feature twice), the agent count, ids and
+    assignment of a partition of its features, possibly missing some, and a
+    contested list that may repeat ids and name ids outside the clustering."""
     ids = draw(st.lists(st.tuples(_ID_VALUES, _ID_VALUES), min_size=1, max_size=14, unique=draw(st.booleans())))
     labels = draw(st.lists(st.integers(0, 4), min_size=len(ids), max_size=len(ids)))
-    clustering = Clustering.from_labels(np.array(ids), np.array(labels))
     m = draw(st.integers(1, 3))
     covered = draw(st.permutations(ids))
     covered = covered[draw(st.sampled_from([0, 0, 1, 2])):]  # the partition may miss features
     assignment = draw(st.lists(st.integers(0, m - 1), min_size=len(covered), max_size=len(covered)))
-    part = Partition(np.arange(m, dtype=float).reshape(m, 1), np.array(assignment), np.array(covered).reshape(-1, 2))
     others = st.tuples(_ID_VALUES, _ID_VALUES)
     contested = draw(st.none() | st.lists(st.sampled_from(ids) | others, max_size=20))
-    return clustering, part, contested
+    return ids, labels, m, covered, assignment, contested
+
+
+def _built(build, ids, repeated):
+    """``build()``, or None when ``ids`` list a feature twice, after checking
+    that it raised ``repeated`` naming the smallest such id."""
+    fault = oracles.id_fault(ids)
+    if fault is None:
+        return build()
+    with pytest.raises(ValidationError, match=f"^{re.escape(repeated.format(fault[1]))}$"):
+        build()
+    return None
 
 
 def _outcome(fn, *args):
@@ -129,7 +140,13 @@ def _outcome(fn, *args):
 @settings(max_examples=300, database=None, deadline=None, derandomize=True)
 @given(_split_cases(), _ID_VALUES)
 def test_split_quality_and_match_counts_agree_with_the_tuple_loops(case, reference_image):
-    clustering, part, contested = case
+    ids, labels, m, covered, assignment, contested = case
+    clustering = _built(lambda: Clustering.from_labels(np.array(ids), np.array(labels)), ids,
+                        "feature {} appears in two clusters (C1)")
+    part = _built(lambda: Partition(np.arange(m, dtype=float).reshape(m, 1), np.array(assignment),
+                                    np.array(covered).reshape(-1, 2)), covered, "feature {} is assigned to two agents")
+    if clustering is None or part is None:
+        return
     want = _outcome(oracles.split_quality, clustering, part, contested)
     assert _outcome(split_quality, clustering, part, contested) == want
     if contested is not None:
@@ -346,8 +363,11 @@ def test_compare_matches_the_pair_oracle_and_the_set_lookup_of_clusters():
 
 
 def test_compare_rejects_a_feature_listed_twice():
-    twice = Clustering([[FeatureId(0, 0)], [FeatureId(0, 0), FeatureId(1, 0)]])
+    """No Clustering lists a feature twice, so compare checks only that both
+    cover the same features."""
+    with pytest.raises(ValidationError, match=r"^feature \(0, 0\) appears in two clusters \(C1\)$"):
+        Clustering([[FeatureId(0, 0)], [FeatureId(0, 0), FeatureId(1, 0)]])
     once = Clustering([[FeatureId(0, 0), FeatureId(1, 0)]])
-    for a, b, name in ((twice, once, "a"), (once, twice, "b")):
-        with pytest.raises(InputError, match=rf"clustering {name} lists feature \(0, 0\) twice"):
+    for a, b in ((once, Clustering([[FeatureId(0, 0)]])), (Clustering([[FeatureId(0, 0)]]), once)):
+        with pytest.raises(InputError, match="^clusterings cover different feature sets$"):
             compare_clusterings(a, b)
