@@ -222,9 +222,9 @@ def _cmd_dmatch(args: argparse.Namespace) -> int:
         "percent_contested_clusters_detected": 100.0 * total_contested_clusters / total_local if total_local else 0.0,
         "percent_contested_features_found": None,  # needs a reference run; see `compare`
         "ledger": {
-            "route": run.ledger.route_count,
-            "scalar": run.ledger.scalar_count,
-            "cluster": run.ledger.cluster_count,
+            "route": run.ledger.count("route"),
+            "scalar": run.ledger.count("scalar"),
+            "cluster": run.ledger.count("cluster"),
             "cross_agent": run.ledger.cross_agent_count(),
             "digest": sha256_hex(ledger_text.encode()),
             "transfer_chains": [
@@ -246,7 +246,7 @@ def _cmd_dmatch(args: argparse.Namespace) -> int:
     run.partition.save(partition_path)
     print(
         f"distributed matched {len(fs)} features into {len(run.clustering)} clusters "
-        f"({args.agents} agents, {run.ledger.cluster_count} cluster transfers) -> {out}"
+        f"({args.agents} agents, {run.ledger.count('cluster')} cluster transfers) -> {out}"
     )
     print(f"report -> {report_path}; ledger -> {ledger_path}; partition -> {partition_path}")
     return 0

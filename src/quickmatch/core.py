@@ -95,13 +95,17 @@ def _repeats(sorted_ids: np.ndarray) -> np.ndarray:
     return (sorted_ids[1:, 0] == sorted_ids[:-1, 0]) & (sorted_ids[1:, 1] == sorted_ids[:-1, 1])
 
 
-def _unique_order(id_array: np.ndarray, message: str) -> np.ndarray:
+def _unique_order(id_array: np.ndarray, message: str | Callable[[int, int], str]) -> np.ndarray:
     """:func:`_sorted_order` of ids that must be distinct; a repeat raises
-    ValidationError with ``message`` formatted with the smallest repeated id."""
+    ValidationError with ``message`` formatted with the smallest repeated id.
+    A callable ``message`` is first given the rows of that id's first two
+    listings and returns the format string."""
     order = _sorted_order(id_array)
     repeated = _repeats(id_array.take(order, axis=0))  # take: several times faster than id_array[order]
     if repeated.any():
-        raise ValidationError(message.format(tuple(id_array[order[np.argmax(repeated)]].tolist())))
+        first, second = order[np.argmax(repeated) + np.arange(2)].tolist()
+        text = message(first, second) if callable(message) else message
+        raise ValidationError(text.format(tuple(id_array[first].tolist())))
     return order
 
 
@@ -269,8 +273,14 @@ class Clustering:
         if len(labels) != len(ids):
             raise ValidationError(f"{len(labels)} labels for {len(ids)} ids")
         n = len(ids)
+
+        def repeat(first: int, second: int) -> str:
+            if labels[first] == labels[second]:
+                return "feature {} is listed twice in one cluster"
+            return "feature {} appears in two clusters (C1)"
+
         rank = np.empty(n, dtype=np.int64)
-        rank[_unique_order(ids, "feature {} appears in two clusters (C1)")] = np.arange(n)
+        rank[_unique_order(ids, repeat)] = np.arange(n)
         distinct, group = np.unique(labels, return_inverse=True)
         group = group.reshape(-1)
         head = np.full(len(distinct), n, dtype=np.int64)

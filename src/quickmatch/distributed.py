@@ -19,12 +19,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from .centralized import MatchParams, RowClusters, cluster_rows, label_groups
+from .centralized import MatchParams, RowClusters, cluster_rows
 from .core import (
     Clustering,
     FeatureSet,
@@ -32,6 +31,7 @@ from .core import (
     ProtocolError,
     ValidationError,
     _sorted_order,
+    _unique_order,
     canonical_json,
     sha256_hex,
     timed,
@@ -107,62 +107,41 @@ class NetworkLedger:
     def seal(self) -> None:
         self._sealed = True
 
-    @property
-    def sealed(self) -> bool:
-        return self._sealed
-
     def count(self, kind: str) -> int:
         return self._counts[kind]
-
-    @property
-    def route_count(self) -> int:
-        return self.count("route")
-
-    @property
-    def scalar_count(self) -> int:
-        return self.count("scalar")
-
-    @property
-    def cluster_count(self) -> int:
-        return self.count("cluster")
 
     def cross_agent_count(self) -> int:
         """Messages that actually left an agent (ingest routing excluded)."""
         return sum(n for (src, dst), n in self._pairs.items() if src >= 0 and src != dst)
 
     def transfer_chains(self) -> list[tuple[list[list[int]], list[int]]]:
-        """Per transferred cluster, in log order: its members' ``[image,
-        index]`` lists, as logged, and the agent sequence it visited."""
-        chains: dict[tuple[int, ...], tuple[list[list[int]], list[int]]] = {}
-        for msg in self._messages:
-            if msg["kind"] == "cluster":
-                key = tuple(chain.from_iterable(msg["ids"]))
-                chains.setdefault(key, (msg["ids"], [msg["from"]]))[1].append(msg["to"])
-        return list(chains.values())
+        """Per cluster message, in log order: its members' ``[image, index]``
+        lists, as logged, and its one hop ``[from, to]``."""
+        return [(msg["ids"], [msg["from"], msg["to"]]) for msg in self._messages if msg["kind"] == "cluster"]
 
     def validate_protocol(self, feature_count: int, m: int) -> None:
         """Assert the communication bounds: routing = one message per feature,
-        scalars = m(m-1), and strictly decreasing transfer chains of at most
-        m-1 hops."""
-        if self.route_count != feature_count:
-            raise ProtocolError(f"routed {self.route_count} features, expected {feature_count}")
+        scalars = m(m-1), and no feature carried by two cluster messages, so
+        each cluster makes one hop (:meth:`log` refuses one that does not
+        decrease)."""
+        if self.count("route") != feature_count:
+            raise ProtocolError(f"routed {self.count('route')} features, expected {feature_count}")
         expected_scalars = m * (m - 1)
-        if self.scalar_count != expected_scalars:
-            raise ProtocolError(f"{self.scalar_count} scalars, expected {expected_scalars}")
-        for members, agents in self.transfer_chains():
-            hops = agents[1:]
-            if any(b >= a for a, b in zip(agents, hops)):
-                raise ProtocolError(f"non-decreasing chain {agents} for cluster {members[0]}")
-            if len(hops) > m - 1:
-                raise ProtocolError(f"chain {agents} longer than m-1 hops")
+        if self.count("scalar") != expected_scalars:
+            raise ProtocolError(f"{self.count('scalar')} scalars, expected {expected_scalars}")
+        carried = [fid for msg in self._messages if msg["kind"] == "cluster" for fid in msg["ids"]]
+        try:
+            _unique_order(np.array(carried, dtype=np.int64).reshape(-1, 2), "feature {} is carried by two cluster messages")
+        except ValidationError as exc:
+            raise ProtocolError(str(exc)) from None
 
     def to_json(self) -> str:
         payload = {
             "messages": self._messages,
             "counts": {
-                "route": self.route_count,
-                "scalar": self.scalar_count,
-                "cluster": self.cluster_count,
+                "route": self.count("route"),
+                "scalar": self.count("scalar"),
+                "cluster": self.count("cluster"),
                 "cross_agent": self.cross_agent_count(),
                 "pairs": {f"{src}->{dst}": n for (src, dst), n in self._pairs.items()},
             },
@@ -180,7 +159,8 @@ class AgentState:
     ``rows0`` are the routed feature rows (ascending global row order);
     ``kept`` masks out clusters sent away; ``adopted`` collects received
     clusters that settled here. Arrays from the local pipeline are aligned
-    with ``rows0``.
+    with ``rows0``. ``trigger`` holds the lowest agent each feature is
+    contested with, or m where there is none.
     """
 
     id: int
@@ -193,15 +173,14 @@ class AgentState:
     sigma_a: float = math.nan
     labels: np.ndarray | None = None
     boundary: np.ndarray | None = None
-    contested: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    trigger: np.ndarray | None = None
     timings: dict[str, float] = field(default_factory=dict)
-    local_cluster_count: int = 0
     contested_cluster_count: int = 0
     final_cluster_count: int = 0
 
     def contested_ids(self, fs: FeatureSet) -> np.ndarray:
         """Ids of the contested features, as an id-sorted ``(k, 2)`` int64 array."""
-        ids = fs.id_array[self.rows0[list(self.contested)]]
+        ids = fs.id_array[self.rows0[self.trigger < self.boundary.shape[1]]]  # one boundary column per agent
         return ids[_sorted_order(ids)]
 
     def final_rows(self) -> np.ndarray:
@@ -251,7 +230,6 @@ def local_cluster(agent: AgentState, fs: FeatureSet, params: MatchParams) -> Age
         result = _cluster_agent_rows(agent.rows0, fs, params)
         agent.parent, agent.labels, agent.sigma_a = result.parent, result.labels, result.sigma_a
         agent.sigma_p = np.where(result.parent >= 0, result.edge_length, result.sigma_a)
-        agent.local_cluster_count = len(np.unique(agent.labels))
     return agent
 
 
@@ -288,8 +266,9 @@ def exchange_boundary_scalars(
 
 def detect_contested(
     agent: AgentState, scalars_row: np.ndarray, sigma_mode: str = DEFAULT_CONTESTED_SIGMA
-) -> dict[int, tuple[int, ...]]:
-    """Worst-case contested test for every local feature.
+) -> np.ndarray:
+    """Worst-case contested test for every local feature; sets
+    ``agent.trigger`` and returns the contested local indices, ascending.
 
     Feature x (in agent a) is contested with a' when its distance to the a/a'
     bisector plus the closest a'-feature's distance to that bisector is less
@@ -297,28 +276,18 @@ def detect_contested(
     nearest feature of a', so anything closer than the bandwidth might belong
     to x's cluster. The bandwidth is the feature's own parent-edge length
     ("per-feature"; density maxima use sigma_a) or sigma_a for every feature
-    ("agent-max", strictly more conservative).
+    ("agent-max", strictly more conservative). Only the lowest such a' is
+    kept, as the feature's trigger; m where there is none.
     """
     if sigma_mode not in CONTESTED_SIGMA_MODES:
         raise InputError(f"unknown contested sigma mode {sigma_mode!r}")
-    agent.contested = {}
-    n = len(agent.rows0)
-    if n == 0 or agent.boundary is None:
-        return agent.contested
-    sigma_ref = agent.sigma_p if sigma_mode == "per-feature" else np.full(n, agent.sigma_a)
-    rows, triggers = np.nonzero((agent.boundary + scalars_row[None, :]) < sigma_ref[:, None])
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    ends = np.append(starts[1:], len(rows)).tolist()
-    triggers = triggers.tolist()
-    agent.contested = {i: tuple(triggers[a:b]) for i, a, b in zip(rows[starts].tolist(), starts.tolist(), ends)}
-    return agent.contested
-
-
-def _clusters_in_order(agent: AgentState, fs: FeatureSet) -> list[np.ndarray]:
-    """Local clusters as arrays of local indices, ordered by smallest member id."""
-    assert agent.labels is not None
-    rank = fs.id_rank[agent.rows0]
-    return sorted(label_groups(agent.labels), key=lambda idxs: rank[idxs].min())
+    if agent.boundary is None:
+        raise ProtocolError(f"agent {agent.id} has no boundary distances yet")
+    m = len(scalars_row)
+    sigma_ref = agent.sigma_p[:, None] if sigma_mode == "per-feature" else agent.sigma_a
+    hit = agent.boundary + scalars_row < sigma_ref
+    agent.trigger = np.where(hit.any(axis=1), hit.argmax(axis=1), m)
+    return np.flatnonzero(agent.trigger < m)
 
 
 def transfer_round(agents: Sequence[AgentState], fs: FeatureSet, ledger: NetworkLedger) -> Sequence[AgentState]:
@@ -335,17 +304,20 @@ def transfer_round(agents: Sequence[AgentState], fs: FeatureSet, ledger: Network
     for agent in agents:
         if agent.labels is None or len(agent.rows0) == 0:
             continue
-        for members in _clusters_in_order(agent, fs):
-            triggers = [min(agent.contested[i]) for i in members if i in agent.contested]
-            if not triggers:
-                continue
-            agent.contested_cluster_count += 1
-            dest = min(triggers)
-            if dest >= agent.id:
-                continue
+        # Each member's cluster head, its smallest id rank (labels index local rows).
+        head = np.full(len(agent.rows0), len(fs))
+        np.minimum.at(head, agent.labels, fs.id_rank[agent.rows0])
+        key = head[agent.labels]
+        order = np.argsort(key, kind="stable")  # stable: members stay in ascending local order
+        starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+        dest = np.minimum.reduceat(agent.trigger[order], starts)
+        agent.contested_cluster_count = int(np.count_nonzero(dest < len(agents)))
+        ends = np.append(starts[1:], len(order))
+        for k in np.flatnonzero(dest < agent.id).tolist():
+            members, to = order[starts[k]:ends[k]], int(dest[k])
             rows = agent.rows0[members]
-            ledger.log(2, "cluster", agent.id, dest, fs.id_array[rows].tolist())
-            agents[dest].adopted.append(rows)
+            ledger.log(2, "cluster", agent.id, to, fs.id_array[rows].tolist())
+            agents[to].adopted.append(rows)
             agent.kept[members] = False
     return agents
 
@@ -463,8 +435,8 @@ def distributed_quickmatch(
                 "compute_time_s": compute + qp,
                 "qp_time_s": qp,
                 "post_qp_compute_time_s": compute,
-                "contested_features": len(agent.contested),
-                "local_clusters": agent.local_cluster_count,
+                "contested_features": int(np.count_nonzero(agent.trigger < m)),
+                "local_clusters": len(np.unique(agent.labels)),
                 "contested_clusters": agent.contested_cluster_count,
                 "clusters_found": agent.final_cluster_count,
             }

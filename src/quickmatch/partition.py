@@ -184,9 +184,16 @@ def bisector_distances(vectors: np.ndarray, seeds: np.ndarray, t: int) -> np.nda
 
     Seeds so close that their squared gap underflows are ones
     :func:`assign_to_seeds` cannot tell apart either; every row is then taken
-    to lie on their bisector, d = 0."""
+    to lie on their bisector, d = 0.
+
+    A row with d below ``-1e-9 · s²/gap``, where ``s = |x - p_t| + gap``,
+    raises ProtocolError. The row's distances to the two seeds differ by
+    about ``gap · d / s``, and :func:`assign_to_seeds` cannot order two
+    distances that agree to a few ulps of s, so a row that close to the
+    bisector may be assigned to either side."""
     m = len(seeds)
     out = np.full((len(vectors), m), np.inf)
+    reach = cdist(vectors, seeds[t:t + 1])[:, 0]  # |x - p_t|
     for e in range(m):
         if e == t:
             continue
@@ -194,7 +201,8 @@ def bisector_distances(vectors: np.ndarray, seeds: np.ndarray, t: int) -> np.nda
         gap = np.linalg.norm(u)
         u_hat = u / gap if gap else np.zeros_like(u)
         d = gap / 2.0 - (vectors - seeds[t]) @ u_hat
-        if np.any(d < -1e-9):
+        s = reach + gap
+        if gap and np.any(d / s * gap < -1e-9 * s):  # d < -1e-9 · s²/gap, without overflowing s²
             raise ProtocolError(f"row assigned to agent {t} lies beyond the {t}/{e} bisector")
         out[:, e] = np.maximum(d, 0.0)
     return out

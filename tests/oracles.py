@@ -261,6 +261,20 @@ def id_fault(ids) -> tuple[str, tuple[int, int]] | None:
     return ("repeated", min(repeated)) if repeated else None
 
 
+def clustering_repeat(ids, labels) -> str | None:
+    """A Clustering's message for ids that list a feature twice, by list scan:
+    the smallest repeated id, "listed twice in one cluster" when its first two
+    listings share a label, else "appears in two clusters (C1)"; None when no
+    id repeats."""
+    fault = id_fault(ids)
+    if fault is None or fault[0] != "repeated":
+        return None
+    first, second = [label for fid, label in zip(ids, labels) if tuple(map(int, fid)) == fault[1]][:2]
+    if first == second:
+        return f"feature {fault[1]} is listed twice in one cluster"
+    return f"feature {fault[1]} appears in two clusters (C1)"
+
+
 def unmatched_clusters(a, b) -> tuple[tuple, tuple]:
     """Clusters of ``a`` not in ``b`` and of ``b`` not in ``a``, by set lookup."""
     set_a, set_b = set(a), set(b)

@@ -434,6 +434,13 @@ def test_eval_rejects_a_clustering_that_lists_a_feature_twice(capsys):
     assert main(["eval", "p.json", "--mode", "compare", "--truth", str(truth)]) == 0
 
 
+def test_eval_names_a_feature_listed_twice_in_one_cluster(capsys):
+    """The file holds one cluster, so the message must not speak of two."""
+    Path("same.json").write_text(json.dumps({"clusters": [[[0, 0], [0, 0]]]}))
+    assert main(["eval", "same.json", "--mode", "compare", "--truth", "same.json"]) == 1
+    assert capsys.readouterr().err == "error: same.json: feature (0, 0) is listed twice in one cluster\n"
+
+
 def test_eval_split_rejects_a_partition_that_lists_a_feature_twice(capsys):
     """One feature on agents 0 and 1: eval once exited 0 and reported a
     contested cluster that does not exist."""

@@ -263,7 +263,7 @@ def test_clustering_rejects_a_repeated_feature():
             build()
 
 
-_FAULT_KINDS = ("(C2)", "two clusters", "missing", "not in the source")
+_FAULT_KINDS = ("(C2)", "two clusters", "one cluster", "missing", "not in the source")
 
 
 def test_validate_messages_match_a_scan_in_cluster_order():
@@ -274,12 +274,11 @@ def test_validate_messages_match_a_scan_in_cluster_order():
         n = int(rng.integers(1, 10))
         ids = np.array(universe)[rng.integers(0, len(universe), size=n)]
         labels = rng.integers(0, 5, size=n)
-        fault = oracles.id_fault(ids.tolist())
-        if fault is not None:  # a feature listed twice is refused before validation
-            want = f"feature {fault[1]} appears in two clusters (C1)"
+        want = oracles.clustering_repeat(ids.tolist(), labels.tolist())
+        if want is not None:  # a feature listed twice is refused before validation
             with pytest.raises(ValidationError, match=f"^{re.escape(want)}$"):
                 Clustering.from_labels(ids, labels)
-            seen.add("two clusters")
+            seen.add(next(kind for kind in _FAULT_KINDS if kind in want))
             continue
         clustering = Clustering.from_labels(ids, labels)
         # The clustering's own ids, often with one dropped or one added.
@@ -300,12 +299,15 @@ def test_validate_messages_match_a_scan_in_cluster_order():
 # Ids at both ends of int64 and around zero.
 _EDGE_IDS = st.sampled_from([-(2**63), -1, 0, 1, 2**63 - 2, 2**63 - 1])
 
-# Each type that holds ids, built from one id list, and its message for a repeated id.
+# Each type that holds ids, built from one id list, and its message for the
+# list and its smallest repeated id.
 _ID_HOLDERS = {
-    "FeatureSet": (lambda ids: FeatureSet(np.zeros((len(ids), 1)), ids), "duplicate (image, feature) id {}"),
+    "FeatureSet": (lambda ids: FeatureSet(np.zeros((len(ids), 1)), ids),
+                   lambda ids, fid: f"duplicate (image, feature) id {fid}"),
     "Clustering": (lambda ids: Clustering.from_labels(ids, np.arange(len(ids)) % 3),
-                   "feature {} appears in two clusters (C1)"),
-    "Partition": (lambda ids: Partition(np.eye(2), np.arange(len(ids)) % 2, ids), "feature {} is assigned to two agents"),
+                   lambda ids, fid: oracles.clustering_repeat(ids, np.arange(len(ids)) % 3)),
+    "Partition": (lambda ids: Partition(np.eye(2), np.arange(len(ids)) % 2, ids),
+                  lambda ids, fid: f"feature {fid} is assigned to two agents"),
 }
 
 
@@ -318,7 +320,7 @@ def test_id_holders_accept_exactly_the_ids_a_set_oracle_accepts(ids):
             build(ids)
             continue
         kind, fid = fault
-        want = f"negative id {fid}" if kind == "negative" else repeated.format(fid)
+        want = f"negative id {fid}" if kind == "negative" else repeated(ids, fid)
         with pytest.raises(ValidationError, match=f"^{re.escape(want)}$"):
             build(ids)
 

@@ -71,7 +71,7 @@ def test_route_features_counts_and_disjoint_union():
     part = kmeans_seeds(fs, 4, seed=0)
     ledger = NetworkLedger()
     per_agent = route_features(fs, part, ledger)
-    assert ledger.route_count == 250
+    assert ledger.count("route") == 250
     all_rows = np.concatenate(per_agent)
     assert len(all_rows) == 250
     assert len(set(all_rows.tolist())) == 250
@@ -85,7 +85,7 @@ def test_route_m1_all_local_zero_cross_agent():
     part = kmeans_seeds(fs, 1, seed=0)
     ledger = NetworkLedger()
     route_features(fs, part, ledger)
-    assert ledger.route_count == 250
+    assert ledger.count("route") == 250
     assert ledger.cross_agent_count() == 0
 
 
@@ -97,7 +97,7 @@ def test_local_cluster_single_feature_agent():
     part = _explicit_partition(fs, [[0.0, 0.0], [10.0, 0.0]])
     agents = _agents_for(fs, part)
     local_cluster(agents[0], fs, QUAD)
-    assert agents[0].local_cluster_count == 1
+    assert len(np.unique(agents[0].labels)) == 1
     assert math.isinf(agents[0].sigma_a)  # no parent edges: maximally uncertain
 
 
@@ -110,7 +110,7 @@ def test_local_cluster_recovers_whole_blob():
     part = _explicit_partition(fs, [[3.0, 3.0], [40.0, 40.0]])
     agents = _agents_for(fs, part)
     local_cluster(agents[0], fs, QUAD)
-    assert agents[0].local_cluster_count == 1
+    assert len(np.unique(agents[0].labels)) == 1
     assert len(agents[0].rows0) == 8
 
 
@@ -141,7 +141,7 @@ def test_scalar_exchange_count_m4():
         compute_boundary(ag, fs, part)
     ledger = NetworkLedger()
     exchange_boundary_scalars(agents, fs, part, ledger)
-    assert ledger.scalar_count == 12  # m(m-1)
+    assert ledger.count("scalar") == 12  # m(m-1)
 
 
 def test_scalar_single_far_feature():
@@ -189,7 +189,7 @@ def test_detect_contested_direct_inequality():
     agent.boundary = np.array([[1.0, np.inf]])
     scalars_row = np.array([2.0, np.inf])
     contested = detect_contested(agent, scalars_row, "per-feature")
-    assert contested == {0: (0,)}  # 1 + 2 < 10
+    assert contested.tolist() == [0] and agent.trigger.tolist() == [0]  # 1 + 2 < 10
 
 
 def test_detect_contested_negative_case():
@@ -199,7 +199,7 @@ def test_detect_contested_negative_case():
     agent.sigma_a = 2.5
     agent.boundary = np.array([[3.0, np.inf]])
     contested = detect_contested(agent, np.array([4.1, np.inf]), "per-feature")
-    assert contested == {}
+    assert contested.tolist() == [] and agent.trigger.tolist() == [2]  # m: none
 
 
 def test_detect_contested_strictness_at_equality():
@@ -207,7 +207,8 @@ def test_detect_contested_strictness_at_equality():
     agent.sigma_p = np.array([3.0])
     agent.sigma_a = 3.0
     agent.boundary = np.array([[1.0, np.inf]])
-    assert detect_contested(agent, np.array([2.0, np.inf]), "per-feature") == {}
+    assert detect_contested(agent, np.array([2.0, np.inf]), "per-feature").tolist() == []
+    assert agent.trigger.tolist() == [2]
 
 
 def test_detect_contested_matches_row_loop():
@@ -228,8 +229,8 @@ def test_detect_contested_matches_row_loop():
                 want[i] = tuple(int(t) for t in triggers)
         got = detect_contested(agent, scalars_row, mode)
         assert 0 < len(got) < n
-        assert list(got.items()) == list(want.items())  # same insertion order
-        assert all(type(t) is int for ts in got.values() for t in ts)
+        assert got.tolist() == list(want)  # ascending
+        assert agent.trigger.tolist() == [min(want[i]) if i in want else m for i in range(n)]
 
 
 def test_bisecting_partition_detects_all_split_features():
@@ -284,11 +285,11 @@ def test_no_contested_clusters_no_transfers():
     scalars = exchange_boundary_scalars(agents, fs, part)
     for ag in agents:
         detect_contested(ag, scalars[ag.id], "agent-max")
-    assert all(not ag.contested for ag in agents)
+    assert all((ag.trigger == len(agents)).all() for ag in agents)
 
     ledger = NetworkLedger()
     transfer_round(agents, fs, ledger)
-    assert ledger.cluster_count == 0
+    assert ledger.count("cluster") == 0
 
     # fast path: final clustering equals the concatenation of local clusterings
     local_union = Clustering(
@@ -307,19 +308,32 @@ def test_transfer_chains_strictly_decrease():
     fs, _ = generate_synthetic(SynthConfig())
     for m in (2, 4, 8):
         run = distributed_quickmatch(fs, m, QUAD, seed=0)
-        chains = run.ledger.transfer_chains()
-        for _, chain in chains:
-            hops = chain[1:]
-            assert all(b < a for a, b in zip(chain, hops))
-            assert len(hops) <= m - 1
+        for _, hop in run.ledger.transfer_chains():
+            assert len(hop) == 2 and hop[1] < hop[0]
         run.ledger.validate_protocol(len(fs), m)
+
+
+def test_validate_protocol_rejects_a_feature_carried_twice():
+    # Each hop decreases, so the ledger takes both; a two-hop chain was within
+    # the old m-1 hop limit, but a cluster settles where it first arrives.
+    ledger = NetworkLedger()
+    ledger.log(0, "route", -1, 2, [[0, 0]])
+    for src in range(3):
+        for dst in range(3):
+            if src != dst:
+                ledger.log(1, "scalar", src, dst, value=1.0)
+    ledger.log(2, "cluster", 2, 1, [[0, 0]])
+    ledger.validate_protocol(1, 3)
+    ledger.log(2, "cluster", 1, 0, [[0, 0]])
+    with pytest.raises(ProtocolError, match=r"^feature \(0, 0\) is carried by two cluster messages$"):
+        ledger.validate_protocol(1, 3)
 
 
 def test_split_fragments_converge_to_lowest_involved_agent():
     fs, truth, part, agents, _ = _bisecting_setup("agent-max")
     ledger = NetworkLedger()
     transfer_round(agents, fs, ledger)
-    assert ledger.cluster_count > 0
+    assert ledger.count("cluster") > 0
     for msg in json.loads(ledger.to_json())["messages"]:
         if msg["kind"] == "cluster":
             assert msg["to"] == 0  # two agents: everything moves toward agent 0
@@ -354,8 +368,7 @@ def test_every_contested_cluster_moves_one_hop_to_its_lowest_trigger(case, kerne
     run = distributed_quickmatch(fs, m, MatchParams(kernel=kernel), seed=seed, seeding=seeding, contested_sigma=mode)
     agents = run.agents
     for agent in agents:
-        for i, triggers in agent.contested.items():
-            assert not agent.kept[i] or min(triggers) > agent.id
+        assert all(agent.trigger[i] > agent.id for i in np.flatnonzero(agent.kept))
     local = {fs.ids[r]: (agent, i) for agent in agents for i, r in enumerate(agent.rows0)}
     arrivals = [[] for _ in range(m)]
     for msg in json.loads(run.ledger.to_json())["messages"]:
@@ -367,7 +380,7 @@ def test_every_contested_cluster_moves_one_hop_to_its_lowest_trigger(case, kerne
         assert all(local[fid][0] is sender for fid in ids)
         label = sender.labels[members[0]]
         assert sorted(members) == np.flatnonzero(sender.labels == label).tolist()  # the whole local cluster
-        assert msg["to"] == min(min(sender.contested[i]) for i in members if i in sender.contested)
+        assert msg["to"] == min(sender.trigger[i] for i in members)
         arrivals[msg["to"]].append(ids)
     for agent in agents:
         assert [tuple(fs.ids[r] for r in rows) for rows in agent.adopted] == arrivals[agent.id]
@@ -420,8 +433,8 @@ def test_m1_pipeline_byte_identical_to_centralized_quadratic():
     run = distributed_quickmatch(fs, 1, QUAD, seed=0)
     central = quickmatch(fs, QUAD)
     assert canonical_cluster_bytes(run.clustering) == canonical_cluster_bytes(central)
-    assert run.ledger.cluster_count == 0
-    assert run.ledger.scalar_count == 0
+    assert run.ledger.count("cluster") == 0
+    assert run.ledger.count("scalar") == 0
 
 
 def test_finalize_single_feature_image_uses_agent_bandwidth():
@@ -470,7 +483,8 @@ def test_conservation_and_validity_across_configs():
             validate_clustering(run.clustering, fs)
             assert sorted(fid for members in run.clustering.clusters for fid in members) == sorted(fs.ids)
             run.ledger.validate_protocol(len(fs), m)
-            assert run.ledger.sealed
+            with pytest.raises(ProtocolError, match="sealed"):
+                run.ledger.log(3, "scalar", 0, 1, value=0.0)
 
 
 def test_determinism_repeated_runs():

@@ -121,11 +121,11 @@ def _split_cases(draw):
 
 def _built(build, ids, repeated):
     """``build()``, or None when ``ids`` list a feature twice, after checking
-    that it raised ``repeated`` naming the smallest such id."""
+    that it raised ``repeated(fid)`` for the smallest such id ``fid``."""
     fault = oracles.id_fault(ids)
     if fault is None:
         return build()
-    with pytest.raises(ValidationError, match=f"^{re.escape(repeated.format(fault[1]))}$"):
+    with pytest.raises(ValidationError, match=f"^{re.escape(repeated(fault[1]))}$"):
         build()
     return None
 
@@ -142,9 +142,9 @@ def _outcome(fn, *args):
 def test_split_quality_and_match_counts_agree_with_the_tuple_loops(case, reference_image):
     ids, labels, m, covered, assignment, contested = case
     clustering = _built(lambda: Clustering.from_labels(np.array(ids), np.array(labels)), ids,
-                        "feature {} appears in two clusters (C1)")
+                        lambda fid: oracles.clustering_repeat(ids, labels))
     part = _built(lambda: Partition(np.arange(m, dtype=float).reshape(m, 1), np.array(assignment),
-                                    np.array(covered).reshape(-1, 2)), covered, "feature {} is assigned to two agents")
+                                    np.array(covered).reshape(-1, 2)), covered, "feature {} is assigned to two agents".format)
     if clustering is None or part is None:
         return
     want = _outcome(oracles.split_quality, clustering, part, contested)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from quickmatch import partition
-from quickmatch.core import FeatureSet, InputError
+from quickmatch.core import FeatureSet, InputError, ProtocolError
 from quickmatch.partition import (
     KMEANS_ITERATIONS,
     Partition,
@@ -349,6 +349,22 @@ def test_bisector_distances_of_unresolvable_seeds_are_zero():
     assert assign_to_seeds(vectors, seeds).tolist() == [0, 0]
     d = bisector_distances(vectors, seeds, 0)
     assert d[:, 1].tolist() == [0.0, 0.0] and np.isinf(d[:, 0]).all()
+
+
+def test_bisector_distances_accept_an_owned_row_far_from_the_origin():
+    # cdist ties this row to both seeds, so agent 0 owns it; the projection then
+    # reads d = -2.98e-8, which an absolute 1e-9 slack rejected
+    seeds = np.array([[0.0, 0.0], [3e8, 1e8]])
+    row = np.array([[249452299.9659704, -248356899.89791113]])
+    assert assign_to_seeds(row, seeds).tolist() == [0]
+    assert bisector_distances(row, seeds, 0)[0].tolist() == [math.inf, 0.0]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e8])
+def test_bisector_distances_reject_a_row_beyond_the_bisector(scale):
+    seeds = np.array([[0.0, 0.0], [2.0, 0.0]]) * scale
+    with pytest.raises(ProtocolError, match="beyond the 0/1 bisector"):
+        bisector_distances(np.array([[1.0 + 1e-6, 5.0]]) * scale, seeds, 0)
 
 
 def test_partition_json_roundtrip(tmp_path):
