@@ -6,12 +6,14 @@ the report's ``determinism_hash``. Runs cover `match` with every kernel and
 `dmatch` with m in {1, 4, 8} under both contested-sigma modes, on two small
 inputs: ``blobs`` (every image has many features) and ``lone`` (blobs plus
 images holding a single feature, which exercise the merge-bandwidth
-fallback).
+fallback). A second table pins what `eval` (compare and split modes) and
+`compare` write on the same inputs, the sweep's timing columns left out.
 
 A refactor must leave this table unchanged. A change that alters output on
 purpose updates the table and says why.
 """
 
+import csv
 import json
 import os
 from pathlib import Path
@@ -191,3 +193,75 @@ def test_golden_digests(input_name, run_name, tmp_path, monkeypatch):
     for name in [n for n in os.environ if n.startswith("QM_")]:
         monkeypatch.delenv(name)  # the table is for the built-in defaults
     assert _run_digests(input_name, run_name) == GOLDEN[(input_name, run_name)]
+
+
+# Runs whose results reach the user through `eval` and `compare`, on one
+# input's centralized `match` clustering and a `dmatch --agents 4` run.
+# Random seeding cuts some clusters across agents, where k-means cuts none on
+# these inputs, so the split report and the sweep's contested columns hold
+# numbers rather than zeros and nulls.
+EVAL_RUNS = {
+    "eval-compare": ["eval", "d.json", "--mode", "compare", "--truth", "c.json", "--out", "eval.json"],
+    "eval-split": [
+        "eval", "c.json", "--mode", "split", "--partition", "d.json.partition.json",
+        "--contested-from", "d.json.report.json", "--out", "eval.json",
+    ],
+    "compare-m1,4": ["compare", "features.txt", "--agents", "1,4", "--seeding", "random", "--out", "sweep.csv"],
+}
+
+
+def _without_time_columns(path: Path) -> bytes:
+    """The sweep CSV with its three per-agent time columns left out, header included."""
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    keep = [j for j, name in enumerate(rows[0]) if "Time" not in name]
+    return "".join(",".join(row[j] for j in keep) + "\n" for row in rows).encode()
+
+
+def _eval_digests(input_name: str, run_name: str) -> tuple[str, ...]:
+    """Digests of what one `eval` or `compare` run writes: the eval JSON, or
+    the sweep CSV without its times plus the m=4 scatter-plot file."""
+    save_features(INPUTS[input_name](), "features.txt")
+    assert main(["match", "features.txt", "--out", "c.json"]) == 0
+    assert main(["dmatch", "features.txt", "--agents", "4", "--seeding", "random", "--out", "d.json"]) == 0
+    assert main(EVAL_RUNS[run_name]) == 0
+    if run_name.startswith("eval"):
+        return (sha256_hex(Path("eval.json").read_bytes()),)
+    return (
+        sha256_hex(_without_time_columns(Path("sweep.csv"))),
+        sha256_hex(Path("sweep.m4.points.csv").read_bytes()),
+    )
+
+
+# (input, run) -> digests of its outputs, as `_eval_digests` takes them
+EVAL_GOLDEN = {
+    ("blobs", "compare-m1,4"): (
+        "49de48a1b5c732208ede3d9cb6c108cfc441f7c02b0fd4b511805c178945c697",
+        "1d8a5a16e8e254cde431ad276bad0d679bc54dac20377919d65f67ebc703cc69",
+    ),
+    ("blobs", "eval-compare"): (
+        "c2375af749e16798c423f0234652a8491abc056a016a47b6703cdd185faa8bc9",
+    ),
+    ("blobs", "eval-split"): (
+        "a868cb92e3ec25a1d6fb01862b8552eadee03fe072d58118aecded90312c69ea",
+    ),
+    ("lone", "compare-m1,4"): (
+        "f21f577d5464c0c741133afc12e5d93e4a7ad9e38ce58b3972bda303c8b127e3",
+        "066acd815625ccc13ee55153992eff2eb29178b4e8546f78dd089f0575638238",
+    ),
+    ("lone", "eval-compare"): (
+        "5e7bf0f2f9b23f7f22d3cd2e24e30ca73010d9225124f68b03ea35676ac477aa",
+    ),
+    ("lone", "eval-split"): (
+        "39a7266e524781ee823e2c65e0c4031257a5c05dad3778d45e41a20881a9a908",
+    ),
+}
+
+
+@pytest.mark.parametrize("input_name", sorted(INPUTS))
+@pytest.mark.parametrize("run_name", sorted(EVAL_RUNS))
+def test_golden_eval_and_compare(input_name, run_name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name in [n for n in os.environ if n.startswith("QM_")]:
+        monkeypatch.delenv(name)
+    assert _eval_digests(input_name, run_name) == EVAL_GOLDEN[(input_name, run_name)]
