@@ -23,7 +23,6 @@ from .kernels import Kernel, kernel_values
 
 __all__ = [
     "MatchParams",
-    "Distinctiveness",
     "compute_distinctiveness",
     "compute_density",
     "build_tree",
@@ -61,17 +60,6 @@ class MatchParams:
             object.__setattr__(self, "kernel", Kernel(self.kernel))
         except ValueError:
             raise InputError(f"unknown kernel {self.kernel!r}") from None
-
-
-@dataclass(frozen=True)
-class Distinctiveness:
-    """Per-image bandwidth: the minimum intra-image pairwise distance."""
-
-    sigma: np.ndarray
-    image_ids: tuple[int, ...]
-
-    def for_image(self, image_id: int) -> float:
-        return float(self.sigma[self.image_ids.index(image_id)])
 
 
 def pair_distances(vectors: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -125,12 +113,13 @@ def resolve_sigma(sigma_raw: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return np.maximum(sigma, SIGMA_FLOOR)
 
 
-def compute_distinctiveness(fs: FeatureSet) -> Distinctiveness:
-    """Per-image sigma over the whole feature set, fallbacks resolved."""
+def compute_distinctiveness(fs: FeatureSet) -> np.ndarray:
+    """Per-image bandwidth, the minimum intra-image pairwise distance, over
+    the whole feature set with fallbacks resolved; one entry per image, in
+    ``fs.image_ids`` order."""
     if len(fs) == 0:
         raise InputError("empty feature set")
-    raw = sigma_per_image(fs.vectors, fs.image_slots, fs.image_count)
-    return Distinctiveness(resolve_sigma(raw, fs.vectors), fs.image_ids)
+    return resolve_sigma(sigma_per_image(fs.vectors, fs.image_slots, fs.image_count), fs.vectors)
 
 
 def density_values(
@@ -187,8 +176,8 @@ def density_values(
     return out
 
 
-def compute_density(fs: FeatureSet, dist: Distinctiveness, kernel: Kernel = Kernel.GAUSSIAN) -> np.ndarray:
-    return density_values(fs.vectors, fs.image_slots, dist.sigma, kernel)
+def compute_density(fs: FeatureSet, sigma: np.ndarray, kernel: Kernel = Kernel.GAUSSIAN) -> np.ndarray:
+    return density_values(fs.vectors, fs.image_slots, sigma, kernel)
 
 
 def tree_arrays(
@@ -253,8 +242,7 @@ def tree_arrays(
 
 
 def build_tree(fs: FeatureSet, density: np.ndarray) -> DensityTree:
-    parent, edge = tree_arrays(fs.vectors, np.asarray(density, dtype=np.float64), fs.id_rank)
-    return DensityTree(parent, edge, np.asarray(density, dtype=np.float64))
+    return DensityTree(*tree_arrays(fs.vectors, np.asarray(density, dtype=np.float64), fs.id_rank))
 
 
 def merge_labels(
@@ -360,10 +348,8 @@ def _labels_to_clustering(labels: np.ndarray, id_array: np.ndarray, params: Matc
     return Clustering.from_labels(id_array, labels, meta)
 
 
-def break_and_merge(
-    fs: FeatureSet, tree: DensityTree, dist: Distinctiveness, params: MatchParams
-) -> Clustering:
-    labels = merge_labels(tree.parent, tree.edge_length, fs.image_slots, dist.sigma, params.rho, fs.id_rank)
+def break_and_merge(fs: FeatureSet, tree: DensityTree, sigma: np.ndarray, params: MatchParams) -> Clustering:
+    labels = merge_labels(tree.parent, tree.edge_length, fs.image_slots, sigma, params.rho, fs.id_rank)
     return _labels_to_clustering(labels, fs.id_array, params)
 
 

@@ -222,10 +222,7 @@ def _cmd_dmatch(args: argparse.Namespace) -> int:
         "percent_contested_clusters_detected": 100.0 * total_contested_clusters / total_local if total_local else 0.0,
         "percent_contested_features_found": None,  # needs a reference run; see `compare`
         "ledger": {
-            "route": run.ledger.count("route"),
-            "scalar": run.ledger.count("scalar"),
-            "cluster": run.ledger.count("cluster"),
-            "cross_agent": run.ledger.cross_agent_count(),
+            **run.ledger.counts(),
             "digest": sha256_hex(ledger_text.encode()),
             "transfer_chains": [
                 {"cluster_head": members[0], "size": len(members), "chain": chain}
@@ -268,32 +265,20 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.mode == "compare":
         if not args.truth:
             raise InputError("--mode compare requires --truth")
-        result = compare_clusterings(pred, load_clustering(args.truth)).to_dict()
+        result = compare_clusterings(pred, load_clustering(args.truth))
     else:
         if not args.partition:
             raise InputError("--mode split requires --partition")
         part = Partition.load(args.partition)
         contested = _load_contested(args.contested_from) if args.contested_from else None
-        result = split_quality(pred, part, contested).to_dict()
-    text = json.dumps(result, indent=2, sort_keys=True)
+        result = split_quality(pred, part, contested)
+    text = json.dumps(vars(result), indent=2, sort_keys=True)  # vars, not asdict: the member lists are not copied
     if args.out:
         Path(args.out).write_text(text + "\n")
         print(f"report -> {args.out}")
     else:
         print(text)
     return 0
-
-
-_SWEEP_COLUMNS = [
-    "Number of Agents",
-    "Compute Time Per Agent (s)",
-    "QP Time Per Agent (s)",
-    "Post-QP Compute Time Per Agent (s)",
-    "Percent Contested Clusters",
-    "Number of Clusters Found",
-    "% Contested Features Found",
-    "Pairwise F1 vs Centralized",
-]
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -333,7 +318,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         _write_plot_data(out, m, fs, run)
 
     with out.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_SWEEP_COLUMNS)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
     print(f"sweep over agents {m_list} -> {out}")

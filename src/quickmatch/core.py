@@ -65,6 +65,9 @@ class FeatureId(NamedTuple):
 
 
 _ID_END = 1 << 63  # ids are stored as int64, so each must lie in [0, 2**63)
+# Largest accepted coordinate magnitude: a squared distance summed over the
+# dimensions, at most dim * (2e150)**2, stays finite up to about 4e7 dimensions.
+_COORD_BOUND = 1e150
 
 
 def _id_array(ids: Sequence[FeatureId] | np.ndarray) -> np.ndarray:
@@ -142,6 +145,8 @@ class FeatureSet:
             raise ValidationError("vector count does not match id count")
         if vectors.size and not np.all(np.isfinite(vectors)):
             raise ValidationError("feature vectors must be finite")
+        if vectors.size and max(vectors.max(), -vectors.min()) > _COORD_BOUND:
+            raise ValidationError(f"feature vector components must lie within ±{_COORD_BOUND:g}")
         id_array = _id_array(ids)
         order = _unique_order(id_array, "duplicate (image, feature) id {}")
 
@@ -347,7 +352,6 @@ class DensityTree:
 
     parent: np.ndarray
     edge_length: np.ndarray
-    density: np.ndarray
 
     @property
     def roots(self) -> np.ndarray:
@@ -523,6 +527,8 @@ def _parse_lines(path: Path, lines: Sequence[str]) -> FeatureSet:
             raise ParseError(f"{path}:{lineno}: ids must be below 2**63")
         if not all(math.isfinite(v) for v in vec):
             raise ParseError(f"{path}:{lineno}: non-finite component")
+        if max(map(abs, vec)) > _COORD_BOUND:
+            raise ParseError(f"{path}:{lineno}: component beyond ±{_COORD_BOUND:g}")
         if dim is None:
             dim = len(vec)
         elif len(vec) != dim:

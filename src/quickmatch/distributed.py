@@ -110,9 +110,12 @@ class NetworkLedger:
     def count(self, kind: str) -> int:
         return self._counts[kind]
 
-    def cross_agent_count(self) -> int:
-        """Messages that actually left an agent (ingest routing excluded)."""
-        return sum(n for (src, dst), n in self._pairs.items() if src >= 0 and src != dst)
+    def counts(self) -> dict[str, int]:
+        """Messages per kind, and ``cross_agent``: those that actually left an
+        agent (ingest routing excluded)."""
+        counts = {kind: self.count(kind) for kind in ("route", "scalar", "cluster")}
+        counts["cross_agent"] = sum(n for (src, dst), n in self._pairs.items() if src >= 0 and src != dst)
+        return counts
 
     def transfer_chains(self) -> list[tuple[list[list[int]], list[int]]]:
         """Per cluster message, in log order: its members' ``[image, index]``
@@ -138,13 +141,7 @@ class NetworkLedger:
     def to_json(self) -> str:
         payload = {
             "messages": self._messages,
-            "counts": {
-                "route": self.count("route"),
-                "scalar": self.count("scalar"),
-                "cluster": self.count("cluster"),
-                "cross_agent": self.cross_agent_count(),
-                "pairs": {f"{src}->{dst}": n for (src, dst), n in self._pairs.items()},
-            },
+            "counts": {**self.counts(), "pairs": {f"{src}->{dst}": n for (src, dst), n in self._pairs.items()}},
         }
         return canonical_json(payload)
 
@@ -175,13 +172,7 @@ class AgentState:
     boundary: np.ndarray | None = None
     trigger: np.ndarray | None = None
     timings: dict[str, float] = field(default_factory=dict)
-    contested_cluster_count: int = 0
     final_cluster_count: int = 0
-
-    def contested_ids(self, fs: FeatureSet) -> np.ndarray:
-        """Ids of the contested features, as an id-sorted ``(k, 2)`` int64 array."""
-        ids = fs.id_array[self.rows0[self.trigger < self.boundary.shape[1]]]  # one boundary column per agent
-        return ids[_sorted_order(ids)]
 
     def final_rows(self) -> np.ndarray:
         parts = [self.rows0[self.kept]] + list(self.adopted)
@@ -311,7 +302,6 @@ def transfer_round(agents: Sequence[AgentState], fs: FeatureSet, ledger: Network
         order = np.argsort(key, kind="stable")  # stable: members stay in ascending local order
         starts = np.flatnonzero(np.diff(key[order], prepend=-1))
         dest = np.minimum.reduceat(agent.trigger[order], starts)
-        agent.contested_cluster_count = int(np.count_nonzero(dest < len(agents)))
         ends = np.append(starts[1:], len(order))
         for k in np.flatnonzero(dest < agent.id).tolist():
             members, to = order[starts[k]:ends[k]], int(dest[k])
@@ -421,10 +411,10 @@ def distributed_quickmatch(
 
     ledger.validate_protocol(len(fs), m)
 
-    contested_ids = np.concatenate([agent.contested_ids(fs) for agent in agents])
-    contested_ids = contested_ids[_sorted_order(contested_ids)]
-    stats = []
+    contested_rows, stats = [], []
     for agent in agents:
+        contested = agent.trigger < m
+        contested_rows.append(agent.rows0[contested])
         compute = agent.timings.get("local_cluster_s", 0.0) + agent.timings.get("finalize_s", 0.0)
         qp = agent.timings.get("boundary_s", 0.0)
         stats.append(
@@ -435,10 +425,12 @@ def distributed_quickmatch(
                 "compute_time_s": compute + qp,
                 "qp_time_s": qp,
                 "post_qp_compute_time_s": compute,
-                "contested_features": int(np.count_nonzero(agent.trigger < m)),
+                "contested_features": int(np.count_nonzero(contested)),
                 "local_clusters": len(np.unique(agent.labels)),
-                "contested_clusters": agent.contested_cluster_count,
+                "contested_clusters": len(np.unique(agent.labels[contested])),
                 "clusters_found": agent.final_cluster_count,
             }
         )
+    contested_ids = fs.id_array[np.concatenate(contested_rows)]
+    contested_ids = contested_ids[_sorted_order(contested_ids)]
     return DistributedRun(clustering, ledger, part, tuple(agents), contested_ids, tuple(stats), timings)

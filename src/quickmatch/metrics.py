@@ -9,7 +9,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import Clustering, FeatureId, FeatureSet, InputError, _find_rows, _id_array, _repeats, _sorted_order
+from .core import Clustering, FeatureId, FeatureSet, InputError, _find_rows, _id_array, _sorted_order
 from .partition import Partition
 
 __all__ = [
@@ -44,17 +44,6 @@ class SplitReport:
     p_split: float | None
     contested_recall: float | None
 
-    def to_dict(self) -> dict:
-        return {
-            "q": list(self.q),
-            "p_contested": self.p_contested,
-            "contested_cluster_count": self.contested_cluster_count,
-            "split_feature_count": self.split_feature_count,
-            "detected_contested_count": self.detected_contested_count,
-            "p_split": self.p_split,
-            "contested_recall": self.contested_recall,
-        }
-
 
 def split_quality(
     clustering: Clustering,
@@ -84,21 +73,13 @@ def split_quality(
 
     detected_count = p_split = recall = None
     if contested is not None:
-        detected = _distinct(_id_array(contested if isinstance(contested, np.ndarray) else list(contested)))
+        detected = np.unique(_id_array(contested if isinstance(contested, np.ndarray) else list(contested)), axis=0)
         detected_count = len(detected)
         if len(split_features):
             p_split = detected_count / len(split_features)
             recall = int((_find_rows(split_features, detected) >= 0).sum()) / len(split_features)
     return SplitReport(tuple(q_values.tolist()), p_contested, contested_clusters, len(split_features),
                        detected_count, p_split, recall)
-
-
-def _distinct(ids: np.ndarray) -> np.ndarray:
-    """The distinct rows of ``(n, 2)`` ids, sorted."""
-    ids = ids[_sorted_order(ids)]
-    keep = np.ones(len(ids), dtype=bool)
-    keep[1:] = ~_repeats(ids)
-    return ids[keep]
 
 
 @dataclass(frozen=True)
@@ -110,17 +91,6 @@ class ClusterComparison:
     pairs_b: int
     only_in_a: list[list[list[int]]]  # each cluster with no identical one in b, as [image, index] lists
     only_in_b: list[list[list[int]]]
-
-    def to_dict(self) -> dict:
-        return {
-            "exact_equal": self.exact_equal,
-            "pairwise_f1": self.pairwise_f1,
-            "pair_tp": self.pair_tp,
-            "pairs_a": self.pairs_a,
-            "pairs_b": self.pairs_b,
-            "only_in_a": self.only_in_a,
-            "only_in_b": self.only_in_b,
-        }
 
 
 def _pairs(counts: np.ndarray) -> int:
@@ -229,12 +199,6 @@ class PRCurve:
 
     points: tuple[tuple[float, float, float], ...]  # (threshold, precision, recall)
     auc: float
-
-    def to_dict(self) -> dict:
-        return {
-            "points": [list(p) for p in self.points],
-            "auc": self.auc,
-        }
 
 
 def pr_curve(

@@ -100,17 +100,13 @@ class Partition:
         return read_input(path, convert)
 
 
-def _finalize_partition(fs: FeatureSet, seeds: np.ndarray, method: str, seed: int | None) -> Partition:
-    if len(np.unique(seeds, axis=0)) != len(seeds):
-        raise ProtocolError("seed update produced coincident seeds")
-    return Partition(seeds, assign_to_seeds(fs.vectors, seeds), fs.id_array, method, seed)
-
-
 def kmeans_seeds(fs: FeatureSet, m: int, seed: int = 0) -> Partition:
     """Plain Lloyd k-means: random distinct features as initial seeds, then
     up to KMEANS_ITERATIONS assign/update rounds, stopping early at a fixed
     point. An emptied cluster is reseeded at the feature farthest from its
-    stale seed among those not alone in their cluster.
+    stale seed among those not alone in their cluster. A converged run keeps
+    the labels of its fixed point, as the repair chose them; otherwise each
+    feature goes to its nearest final seed.
     """
     if m < 1:
         raise InputError(f"agent count must be >= 1, got {m}")
@@ -149,8 +145,12 @@ def kmeans_seeds(fs: FeatureSet, m: int, seed: int = 0) -> Partition:
         labels = new
         for c in range(m):
             seeds[c] = X[labels == c].mean(axis=0)
+    else:  # no fixed point within KMEANS_ITERATIONS rounds
+        labels = assign_to_seeds(X, seeds)
 
-    return _finalize_partition(fs, seeds, "kmeans", seed)
+    if len(np.unique(seeds, axis=0)) != len(seeds):
+        raise ProtocolError("seed update produced coincident seeds")
+    return Partition(seeds, labels, fs.id_array, "kmeans", seed)
 
 
 def random_seeds(fs: FeatureSet, m: int, seed: int = 0) -> Partition:
@@ -174,7 +174,7 @@ def random_seeds(fs: FeatureSet, m: int, seed: int = 0) -> Partition:
         _, first = np.unique(seeds, axis=0, return_index=True)
         dup = sorted(set(range(m)) - set(int(i) for i in first))
         seeds[dup] = rng.uniform(lo, hi, size=(len(dup), fs.dim))
-    return _finalize_partition(fs, seeds, "random", seed)
+    return Partition(seeds, assign_to_seeds(fs.vectors, seeds), fs.id_array, "random", seed)
 
 
 def bisector_distances(vectors: np.ndarray, seeds: np.ndarray, t: int) -> np.ndarray:

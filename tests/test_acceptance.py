@@ -118,12 +118,11 @@ def test_criterion_4_brute_force_oracles():
             fs = oracles.random_feature_set(rng)
             assert len(fs) <= 200
 
-            dist = compute_distinctiveness(fs)
+            sigma = compute_distinctiveness(fs)
             want_sigma = oracles.resolved_sigma_by_image(fs)
-            for img in fs.image_ids:
-                assert dist.for_image(img) == want_sigma[img]
+            assert sigma.tolist() == [want_sigma[img] for img in fs.image_ids]
 
-            dens = compute_density(fs, dist, Kernel.GAUSSIAN)
+            dens = compute_density(fs, sigma, Kernel.GAUSSIAN)
             want_dens = oracles.density(fs, want_sigma, gaussian_kernel)
             np.testing.assert_allclose(dens, want_dens, rtol=0, atol=1e-12)
 
@@ -201,8 +200,8 @@ def test_criterion_6_contested_detection_recall():
         scalars = exchange_boundary_scalars(agents, fs, part)
         detected = set()
         for ag in agents:
-            detect_contested(ag, scalars[ag.id])  # default conservative mode
-            detected.update(map(tuple, ag.contested_ids(fs).tolist()))
+            flagged = detect_contested(ag, scalars[ag.id])  # default conservative mode
+            detected.update(map(tuple, fs.id_array[ag.rows0[flagged]].tolist()))
 
         central = quickmatch(fs, QUAD)
         report = split_quality(central, part, detected)

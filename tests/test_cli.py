@@ -8,7 +8,7 @@ import pytest
 
 from quickmatch import cli
 from quickmatch.cli import main
-from quickmatch.core import Clustering, FeatureSet, load_clustering, load_features
+from quickmatch.core import Clustering, FeatureSet, load_clustering, load_features, save_features
 from quickmatch.partition import Partition
 
 import oracles
@@ -245,7 +245,7 @@ def test_compare_sweep_contested_found_100_on_clean_data():
 def test_plot_data_has_the_bytes_of_the_per_feature_writer(dim):
     top = 2**63 - 1
     ids = [(top, top), (0, top), (top, 0), (3, 1), (0, 0)]
-    awkward = [-0.0, 5e-324, 1e308, 1 / 3, -2.5e-10]
+    awkward = [-0.0, 5e-324, 1e150, 1 / 3, -2.5e-10]  # 1e150: the largest magnitude accepted
     vectors = np.resize(np.array(awkward), (len(ids), dim))
     vectors[:, -1] = awkward[::-1]
     fs = FeatureSet(vectors, ids)
@@ -321,6 +321,45 @@ def test_negative_seed_exits_one(case, monkeypatch, capsys):
     capsys.readouterr()
     assert main(argv) == 1
     assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+
+# Two images of two 2-D features at +-v: squared distances overflow beyond
+# about 1e154, and every coordinate beyond 1e150 is refused.
+def _huge_file(name, v, both_axes=False):
+    y = (v, -v, -v, v) if both_axes else (0, 0, 1, 1)
+    rows = zip((0, 0, 1, 1), (0, 1, 0, 1), (v, -v, v, -v), y)
+    Path(name).write_text("".join(f"{i} {k} {x!r} {y!r}\n" for i, k, x, y in rows))
+
+
+# Per case: the value, whether the y axis is huge too, and the command line.
+# Each exited with a traceback before coordinates were bounded: the kd-tree's
+# neighbour index n (IndexError), scipy's overflow check (ValueError), and
+# rng.uniform over an infinite box (OverflowError).
+_HUGE = {
+    "1e200-match": (1e200, False, ["match"]),
+    "5e153-match-quadratic": (5e153, True, ["match", "--kernel", "quadratic"]),
+    "5e153-dmatch": (5e153, True, ["dmatch"]),
+    "1e308-dmatch-random": (1e308, False, ["dmatch", "--seeding", "random"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HUGE))
+def test_huge_coordinates_exit_one_naming_the_line(case, capsys):
+    v, both_axes, argv = _HUGE[case]
+    _huge_file("huge.txt", v, both_axes)
+    assert main([argv[0], "huge.txt", *argv[1:], "--out", "c.json"]) == 1
+    assert capsys.readouterr().err == "error: huge.txt:1: component beyond ±1e+150\n"
+
+
+@pytest.mark.parametrize("argv", [["match"], ["match", "--kernel", "quadratic"], ["dmatch"],
+                                  ["dmatch", "--seeding", "random"]], ids=" ".join)
+def test_coordinates_at_the_bound_are_matched(argv):
+    _huge_file("huge.txt", 1e150, both_axes=True)
+    assert main([argv[0], "huge.txt", *argv[1:], "--out", "c.json"]) == 0
+    vectors = np.full((4, 128), 1e150) * np.array([[1], [-1], [1], [-1]])
+    vectors[:, 0] = [0.0, 0.0, 1.0, 1.0]
+    save_features(FeatureSet(vectors, [(0, 0), (0, 1), (1, 0), (1, 1)]), "wide.txt")
+    assert main([argv[0], "wide.txt", *argv[1:], "--out", "w.json"]) == 0
 
 
 def test_unknown_command_exits_one(capsys):

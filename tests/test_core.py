@@ -84,6 +84,13 @@ def test_feature_set_rejects_duplicates_and_nonfinite():
         FeatureSet.from_rows([(0, 0, [math.nan])])
 
 
+def test_feature_set_bounds_coordinates_at_1e150():
+    assert FeatureSet.from_rows([(0, 0, [1e150, -1e150])]).vectors.tolist() == [[1e150, -1e150]]
+    for v in (np.nextafter(1e150, math.inf), -np.nextafter(1e150, math.inf), 1e308):
+        with pytest.raises(ValidationError, match=r"within ±1e\+150"):
+            FeatureSet.from_rows([(0, 0, [0.0, v])])
+
+
 def test_load_features_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
     rows = [(i, k, rng.normal(size=4)) for i in (0, 3, 7) for k in range(5)]
@@ -128,6 +135,9 @@ def test_load_features_errors_name_line(tmp_path):
         load_features(path)
     path.write_text("0 0 1.0 2.0\n\n0 1 nan 2.0\n")
     with pytest.raises(ParseError, match=r":3: non-finite component"):
+        load_features(path)
+    path.write_text("0 0 1.0 2.0\n0 1 2.0 -1e151\n")
+    with pytest.raises(ParseError, match=r":2: component beyond ±1e\+150"):
         load_features(path)
 
 
@@ -451,8 +461,9 @@ def test_a_well_formed_file_never_reaches_the_line_parser(tmp_path, monkeypatch)
 
 
 # Values whose shortest repr is unusual: a signed zero, the smallest
-# subnormal, a value near overflow, a repeating fraction, a small negative.
-_AWKWARD_FLOATS = [-0.0, 5e-324, 1e308, 1 / 3, -2.5e-10]
+# subnormal, the largest magnitude a FeatureSet accepts, a repeating
+# fraction, a small negative.
+_AWKWARD_FLOATS = [-0.0, 5e-324, 1e150, 1 / 3, -2.5e-10]
 _TOP_ID = 2**63 - 1
 
 
@@ -504,8 +515,8 @@ def test_feature_id_tuples_are_built_only_in_the_two_views():
 
 
 # Whether ids are distinct is decided once, in _unique_order, which every id
-# holder calls; metrics._distinct drops repeats from a contested list instead.
-_REPEATS_CALLERS = {"core._unique_order", "metrics._distinct"}
+# holder calls.
+_REPEATS_CALLERS = {"core._unique_order"}
 
 
 def test_repeated_ids_are_found_only_in_unique_order():

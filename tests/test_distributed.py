@@ -86,7 +86,7 @@ def test_route_m1_all_local_zero_cross_agent():
     ledger = NetworkLedger()
     route_features(fs, part, ledger)
     assert ledger.count("route") == 250
-    assert ledger.cross_agent_count() == 0
+    assert ledger.counts()["cross_agent"] == 0
 
 
 # -- local clustering ------------------------------------------------------------
@@ -237,7 +237,7 @@ def test_bisecting_partition_detects_all_split_features():
     fs, truth, part, agents, _ = _bisecting_setup("agent-max")
     union = set()
     for ag in agents:
-        union.update(map(tuple, ag.contested_ids(fs).tolist()))
+        union.update(map(tuple, fs.id_array[ag.rows0[ag.trigger < part.m]].tolist()))
     central = quickmatch(fs, QUAD)
     report = split_quality(central, part, union)
     assert report.contested_cluster_count >= 3  # bisects at least 3 blobs
@@ -250,7 +250,7 @@ def test_split_clusters_contain_contested_feature_even_per_feature_mode():
     fs, truth, part, agents, _ = _bisecting_setup("per-feature")
     union = set()
     for ag in agents:
-        union.update(map(tuple, ag.contested_ids(fs).tolist()))
+        union.update(map(tuple, fs.id_array[ag.rows0[ag.trigger < part.m]].tolist()))
     central = quickmatch(fs, QUAD)
     labels = dict(zip(map(tuple, part.ids.tolist()), part.assignment.tolist()))
     for members in central.clusters:

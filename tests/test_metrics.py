@@ -226,7 +226,7 @@ def test_compare_diff_lists():
     result = compare_clusterings(a, b)
     assert result.only_in_a == [[[0, 0], [1, 0]]]
     assert sorted(result.only_in_b) == [[[0, 0]], [[1, 0]]]
-    assert result.to_dict()["only_in_b"] == result.only_in_b
+    assert vars(result)["only_in_b"] == result.only_in_b
 
 
 # -- ratio-test baseline -------------------------------------------------------------

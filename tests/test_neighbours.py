@@ -64,12 +64,12 @@ def dense_density(vectors, image_slots, sigma, kernel):
 def test_neighbour_passes_match_oracles(kernel):
     for seed in range(50):
         fs = oracles.random_feature_set(np.random.default_rng(4000 + seed), max_per_image=12)
-        dist = compute_distinctiveness(fs)
+        sigma = compute_distinctiveness(fs)
         want_sigma = oracles.resolved_sigma_by_image(fs)
-        assert [dist.for_image(img) for img in fs.image_ids] == [want_sigma[img] for img in fs.image_ids]
+        assert sigma.tolist() == [want_sigma[img] for img in fs.image_ids]
 
-        dens = compute_density(fs, dist, kernel)
-        want_dens = dense_density(fs.vectors, fs.image_slots, dist.sigma, kernel)
+        dens = compute_density(fs, sigma, kernel)
+        want_dens = dense_density(fs.vectors, fs.image_slots, sigma, kernel)
         np.testing.assert_allclose(dens, want_dens, rtol=0, atol=1e-12)
 
         # Isolated features have density exactly 1 and a pair just inside the
@@ -227,7 +227,7 @@ def test_gaussian_density_row_blocks_keep_every_bit(kernel, monkeypatch):
     """With 100 x 100 tiles and 7-row strips, 24 column blocks per row, each
     row's sum is still its column blocks added in ascending order."""
     fs, _ = generate_synthetic(SynthConfig(300, 8, 3, 0.25, 2, 30.0))
-    sigma = compute_distinctiveness(fs).sigma
+    sigma = compute_distinctiveness(fs)
     sig_cols = sigma[fs.image_slots]
     want = np.zeros(len(fs))
     for c0 in range(0, len(fs), 100):

@@ -159,6 +159,16 @@ def test_kmeans_repair_never_empties_a_cluster(case):
     assert len(np.unique(part.seeds, axis=0)) == m
 
 
+def test_converged_kmeans_keeps_the_labels_its_repair_chose():
+    """0.0 and 1.1e-308 get seeds of their own, but cdist puts both features at
+    distance 0 from either seed (the squared gap underflows), so assigning
+    them again would hand both to agent 2 and leave agent 3 empty."""
+    fs = FeatureSet.from_rows([(i, 0, [v]) for i, v in enumerate([1.0, 2.0, 1.5, 0.5, 1.1e-308, 0.0])])
+    part = kmeans_seeds(fs, 6, seed=0)
+    assert part.assignment.tolist() == [4, 5, 1, 0, 3, 2]
+    assert part.seeds[part.assignment, 0].tolist() == fs.vectors[:, 0].tolist()
+
+
 # -- random seeds ----------------------------------------------------------------
 
 

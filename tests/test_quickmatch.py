@@ -42,32 +42,32 @@ def test_match_params_validation():
 
 def test_distinctiveness_direct_minimum():
     fs = FeatureSet.from_rows([(0, 0, [0.0, 0.0]), (0, 1, [0.0, 1.0]), (0, 2, [5.0, 5.0])])
-    assert compute_distinctiveness(fs).for_image(0) == 1.0
+    assert compute_distinctiveness(fs).tolist() == [1.0]
 
 
 def test_distinctiveness_duplicate_features_clamped():
     fs = FeatureSet.from_rows([(0, 0, [2.0, 2.0]), (0, 1, [2.0, 2.0])])
-    assert compute_distinctiveness(fs).for_image(0) == SIGMA_FLOOR
+    assert compute_distinctiveness(fs).tolist() == [SIGMA_FLOOR]
 
 
 def test_distinctiveness_fallback_for_single_feature_image():
     fs = FeatureSet.from_rows([(0, 0, [0.0]), (0, 1, [2.0]), (1, 0, [9.0])])
-    d = compute_distinctiveness(fs)
-    assert d.for_image(0) == 2.0
-    assert d.for_image(1) == 2.0  # takes the minimum over images that have one
+    sigma = compute_distinctiveness(fs)  # images 0 and 1, in that order
+    assert sigma[0] == 2.0
+    assert sigma[1] == 2.0  # takes the minimum over images that have one
 
 
 def test_distinctiveness_all_images_single_feature():
     fs = FeatureSet.from_rows([(0, 0, [0.0]), (1, 0, [3.0]), (2, 0, [7.0])])
-    d = compute_distinctiveness(fs)
-    assert d.for_image(0) == 3.0  # global minimum pairwise distance
+    sigma = compute_distinctiveness(fs)  # images 0, 1 and 2, in that order
+    assert sigma[0] == 3.0  # global minimum pairwise distance
 
 
 def test_distinctiveness_brute_force_oracle():
     rng = np.random.default_rng(21)
     fs = FeatureSet.from_rows([(0, k, rng.uniform(0, 10, 3)) for k in range(20)])
     expected = oracles.sigma_by_image(fs)[0]
-    assert compute_distinctiveness(fs).for_image(0) == expected
+    assert compute_distinctiveness(fs).tolist() == [expected]
 
 
 # -- density -------------------------------------------------------------------
@@ -75,15 +75,14 @@ def test_distinctiveness_brute_force_oracle():
 
 def test_density_single_feature_is_one():
     fs = FeatureSet.from_rows([(0, 0, [1.0, 2.0])])
-    d = compute_distinctiveness(fs)
+    sigma = compute_distinctiveness(fs)
     for kernel in Kernel:
-        assert compute_density(fs, d, kernel) == pytest.approx([1.0])
+        assert compute_density(fs, sigma, kernel) == pytest.approx([1.0])
 
 
 def test_density_two_coincident_features_gaussian():
     fs = FeatureSet.from_rows([(0, 0, [1.0, 1.0]), (1, 0, [1.0, 1.0])])
-    d = compute_distinctiveness(fs)
-    dens = compute_density(fs, d, Kernel.GAUSSIAN)
+    dens = compute_density(fs, compute_distinctiveness(fs), Kernel.GAUSSIAN)
     assert dens == pytest.approx([2.0, 2.0])
 
 
@@ -96,10 +95,9 @@ def test_density_oracle_50_random_features(kernel, fn):
     fs = FeatureSet.from_rows(
         [(i, k, rng.uniform(0, 5, 4)) for i in range(5) for k in range(10)]
     )
-    dist = compute_distinctiveness(fs)
-    got = compute_density(fs, dist, kernel)
-    sigma = {img: dist.for_image(img) for img in fs.image_ids}
-    want = oracles.density(fs, sigma, fn)
+    sigma = compute_distinctiveness(fs)
+    got = compute_density(fs, sigma, kernel)
+    want = oracles.density(fs, dict(zip(fs.image_ids, sigma.tolist())), fn)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
@@ -128,8 +126,7 @@ def test_tree_brute_force_oracle_100_features():
     fs = FeatureSet.from_rows(
         [(i, k, rng.uniform(0, 8, 2)) for i in range(4) for k in range(25)]
     )
-    dist = compute_distinctiveness(fs)
-    dens = compute_density(fs, dist, Kernel.GAUSSIAN)
+    dens = compute_density(fs, compute_distinctiveness(fs), Kernel.GAUSSIAN)
     tree = build_tree(fs, dens)
     want = oracles.parents(fs, list(dens))
     got = [None if p < 0 else int(p) for p in tree.parent]
@@ -319,11 +316,10 @@ def test_p2_p3_predicates_over_induced_relation():
 def test_monotonicity_rho_inf_superset():
     for seed in range(5):
         fs, _ = generate_synthetic(SynthConfig(seed=seed))
-        dist = compute_distinctiveness(fs)
-        dens = compute_density(fs, dist, Kernel.GAUSSIAN)
-        tree = build_tree(fs, dens)
-        base = break_and_merge(fs, tree, dist, MatchParams(rho=1.1))
-        loose = break_and_merge(fs, tree, dist, MatchParams(rho=math.inf))
+        sigma = compute_distinctiveness(fs)
+        tree = build_tree(fs, compute_density(fs, sigma, Kernel.GAUSSIAN))
+        base = break_and_merge(fs, tree, sigma, MatchParams(rho=1.1))
+        loose = break_and_merge(fs, tree, sigma, MatchParams(rho=math.inf))
         lab = oracles.labels_of(loose)
         for members in base.clusters:
             assert len({lab[f] for f in members}) == 1

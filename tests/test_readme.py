@@ -6,6 +6,8 @@ import re
 import shlex
 from pathlib import Path
 
+import pytest
+
 import quickmatch
 from quickmatch.cli import build_parser, main
 
@@ -51,3 +53,17 @@ def test_cli_section_names_only_declared_flags_and_variables(monkeypatch):
         defaults = [a.default for sub in _subparsers(build_parser()) for a in sub._actions]
         assert "sentinel" in defaults, name
         monkeypatch.delenv(name)
+
+
+# Every module of the package; running __main__ would run the CLI.
+_MODULES = sorted(
+    "quickmatch" if path.stem == "__init__" else f"quickmatch.{path.stem}"
+    for path in Path(quickmatch.__file__).parent.glob("*.py")
+    if path.stem != "__main__"
+)
+
+
+@pytest.mark.parametrize("module", _MODULES)
+def test_every_module_star_imports(module):
+    """Each name in a module's ``__all__`` exists, so ``import *`` succeeds."""
+    exec(f"from {module} import *", {})
