@@ -11,6 +11,9 @@ at a time over a whole FeatureSet.
 from __future__ import annotations
 
 import math
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -36,7 +39,12 @@ __all__ = [
 SIGMA_FLOOR = 1e-12
 
 _BLOCK = 1024  # rows and columns of one tile of the dense Gaussian density sum
-_STRIP = 128  # tile rows per kernel evaluation, so its temporaries stay at 1 MB
+# Tile rows per kernel evaluation, so its temporaries stay at 256 KiB: the
+# tiles run on worker threads, and glibc gives each thread its own malloc
+# arena, which keeps freed blocks of that size resident per thread.
+_STRIP = 32
+# Threads for the Gaussian density tiles: the CPUs this process may run on.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _BLOCK_BYTES = 8 << 20  # size of one float64 temporary in an exact parent-scan block
 _K0, _K_MAX = 16, 256  # neighbour counts tried by the parent search, doubling
 # Relative margin on kd-tree distances, which may differ from the exact
@@ -132,7 +140,9 @@ def density_values(
     column's bandwidth are found (kd-tree) and summed, each row in ascending
     column order. The Gaussians sum every pair in 1024-column blocks; each
     1024 x 1024 distance tile is computed once and serves both of its row
-    blocks, so no temporary grows with n.
+    blocks, so no temporary grows with n. The tiles run on up to one thread
+    per CPU the process may use, and their sums are added in tile order, so
+    the result is the same bit for bit whatever the thread count.
     """
     n = len(vectors)
     sig_cols = sigma[image_slots]
@@ -152,27 +162,51 @@ def density_values(
         rows, cols = rows[order], cols[order]
         h = kernel_values(kernel, pair_distances(vectors, rows, cols), sig_cols[cols])
         return np.bincount(rows, weights=h, minlength=n)
+    block, strip = _BLOCK, _STRIP
+    tiles = [(a0, b0) for a0 in range(0, n, block) for b0 in range(a0, n, block)]
+    workers = max(1, min(_WORKERS, len(tiles)))
+    # One tile buffer per worker, allocated here rather than in the workers,
+    # so that no thread's malloc arena keeps a tile's worth of pages.
+    side = min(block, n)
+    buffers: queue.SimpleQueue[np.ndarray] = queue.SimpleQueue()
+    for _ in range(workers):
+        buffers.put(np.empty(side * side))
+
+    def row_sums(d: np.ndarray, cols: slice) -> np.ndarray:
+        """Each row's kernel terms over ``cols``, given their distances ``d``;
+        a strip of rows at a time, each row contiguous, so numpy sums it
+        exactly as it would the whole row."""
+        sums = np.empty(len(d))
+        for r0 in range(0, len(d), strip):
+            part = np.ascontiguousarray(d[r0:r0 + strip])
+            sums[r0:r0 + len(part)] = kernel_values(kernel, part, sig_cols[None, cols]).sum(axis=1)
+        return sums
+
+    def tile_sums(tile: tuple[int, int]) -> tuple[np.ndarray, np.ndarray | None]:
+        """Row sums of tile (a, b): block a's rows over block b's columns and,
+        off the diagonal, block b's rows over block a's columns."""
+        a0, b0 = tile
+        xa, xb = vectors[a0:a0 + block], vectors[b0:b0 + block]
+        buf = buffers.get()
+        try:
+            d = cdist(xa, xb, out=buf[:len(xa) * len(xb)].reshape(len(xa), len(xb)))
+            across = row_sums(d, slice(b0, b0 + block))
+            # cdist is symmetric bit for bit, so the transpose serves block b.
+            return across, row_sums(d.T, slice(a0, a0 + block)) if b0 > a0 else None
+        finally:
+            buffers.put(buf)
+
+    # The tile sums are added in tile order, whichever worker finishes first:
+    # every row adds its column blocks in ascending order, as a row scan would.
+    # One worker is the calling thread, which saves starting a thread per call
+    # (an agent's clustering, or any input of one tile).
     out = np.zeros(n)
-
-    def add_terms(rows: slice, d: np.ndarray, cols: slice) -> None:
-        """``out[rows] +=`` each row's kernel terms over ``cols``, given their
-        distances ``d``; a strip of rows at a time, each row contiguous, so
-        numpy sums it exactly as it would the whole row."""
-        for r0 in range(0, len(d), _STRIP):
-            part = np.ascontiguousarray(d[r0:r0 + _STRIP])
-            r = rows.start + r0
-            out[r:r + len(part)] += kernel_values(kernel, part, sig_cols[None, cols]).sum(axis=1)
-
-    for a0 in range(0, n, _BLOCK):
-        a = slice(a0, min(a0 + _BLOCK, n))
-        for b0 in range(a0, n, _BLOCK):
-            b = slice(b0, min(b0 + _BLOCK, n))
-            d = cdist(vectors[a], vectors[b])
-            add_terms(a, d, b)
-            if b0 > a0:
-                # cdist is symmetric bit for bit; the rows of block b take
-                # column block a now, before any later one, as a row scan would.
-                add_terms(b, d.T, a)
+    with ThreadPoolExecutor(workers) as pool:
+        sums = pool.map(tile_sums, tiles) if workers > 1 else map(tile_sums, tiles)
+        for (a0, b0), (across, down) in zip(tiles, sums):
+            out[a0:a0 + len(across)] += across
+            if down is not None:
+                out[b0:b0 + len(down)] += down
     return out
 
 

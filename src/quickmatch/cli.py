@@ -126,13 +126,16 @@ def _params(args: argparse.Namespace) -> MatchParams:
 
 
 def _check_out(out: str | None, *inputs: str | None) -> None:
-    """Refuse, before any work, an ``--out`` whose directory does not exist or
-    that names one of the command's input files."""
+    """Refuse, before any work, an ``--out`` whose directory does not exist,
+    that is itself a directory, or that names one of the command's input
+    files."""
     if out is None:
         return
     path = Path(out)
     if not path.parent.is_dir():
         raise InputError(f"--out {out}: directory {path.parent} does not exist")
+    if path.is_dir():
+        raise InputError(f"--out {out} is a directory")
     for name in inputs:
         if name is not None and Path(name).resolve() == path.resolve():
             raise InputError(f"--out {out} would overwrite the input file {name}")
@@ -283,13 +286,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     _check_out(args.out, args.input)
-    fs = load_features(args.input)
     try:
         m_list = [int(tok) for tok in str(args.agents).replace(" ", "").split(",") if tok]
     except ValueError:
         raise InputError(f"bad agent list {args.agents!r}") from None
     if not m_list or any(m < 1 for m in m_list):
         raise InputError(f"agent counts must be positive, got {args.agents!r}")
+    fs = load_features(args.input)
     seeded_rng(args.seed)  # a negative seed fails here, before the centralized reference runs
     params = _params(args)
     reference = quickmatch(fs, params)

@@ -10,8 +10,11 @@ logged in a :class:`NetworkLedger`. The pipeline follows five phases:
    protocol,
 5. a final local re-clustering with no further communication.
 
-Agents run one at a time on one thread, in agent-index order, in every
-phase; each phase finishes for all agents before the next begins.
+Agents run one at a time, in agent-index order, in every phase; each phase
+finishes for all agents before the next begins. Inside one agent's
+clustering, a Gaussian density may spread its distance tiles over a thread
+pool (see :func:`quickmatch.centralized.density_values`); the result does not
+depend on the number of threads.
 """
 
 from __future__ import annotations

@@ -34,10 +34,10 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.n_clusters < 1 or self.per_cluster < 1 or self.dim < 1:
             raise InputError("n_clusters, per_cluster and dim must all be >= 1")
-        if not (self.spread > 0):
-            raise InputError(f"spread must be positive, got {self.spread}")
-        if not (self.extent > 0):
-            raise InputError(f"extent must be positive, got {self.extent}")
+        for name in ("spread", "extent"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise InputError(f"{name} must be a positive finite number, got {value}")
 
 
 def grid_centers(n: int, dim: int, extent: float = 10.0) -> np.ndarray:

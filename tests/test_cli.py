@@ -289,7 +289,7 @@ def test_bad_flag_exits_one(capsys):
 @pytest.mark.parametrize("argv", [["dmatch", "features.txt"], ["compare", "features.txt", "--agents", "1"]],
                          ids=lambda argv: argv[0])
 def test_workers_flag_is_refused(argv, capsys):
-    """Agents run in index order on one thread; there is no worker count to set."""
+    """Agents run one at a time in index order; there is no worker count to set."""
     _generate(["--clusters", "4", "--per-cluster", "3"])
     capsys.readouterr()
     assert main([*argv, "--workers", "2"]) == 1
@@ -545,6 +545,16 @@ def test_qm_out_shared_by_generate_and_match_keeps_the_features(monkeypatch, cap
     assert len(load_features("data.txt")) == 12
 
 
+def _forbid_work(monkeypatch):
+    """Make every command's first piece of work fail the test."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before the flags were checked")
+
+    for name in ("load_features", "load_clustering", "quickmatch", "distributed_quickmatch", "generate_synthetic"):
+        monkeypatch.setattr(cli, name, forbidden)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -556,10 +566,42 @@ def test_qm_out_shared_by_generate_and_match_keeps_the_features(monkeypatch, cap
     ids=lambda argv: argv[0],
 )
 def test_missing_out_dir_is_refused_before_any_work(argv, monkeypatch, capsys):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("work started before --out was checked")
-
-    for name in ("load_features", "load_clustering", "quickmatch", "distributed_quickmatch"):
-        monkeypatch.setattr(cli, name, forbidden)
+    _forbid_work(monkeypatch)
     assert main(argv) == 1
     assert "does not exist" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--out", "somedir"],
+        ["match", "features.txt", "--out", "somedir"],
+        ["dmatch", "features.txt", "--agents", "2", "--out", "somedir"],
+        ["compare", "features.txt", "--agents", "1", "--out", "somedir"],
+        ["eval", "c.json", "--mode", "compare", "--truth", "c.json", "--out", "somedir"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_out_naming_a_directory_is_refused_before_any_work(argv, monkeypatch, capsys):
+    Path("somedir").mkdir()
+    _forbid_work(monkeypatch)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: --out somedir is a directory\n"
+
+
+@pytest.mark.parametrize(
+    ("agents", "message"),
+    [("1,x", "bad agent list '1,x'"), ("2,0", "agent counts must be positive, got '2,0'")],
+)
+def test_compare_bad_agent_list_is_refused_before_the_parse(agents, message, monkeypatch, capsys):
+    _forbid_work(monkeypatch)
+    assert main(["compare", "features.txt", "--agents", agents]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flag", ["--spread", "--extent"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_generate_refuses_a_non_finite_scale(flag, value, capsys):
+    assert main(["generate", flag, value]) == 1
+    assert capsys.readouterr().err == f"error: {flag[2:]} must be a positive finite number, got {float(value)}\n"
+    assert not Path("features.txt").exists()

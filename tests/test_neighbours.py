@@ -2,6 +2,8 @@
 search) against the brute-force oracles and an all-pairs reference scan."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -225,7 +227,8 @@ def test_parent_ties_at_the_kth_neighbour():
 @pytest.mark.parametrize("kernel", [Kernel.GAUSSIAN, Kernel.GAUSSIAN_SQUARED], ids=lambda k: k.value)
 def test_gaussian_density_row_blocks_keep_every_bit(kernel, monkeypatch):
     """With 100 x 100 tiles and 7-row strips, 24 column blocks per row, each
-    row's sum is still its column blocks added in ascending order."""
+    row's sum is still its column blocks added in ascending order, on one
+    thread or on several, where 300 tiles finish out of order."""
     fs, _ = generate_synthetic(SynthConfig(300, 8, 3, 0.25, 2, 30.0))
     sigma = compute_distinctiveness(fs)
     sig_cols = sigma[fs.image_slots]
@@ -235,7 +238,15 @@ def test_gaussian_density_row_blocks_keep_every_bit(kernel, monkeypatch):
         want += kernel_values(kernel, d, sig_cols[None, c0:c0 + 100]).sum(axis=1)
     monkeypatch.setattr(centralized, "_BLOCK", 100)
     monkeypatch.setattr(centralized, "_STRIP", 7)  # strips that do not divide a tile
-    np.testing.assert_array_equal(density_values(fs.vectors, fs.image_slots, sigma, kernel), want)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # frequent thread switches, so a tile buffer handed to two workers would show
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(centralized, "_WORKERS", workers)
+            got = density_values(fs.vectors, fs.image_slots, sigma, kernel)
+            np.testing.assert_array_equal(got, want, err_msg=f"workers={workers}")
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def column_block_density(vectors, image_slots, sigma, kernel):
@@ -252,15 +263,21 @@ def column_block_density(vectors, image_slots, sigma, kernel):
 @pytest.mark.parametrize("kernel", [Kernel.GAUSSIAN, Kernel.GAUSSIAN_SQUARED], ids=lambda k: k.value)
 def test_gaussian_density_symmetric_tiles_keep_every_bit(kernel, monkeypatch):
     """Each 1024 x 1024 distance tile is computed once and serves both of its
-    row blocks; every row still adds its column blocks in ascending order."""
-    for n in (1, 2, 1023, 1024, 1025, 2049, 3000):
+    row blocks; every row still adds its column blocks in ascending order,
+    whatever the number of threads, and no thread outlives the call."""
+    for n in (0, 1, 2, 1023, 1024, 1025, 2049, 3000):
         for dim in (3, 128):
             rng = np.random.default_rng(n * 1000 + dim)
             vectors = rng.normal(0.0, 1.0, (n, dim))
             slots = rng.integers(0, 9, n)
             sigma = rng.uniform(0.5, 2.0, 9) * math.sqrt(dim)  # per image, so tile (a, b) needs both blocks' sigmas
-            got = density_values(vectors, slots, sigma, kernel)
-            np.testing.assert_array_equal(got, column_block_density(vectors, slots, sigma, kernel), err_msg=f"n={n} dim={dim}")
+            want = column_block_density(vectors, slots, sigma, kernel)
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(centralized, "_WORKERS", workers)
+                threads = threading.active_count()
+                got = density_values(vectors, slots, sigma, kernel)
+                assert threading.active_count() == threads
+                np.testing.assert_array_equal(got, want, err_msg=f"n={n} dim={dim} workers={workers}")
 
     # An agent's rows: a subset whose id ranks are not 0..n-1, clustered with
     # the sigma_a fallback, checked where cluster_rows takes its density.
