@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 import queue
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -39,12 +40,16 @@ __all__ = [
 SIGMA_FLOOR = 1e-12
 
 _BLOCK = 1024  # rows and columns of one tile of the dense Gaussian density sum
-# Tile rows per kernel evaluation, so its temporaries stay at 256 KiB: the
-# tiles run on worker threads, and glibc gives each thread its own malloc
-# arena, which keeps freed blocks of that size resident per thread.
-_STRIP = 32
-# Threads for the Gaussian density tiles: the CPUs this process may run on.
+# Tile rows per kernel evaluation: 128 on the calling thread (1 MiB
+# temporaries), 32 on a worker thread (256 KiB), because glibc gives each
+# thread its own malloc arena, which keeps freed blocks of that size resident.
+_STRIP = 128
+_WORKER_STRIP = 32
+# Threads for the Gaussian density tiles: the CPUs this process may run on,
+# as many as the tile buffers fit in _TILE_BYTES (two 1024 x 1024 tiles), so
+# the density's memory does not grow with the CPU count.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_TILE_BYTES = 16 << 20
 _BLOCK_BYTES = 8 << 20  # size of one float64 temporary in an exact parent-scan block
 _K0, _K_MAX = 16, 256  # neighbour counts tried by the parent search, doubling
 # Relative margin on kd-tree distances, which may differ from the exact
@@ -141,8 +146,9 @@ def density_values(
     column order. The Gaussians sum every pair in 1024-column blocks; each
     1024 x 1024 distance tile is computed once and serves both of its row
     blocks, so no temporary grows with n. The tiles run on up to one thread
-    per CPU the process may use, and their sums are added in tile order, so
-    the result is the same bit for bit whatever the thread count.
+    per CPU the process may use, as many as _TILE_BYTES of tile buffers
+    allow, and their sums are added in tile order, so the result is the same
+    bit for bit whatever the thread count.
     """
     n = len(vectors)
     sig_cols = sigma[image_slots]
@@ -162,12 +168,13 @@ def density_values(
         rows, cols = rows[order], cols[order]
         h = kernel_values(kernel, pair_distances(vectors, rows, cols), sig_cols[cols])
         return np.bincount(rows, weights=h, minlength=n)
-    block, strip = _BLOCK, _STRIP
+    block = _BLOCK
     tiles = [(a0, b0) for a0 in range(0, n, block) for b0 in range(a0, n, block)]
-    workers = max(1, min(_WORKERS, len(tiles)))
+    side = min(block, n)
+    workers = max(1, min(_WORKERS, len(tiles), _TILE_BYTES // (8 * max(side, 1) ** 2)))
+    strip = _STRIP if workers == 1 else _WORKER_STRIP
     # One tile buffer per worker, allocated here rather than in the workers,
     # so that no thread's malloc arena keeps a tile's worth of pages.
-    side = min(block, n)
     buffers: queue.SimpleQueue[np.ndarray] = queue.SimpleQueue()
     for _ in range(workers):
         buffers.put(np.empty(side * side))
@@ -196,18 +203,23 @@ def density_values(
         finally:
             buffers.put(buf)
 
-    # The tile sums are added in tile order, whichever worker finishes first:
-    # every row adds its column blocks in ascending order, as a row scan would.
-    # One worker is the calling thread, which saves starting a thread per call
-    # (an agent's clustering, or any input of one tile).
-    out = np.zeros(n)
-    with ThreadPoolExecutor(workers) as pool:
-        sums = pool.map(tile_sums, tiles) if workers > 1 else map(tile_sums, tiles)
+    def add(sums: Iterable[tuple[np.ndarray, np.ndarray | None]]) -> np.ndarray:
+        # The tile sums are added in tile order, whichever worker finishes
+        # first: every row adds its column blocks in ascending order, as a row
+        # scan would.
+        out = np.zeros(n)
         for (a0, b0), (across, down) in zip(tiles, sums):
             out[a0:a0 + len(across)] += across
             if down is not None:
                 out[b0:b0 + len(down)] += down
-    return out
+        return out
+
+    # One worker is the calling thread, which starts no thread for an input of
+    # one tile (an agent's clustering, any n <= 1024) or on one CPU.
+    if workers == 1:
+        return add(map(tile_sums, tiles))
+    with ThreadPoolExecutor(workers) as pool:
+        return add(pool.map(tile_sums, tiles))
 
 
 def compute_density(fs: FeatureSet, sigma: np.ndarray, kernel: Kernel = Kernel.GAUSSIAN) -> np.ndarray:
