@@ -56,7 +56,6 @@ _K0, _K_MAX = 16, 256  # neighbour counts tried by the parent search, doubling
 # formula in the last ulps: a search radius or "farther" test carrying it
 # cannot drop a candidate tied under the exact formula.
 _SLACK = 1e-9
-_FINITE_SUPPORT = (Kernel.QUADRATIC, Kernel.QUADRATIC_AS_PRINTED)
 
 
 @dataclass(frozen=True)
@@ -140,10 +139,10 @@ def density_values(
 ) -> np.ndarray:
     """Kernel density at each feature: sum of h(d(x, x_j); sigma[image(j)]) over all j.
 
-    The self term is included (it contributes a constant 1). The finite-support
-    kernels vanish beyond their bandwidth, so only the pairs within the
+    The self term is included (it contributes a constant 1). The quadratic
+    kernel vanishes beyond its bandwidth, so only the pairs within the
     column's bandwidth are found (kd-tree) and summed, each row in ascending
-    column order. The Gaussians sum every pair in 1024-column blocks; each
+    column order. The Gaussian sums every pair in 1024-column blocks; each
     1024 x 1024 distance tile is computed once and serves both of its row
     blocks, so no temporary grows with n. The tiles run on up to one thread
     per CPU the process may use, as many as _TILE_BYTES of tile buffers
@@ -152,7 +151,7 @@ def density_values(
     """
     n = len(vectors)
     sig_cols = sigma[image_slots]
-    if kernel in _FINITE_SUPPORT:
+    if kernel == Kernel.QUADRATIC:
         # A column only reaches rows within its own image's bandwidth, and one
         # image's features lie at least that far apart, so in low dimensions
         # each row meets a bounded number of every image's features.
@@ -222,8 +221,20 @@ def density_values(
         return add(pool.map(tile_sums, tiles))
 
 
+def density_in_id_order(
+    vectors: np.ndarray, image_slots: np.ndarray, id_rank: np.ndarray, sigma: np.ndarray, kernel: Kernel
+) -> np.ndarray:
+    """:func:`density_values`, each feature's terms summed in feature-id order
+    rather than row order, so that reordering the rows cannot change a
+    density's last bits, and with them a tie between two densities."""
+    by_id = np.argsort(id_rank)
+    density = np.empty(len(vectors))
+    density[by_id] = density_values(vectors[by_id], image_slots[by_id], sigma, kernel)
+    return density
+
+
 def compute_density(fs: FeatureSet, sigma: np.ndarray, kernel: Kernel = Kernel.GAUSSIAN) -> np.ndarray:
-    return density_values(fs.vectors, fs.image_slots, sigma, kernel)
+    return density_in_id_order(fs.vectors, fs.image_slots, fs.id_rank, sigma, kernel)
 
 
 def tree_arrays(
@@ -356,7 +367,6 @@ class RowClusters(NamedTuple):
 
     labels: np.ndarray
     parent: np.ndarray
-    edge_length: np.ndarray
     sigma_a: float  # longest tree edge; +inf when there is none
 
 
@@ -379,14 +389,14 @@ def cluster_rows(
     """
     raw = sigma_per_image(vectors, image_slots, n_images)
     sigma = resolve_sigma(raw, vectors)
-    density = density_values(vectors, image_slots, sigma, params.kernel)
+    density = density_in_id_order(vectors, image_slots, id_rank, sigma, params.kernel)
     parent, edge = tree_arrays(vectors, density, id_rank)
     has_parent = parent >= 0
     sigma_a = float(edge[has_parent].max()) if has_parent.any() else math.inf
     if fallback_sigma_a:
         sigma = np.maximum(np.where(np.isnan(raw), sigma_a, raw), SIGMA_FLOOR)
     labels = merge_labels(parent, edge, image_slots, sigma, params.rho, id_rank)
-    return RowClusters(labels, parent, edge, sigma_a)
+    return RowClusters(labels, parent, sigma_a)
 
 
 def _labels_to_clustering(labels: np.ndarray, id_array: np.ndarray, params: MatchParams) -> Clustering:

@@ -2,9 +2,9 @@
 distributed matching, evaluation, and comparison sweeps.
 
 Every flag default can be overridden by an environment variable prefixed
-``QM_`` (e.g. ``QM_RHO=1.3``); explicit flags always win, and a malformed
-``QM_*`` value exits 1 like a malformed flag. Exit codes: 0 on success, 1 on
-invalid input or an unwritable output, 2 on an internal invariant violation.
+``QM_`` (e.g. ``QM_RHO=1.3``); explicit flags win, and a malformed ``QM_*``
+value or a ``QM_*`` name no flag reads exits 1. Exit codes: 0 on success, 1
+on invalid input or an unwritable output, 2 on an internal invariant violation.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .core import (
     sha256_hex,
     timed,
 )
-from .distributed import CONTESTED_SIGMA_MODES, DEFAULT_CONTESTED_SIGMA, DistributedRun, distributed_quickmatch
+from .distributed import DistributedRun, distributed_quickmatch
 from .kernels import Kernel
 from .metrics import compare_clusterings, split_quality
 from .partition import Partition
@@ -57,10 +57,21 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+_ENV_READ: set[str] = set()  # every QM_* name a flag default is read from
+
+
 def _env(name: str, default: Any) -> Any:
     """A flag default from ``QM_<name>``. A string default goes through the
     flag's ``type`` at parse time, so a malformed value is a usage error."""
+    _ENV_READ.add(f"QM_{name}")
     return os.environ.get(f"QM_{name}", default)
+
+
+def _check_env() -> None:
+    """Refuse a ``QM_*`` variable that no flag reads, such as one left from a removed flag."""
+    unread = sorted(name for name in os.environ if name.startswith("QM_") and name not in _ENV_READ)
+    if unread:
+        raise InputError(f"{unread[0]} sets no flag's default")
 
 
 def _add_match_args(parser: argparse.ArgumentParser, kernel: Kernel) -> None:
@@ -72,11 +83,6 @@ def _add_match_args(parser: argparse.ArgumentParser, kernel: Kernel) -> None:
 def _add_distributed_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=_env("SEED", 0))
     parser.add_argument("--seeding", choices=["kmeans", "random"], default=_env("SEEDING", "kmeans"))
-    parser.add_argument(
-        "--contested-sigma",
-        choices=list(CONTESTED_SIGMA_MODES),
-        default=_env("CONTESTED_SIGMA", DEFAULT_CONTESTED_SIGMA),
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,26 +131,41 @@ def _params(args: argparse.Namespace) -> MatchParams:
     return MatchParams(rho=args.rho, kernel=args.kernel)
 
 
-def _check_out(out: str | None, *inputs: str | None) -> None:
+# The files each command writes beside ``--out``, as named by _derived.
+_DERIVED = {"generate": ("truth",), "match": ("report",), "dmatch": ("report", "ledger", "partition")}
+
+
+def _derived(out: Path, what: str) -> Path:
+    """The file beside ``--out`` that holds ``what``: ``<out>.<what>.json``,
+    but ``<stem>.truth.json`` beside a ``.txt`` out, and for ``what`` =
+    ``m<k>``, the plot data of k agents, ``<stem>.m<k>.points.csv``."""
+    if what.startswith("m"):
+        return out.with_suffix(f".{what}.points.csv")
+    if what == "truth" and out.suffix == ".txt":
+        return out.with_suffix(".truth.json")
+    return out.with_suffix(f"{out.suffix}.{what}.json")
+
+
+def _check_out(args: argparse.Namespace, *inputs: str | None, agents: Sequence[int] = ()) -> None:
     """Refuse, before any work, an ``--out`` whose directory does not exist,
-    that is itself a directory, or that names one of the command's input
-    files."""
-    if out is None:
+    or that, or a file the command derives from it, is a directory or names
+    one of the command's input files. ``agents`` lists the plot files'
+    agent counts."""
+    if args.out is None:
         return
-    path = Path(out)
-    if not path.parent.is_dir():
-        raise InputError(f"--out {out}: directory {path.parent} does not exist")
-    if path.is_dir():
-        raise InputError(f"--out {out} is a directory")
-    for name in inputs:
-        if name is not None and Path(name).resolve() == path.resolve():
-            raise InputError(f"--out {out} would overwrite the input file {name}")
-
-
-def _run_distributed(fs: FeatureSet, m: int, params: MatchParams, args: argparse.Namespace) -> DistributedRun:
-    return distributed_quickmatch(
-        fs, m, params, seed=args.seed, seeding=args.seeding, contested_sigma=args.contested_sigma
-    )
+    out = Path(args.out)
+    if not out.parent.is_dir():
+        raise InputError(f"--out {args.out}: directory {out.parent} does not exist")
+    if out.is_dir():  # first, as a directory such as "." has no name to derive from
+        raise InputError(f"--out {args.out} is a directory")
+    derived = [*_DERIVED.get(args.command, ()), *(f"m{m}" for m in agents)]
+    for path in [out, *(_derived(out, what) for what in derived)]:
+        label = f"--out {args.out}" if path is out else f"--out {args.out}: {path}"
+        if path.is_dir():
+            raise InputError(f"{label} is a directory")
+        for name in inputs:
+            if name is not None and Path(name).resolve() == path.resolve():
+                raise InputError(f"{label} would overwrite the input file {name}")
 
 
 def _strip_timings(obj: Any) -> Any:
@@ -178,18 +199,18 @@ def _write_outputs(
     # Paths name where a run happened, not what it computed.
     hashed = {**report, "config": {k: v for k, v in report["config"].items() if k not in ("input", "out")}}
     report["determinism_hash"] = sha256_hex(canonical_json(_strip_timings(hashed)).encode())
-    report_path = out.with_suffix(out.suffix + ".report.json")
+    report_path = _derived(out, "report")
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return out, report_path
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    _check_out(args.out)
+    _check_out(args)
     cfg = SynthConfig(args.clusters, args.per_cluster, args.dim, args.spread, args.seed, args.extent)
     fs, truth = generate_synthetic(cfg)
     out = Path(args.out)
     save_features(fs, out)
-    truth_path = out.with_suffix(out.suffix + ".truth.json") if out.suffix != ".txt" else out.with_suffix(".truth.json")
+    truth_path = _derived(out, "truth")
     save_clustering(truth, truth_path, fs)
     print(f"wrote {len(fs)} features ({fs.image_count} images, dim {fs.dim}) to {out}")
     print(f"wrote {len(truth)} ground-truth clusters to {truth_path}")
@@ -197,7 +218,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_match(args: argparse.Namespace) -> int:
-    _check_out(args.out, args.input)
+    _check_out(args, args.input)
     fs = load_features(args.input)
     params = _params(args)
     timings: dict[str, float] = {}
@@ -210,10 +231,10 @@ def _cmd_match(args: argparse.Namespace) -> int:
 
 
 def _cmd_dmatch(args: argparse.Namespace) -> int:
-    _check_out(args.out, args.input)
+    _check_out(args, args.input)
     fs = load_features(args.input)
     params = _params(args)
-    run = _run_distributed(fs, args.agents, params, args)
+    run = distributed_quickmatch(fs, args.agents, params, seed=args.seed, seeding=args.seeding)
     ledger_text = run.ledger.to_json()
 
     total_local = sum(s["local_clusters"] for s in run.per_agent_stats)
@@ -240,9 +261,9 @@ def _cmd_dmatch(args: argparse.Namespace) -> int:
             canonical_cluster_bytes(reference) == canonical_cluster_bytes(run.clustering)
         )
     out, report_path = _write_outputs(args, fs, run.clustering, fields)
-    ledger_path = out.with_suffix(out.suffix + ".ledger.json")
+    ledger_path = _derived(out, "ledger")
     ledger_path.write_text(ledger_text + "\n")
-    partition_path = out.with_suffix(out.suffix + ".partition.json")
+    partition_path = _derived(out, "partition")
     run.partition.save(partition_path)
     print(
         f"distributed matched {len(fs)} features into {len(run.clustering)} clusters "
@@ -263,7 +284,7 @@ def _load_contested(path: str) -> np.ndarray:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    _check_out(args.out, args.pred, args.truth, args.partition, args.contested_from)
+    _check_out(args, args.pred, args.truth, args.partition, args.contested_from)
     pred = load_clustering(args.pred)
     if args.mode == "compare":
         if not args.truth:
@@ -285,13 +306,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    _check_out(args.out, args.input)
     try:
         m_list = [int(tok) for tok in str(args.agents).replace(" ", "").split(",") if tok]
     except ValueError:
         raise InputError(f"bad agent list {args.agents!r}") from None
     if not m_list or any(m < 1 for m in m_list):
         raise InputError(f"agent counts must be positive, got {args.agents!r}")
+    _check_out(args, args.input, agents=m_list)
     fs = load_features(args.input)
     seeded_rng(args.seed)  # a negative seed fails here, before the centralized reference runs
     params = _params(args)
@@ -300,7 +321,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     out = Path(args.out)
     rows = []
     for m in m_list:
-        run = _run_distributed(fs, m, params, args)
+        run = distributed_quickmatch(fs, m, params, seed=args.seed, seeding=args.seeding)
         report = split_quality(reference, run.partition, run.contested_ids)
         comparison = compare_clusterings(run.clustering, reference)
         mean = lambda key: sum(s[key] for s in run.per_agent_stats) / m  # noqa: E731
@@ -330,7 +351,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _write_plot_data(out: Path, m: int, fs: FeatureSet, run: DistributedRun) -> None:
     """Scatter-plot data: coordinates with final cluster and agent labels."""
-    path = out.with_suffix(f".m{m}.points.csv")
+    path = _derived(out, f"m{m}")
     cluster = run.clustering.cluster_of[_find_rows(run.clustering.id_array, fs.id_array)]
     x0 = fs.vectors[:, 0].tolist()
     x1 = fs.vectors[:, 1].tolist() if fs.dim > 1 else [0.0] * len(fs)
@@ -356,6 +377,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_env()
         return _COMMANDS[args.command](args)
     except BrokenPipeError:
         return 0

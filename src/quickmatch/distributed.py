@@ -56,15 +56,7 @@ __all__ = [
     "transfer_round",
     "finalize",
     "distributed_quickmatch",
-    "CONTESTED_SIGMA_MODES",
-    "DEFAULT_CONTESTED_SIGMA",
 ]
-
-# Which bandwidth enters the contested test: each feature's own parent-edge
-# length, or the agent-wide maximum. The latter is strictly more conservative
-# and catches every member of a boundary-split cluster. See detect_contested.
-CONTESTED_SIGMA_MODES = ("per-feature", "agent-max")
-DEFAULT_CONTESTED_SIGMA = "agent-max"
 
 INGEST = -1  # pseudo-sender for the initial routing round
 
@@ -169,7 +161,6 @@ class AgentState:
     adopted: list[np.ndarray] = field(default_factory=list)
 
     parent: np.ndarray | None = None
-    sigma_p: np.ndarray | None = None
     sigma_a: float = math.nan
     labels: np.ndarray | None = None
     boundary: np.ndarray | None = None
@@ -217,13 +208,11 @@ def local_cluster(agent: AgentState, fs: FeatureSet, params: MatchParams) -> Age
     Distinctiveness, density, tree, and merge are all computed from the local
     subset. For the merge threshold, images with fewer than two local
     features fall back to the agent bandwidth sigma_a (the maximum local
-    parent-edge length). Each feature's sigma_p is its parent-edge length,
-    sigma_a for roots.
+    parent-edge length).
     """
     with timed(agent.timings, "local_cluster_s"):
         result = _cluster_agent_rows(agent.rows0, fs, params)
         agent.parent, agent.labels, agent.sigma_a = result.parent, result.labels, result.sigma_a
-        agent.sigma_p = np.where(result.parent >= 0, result.edge_length, result.sigma_a)
     return agent
 
 
@@ -258,28 +247,22 @@ def exchange_boundary_scalars(
     return scalars
 
 
-def detect_contested(
-    agent: AgentState, scalars_row: np.ndarray, sigma_mode: str = DEFAULT_CONTESTED_SIGMA
-) -> np.ndarray:
+def detect_contested(agent: AgentState, scalars_row: np.ndarray) -> np.ndarray:
     """Worst-case contested test for every local feature; sets
     ``agent.trigger`` and returns the contested local indices, ascending.
 
     Feature x (in agent a) is contested with a' when its distance to the a/a'
     bisector plus the closest a'-feature's distance to that bisector is less
-    than the reference bandwidth: the sum lower-bounds the distance to the
-    nearest feature of a', so anything closer than the bandwidth might belong
-    to x's cluster. The bandwidth is the feature's own parent-edge length
-    ("per-feature"; density maxima use sigma_a) or sigma_a for every feature
-    ("agent-max", strictly more conservative). Only the lowest such a' is
-    kept, as the feature's trigger; m where there is none.
+    than sigma_a, the agent's longest parent edge: the sum lower-bounds the
+    distance to the nearest feature of a', so anything closer than that might
+    belong to x's cluster. Every member of a cluster split by the boundary is
+    caught. Only the lowest such a' is kept, as the feature's trigger; m
+    where there is none.
     """
-    if sigma_mode not in CONTESTED_SIGMA_MODES:
-        raise InputError(f"unknown contested sigma mode {sigma_mode!r}")
     if agent.boundary is None:
         raise ProtocolError(f"agent {agent.id} has no boundary distances yet")
     m = len(scalars_row)
-    sigma_ref = agent.sigma_p[:, None] if sigma_mode == "per-feature" else agent.sigma_a
-    hit = agent.boundary + scalars_row < sigma_ref
+    hit = agent.boundary + scalars_row < agent.sigma_a
     agent.trigger = np.where(hit.any(axis=1), hit.argmax(axis=1), m)
     return np.flatnonzero(agent.trigger < m)
 
@@ -360,7 +343,6 @@ def distributed_quickmatch(
     params: MatchParams | None = None,
     seed: int = 0,
     seeding: str = "kmeans",
-    contested_sigma: str = DEFAULT_CONTESTED_SIGMA,
 ) -> DistributedRun:
     """Full distributed pipeline; deterministic for (input, m, params, seed)."""
     if params is None:
@@ -371,8 +353,6 @@ def distributed_quickmatch(
         raise InputError("empty feature set")
     if seeding not in ("kmeans", "random"):
         raise InputError(f"unknown seeding {seeding!r}")
-    if contested_sigma not in CONTESTED_SIGMA_MODES:
-        raise InputError(f"unknown contested sigma mode {contested_sigma!r}")
 
     timings: dict[str, float] = {}
     with timed(timings, "partition_s"):
@@ -393,7 +373,7 @@ def distributed_quickmatch(
 
     with timed(timings, "detect_s"):
         for agent in agents:
-            detect_contested(agent, scalars[agent.id], contested_sigma)
+            detect_contested(agent, scalars[agent.id])
 
     with timed(timings, "transfer_s"):
         transfer_round(agents, fs, ledger)
@@ -407,7 +387,6 @@ def distributed_quickmatch(
         "m": m,
         "seed": seed,
         "seeding": seeding,
-        "contested_sigma": contested_sigma,
     }
     with timed(timings, "finalize_s"):
         clustering = finalize(agents, fs, params, meta)

@@ -16,9 +16,7 @@ from .core import InputError
 __all__ = [
     "Kernel",
     "gaussian_kernel",
-    "gaussian_squared_kernel",
     "quadratic_kernel",
-    "quadratic_kernel_as_printed",
     "kernel_values",
 ]
 
@@ -26,18 +24,15 @@ __all__ = [
 class Kernel(str, Enum):
     """Selectable density kernels.
 
-    ``gaussian`` decays with the plain (unsquared) distance over ``2*sigma**2``;
-    ``gaussian-squared`` is the conventional squared-exponential alternative.
+    ``gaussian`` is the squared exponential ``exp(-d**2 / (2*sigma**2))``;
     ``quadratic`` is the finite kernel ``max(0, 1 - (d/sigma)**2)``, continuous
-    and zero at ``d = sigma``; ``quadratic-as-printed`` is the variant
-    ``1 - d**2/sigma`` cut off at ``d < sigma`` (discontinuous at the cutoff
-    unless ``sigma == 1``), kept for comparison runs.
+    and zero at ``d = sigma``. Both are functions of ``d/sigma`` alone, so
+    scaling the data scales every bandwidth with it and leaves the kernel
+    values as they were.
     """
 
     GAUSSIAN = "gaussian"
-    GAUSSIAN_SQUARED = "gaussian-squared"
     QUADRATIC = "quadratic"
-    QUADRATIC_AS_PRINTED = "quadratic-as-printed"
 
 
 def _check_sigma(sigma) -> np.ndarray:
@@ -48,11 +43,6 @@ def _check_sigma(sigma) -> np.ndarray:
 
 
 def gaussian_kernel(d, sigma):
-    sig = _check_sigma(sigma)
-    return np.exp(-np.asarray(d, dtype=np.float64) / (2.0 * sig**2))
-
-
-def gaussian_squared_kernel(d, sigma):
     sig = _check_sigma(sigma)
     dd = np.asarray(d, dtype=np.float64)
     return np.exp(-(dd * dd) / (2.0 * sig**2))
@@ -69,21 +59,6 @@ def quadratic_kernel(d, sigma):
     return np.maximum(0.0, 1.0 - r * r)
 
 
-def quadratic_kernel_as_printed(d, sigma):
-    """Variant ``1 - d**2/sigma`` for ``d < sigma``, else 0."""
-    sig = _check_sigma(sigma)
-    dd = np.asarray(d, dtype=np.float64)
-    return np.where(dd < sig, 1.0 - dd * dd / sig, 0.0)
-
-
-_PROFILES = {
-    Kernel.GAUSSIAN: gaussian_kernel,
-    Kernel.GAUSSIAN_SQUARED: gaussian_squared_kernel,
-    Kernel.QUADRATIC: quadratic_kernel,
-    Kernel.QUADRATIC_AS_PRINTED: quadratic_kernel_as_printed,
-}
-
-
 def kernel_values(kernel: Kernel, d, sigma):
     """Evaluate the chosen kernel on distances ``d`` with bandwidth ``sigma``."""
-    return _PROFILES[Kernel(kernel)](d, sigma)
+    return (gaussian_kernel if Kernel(kernel) is Kernel.GAUSSIAN else quadratic_kernel)(d, sigma)

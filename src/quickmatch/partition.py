@@ -107,12 +107,16 @@ def kmeans_seeds(fs: FeatureSet, m: int, seed: int = 0) -> Partition:
     stale seed among those not alone in their cluster. A converged run keeps
     the labels of its fixed point, as the repair chose them; otherwise each
     feature goes to its nearest final seed.
+
+    Every step visits the features in id order, not row order (the draws,
+    the repair's ties, the sums behind each mean), so the partition does
+    not depend on the order of the input's rows.
     """
     if m < 1:
         raise InputError(f"agent count must be >= 1, got {m}")
     if len(fs) < m:
         raise InputError(f"need at least {m} features for {m} agents, got {len(fs)}")
-    X = fs.vectors
+    X = fs.vectors[np.argsort(fs.id_rank)]
     rng = seeded_rng(seed)
 
     # Forgy init on pairwise-distinct vectors so no two seeds coincide.
@@ -150,23 +154,26 @@ def kmeans_seeds(fs: FeatureSet, m: int, seed: int = 0) -> Partition:
 
     if len(np.unique(seeds, axis=0)) != len(seeds):
         raise ProtocolError("seed update produced coincident seeds")
-    return Partition(seeds, labels, fs.id_array, "kmeans", seed)
+    return Partition(seeds, labels[fs.id_rank], fs.id_array, "kmeans", seed)
 
 
 def random_seeds(fs: FeatureSet, m: int, seed: int = 0) -> Partition:
     """Seeds drawn uniformly in the data bounding box from a shared integer seed.
 
     Two parties holding the same seed produce identical seed lists without
-    exchanging anything else. Zero-extent dimensions are widened by a small
-    epsilon so the box always has volume. Uses numpy's PCG64 generator, whose
-    integer-to-float stream is stable across platforms.
+    exchanging anything else. Zero-extent dimensions are widened on each side
+    by a millionth of the box's widest side, or, when every feature is the
+    same vector, of its largest coordinate magnitude, so the box always has
+    volume and scales with the data's units. Uses numpy's PCG64 generator,
+    whose integer-to-float stream is stable across platforms.
     """
     if m < 1:
         raise InputError(f"agent count must be >= 1, got {m}")
     lo, hi = fs.bounds()
     flat = hi - lo <= 0
-    lo = lo - np.where(flat, 1e-6, 0.0)
-    hi = hi + np.where(flat, 1e-6, 0.0)
+    width = float((hi - lo).max() or np.abs(lo).max())
+    pad = np.where(flat, 1e-6 * width or 1e-6, 0.0)
+    lo, hi = lo - pad, hi + pad
     rng = seeded_rng(seed)
     seeds = rng.uniform(lo, hi, size=(m, fs.dim))
     # duplicate rows are essentially impossible; redraw deterministically if seen

@@ -11,6 +11,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 from quickmatch.core import FeatureId, FeatureSet, InputError
 from quickmatch.metrics import SplitReport
@@ -208,6 +209,21 @@ def random_feature_set(rng: np.random.Generator, n_images=None, dim=None, max_pe
         for k in range(int(rng.integers(5, max_per_image + 1))):
             rows.append((img, k, rng.uniform(0, 10, dim)))
     return FeatureSet.from_rows(rows)
+
+
+@st.composite
+def small_feature_sets(draw) -> FeatureSet:
+    """Property-test input: 1-4 images of 1-8 features in 1-3 dimensions,
+    either on an integer grid (many ties) or floats in [-10, 10]."""
+    dim = draw(st.integers(1, 3))
+    counts = draw(st.lists(st.integers(1, 8), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        coord = st.integers(0, 4).map(float)
+    else:
+        coord = st.floats(-10, 10, allow_nan=False)
+    vectors = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=sum(counts), max_size=sum(counts)))
+    ids = [(img, k) for img, count in enumerate(counts) for k in range(count)]
+    return FeatureSet(np.array(vectors), ids)
 
 
 def canonical_clusters(groups) -> tuple:

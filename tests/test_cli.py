@@ -114,8 +114,7 @@ DMATCH_REPORT_SCHEMA = {
         "command": {"const": "dmatch"},
         "config": {
             "type": "object",
-            "required": ["input", "agents", "rho", "kernel", "seed", "seeding",
-                         "contested_sigma", "out"],
+            "required": ["input", "agents", "rho", "kernel", "seed", "seeding", "out"],
         },
         "clusters_found": {"type": "integer", "minimum": 0},
         "per_agent": {
@@ -294,6 +293,37 @@ def test_workers_flag_is_refused(argv, capsys):
     capsys.readouterr()
     assert main([*argv, "--workers", "2"]) == 1
     assert capsys.readouterr().err == "error: unrecognized arguments: --workers 2\n"
+
+
+# Per removed setting: a command line and the environment it runs in.
+_REMOVED_SETTINGS = {
+    "kernel-gaussian-squared": (["match", "features.txt", "--kernel", "gaussian-squared"], {}),
+    "kernel-quadratic-as-printed": (["match", "features.txt", "--kernel", "quadratic-as-printed"], {}),
+    "contested-sigma": (["dmatch", "features.txt", "--contested-sigma", "agent-max"], {}),
+    "QM_CONTESTED_SIGMA": (["dmatch", "features.txt"], {"QM_CONTESTED_SIGMA": "per-feature"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REMOVED_SETTINGS))
+def test_removed_kernel_or_contested_rule_exits_one(case, monkeypatch, capsys):
+    """Two kernels and one contested rule remain; naming another is an error,
+    not a silent fallback to the default."""
+    _generate(["--clusters", "4", "--per-cluster", "3"])
+    argv, env = _REMOVED_SETTINGS[case]
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    _forbid_work(monkeypatch)
+    capsys.readouterr()
+    assert main([*argv, "--out", "c.json"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not Path("c.json").exists()
+
+
+def test_unread_qm_variable_names_itself(monkeypatch, capsys):
+    monkeypatch.setenv("QM_AGENT", "4")  # QM_AGENTS is the variable
+    _forbid_work(monkeypatch)
+    assert main(["dmatch", "features.txt"]) == 1
+    assert capsys.readouterr().err == "error: QM_AGENT sets no flag's default\n"
 
 
 # Per case: a command line and the environment it runs in, each with seed -1.
@@ -587,6 +617,45 @@ def test_out_naming_a_directory_is_refused_before_any_work(argv, monkeypatch, ca
     _forbid_work(monkeypatch)
     assert main(argv) == 1
     assert capsys.readouterr().err == "error: --out somedir is a directory\n"
+
+
+@pytest.mark.parametrize("out", [".", "/"])
+def test_nameless_out_directory_is_refused_before_deriving_paths(out, monkeypatch, capsys):
+    """No report or ledger name can be derived from "." or "/" (pathlib
+    raises ValueError), so the directory test comes first."""
+    _forbid_work(monkeypatch)
+    assert main(["dmatch", "features.txt", "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: --out {out} is a directory\n"
+
+
+# Per file written beside --out: the command and the path made a directory.
+_DERIVED_IS_DIR = {
+    "match-report": (["match", "features.txt", "--out", "c.json"], "c.json.report.json"),
+    "dmatch-ledger": (["dmatch", "features.txt", "--agents", "2", "--out", "c.json"], "c.json.ledger.json"),
+    "dmatch-partition": (["dmatch", "features.txt", "--agents", "2", "--out", "c.json"], "c.json.partition.json"),
+    "generate-truth": (["generate", "--out", "c.txt"], "c.truth.json"),
+    "compare-points": (["compare", "features.txt", "--agents", "1,4", "--out", "c.csv"], "c.m4.points.csv"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DERIVED_IS_DIR))
+def test_derived_out_path_naming_a_directory_is_refused_before_any_work(case, monkeypatch, capsys):
+    """A directory named like the report once let `match` write its clusters
+    and then fail, leaving a clustering without its report."""
+    argv, derived = _DERIVED_IS_DIR[case]
+    Path(derived).mkdir()
+    _forbid_work(monkeypatch)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: --out {argv[-1]}: {derived} is a directory\n"
+    assert not Path(argv[-1]).exists()
+
+
+def test_report_directory_leaves_no_clusters_file(capsys):
+    _generate(["--clusters", "4", "--per-cluster", "3"])
+    Path("c.json.report.json").mkdir()
+    assert main(["match", "features.txt", "--out", "c.json"]) == 1
+    assert "is a directory" in capsys.readouterr().err
+    assert not Path("c.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,6 @@ from quickmatch.core import (
     validate_clustering,
 )
 from quickmatch.distributed import (
-    CONTESTED_SIGMA_MODES,
     AgentState,
     NetworkLedger,
     compute_boundary,
@@ -49,7 +48,7 @@ def _explicit_partition(fs, seeds):
     return Partition(seeds, assign_to_seeds(fs.vectors, seeds), fs.ids)
 
 
-def _bisecting_setup(mode="agent-max"):
+def _bisecting_setup():
     """Canonical synthetic set, two agents whose bisector is the x=5 blob column."""
     fs, truth = generate_synthetic(SynthConfig())
     part = _explicit_partition(fs, [[4.0, 5.0], [6.0, 5.0]])
@@ -59,7 +58,7 @@ def _bisecting_setup(mode="agent-max"):
         compute_boundary(ag, fs, part)
     scalars = exchange_boundary_scalars(agents, fs, part)
     for ag in agents:
-        detect_contested(ag, scalars[ag.id], mode)
+        detect_contested(ag, scalars[ag.id])
     return fs, truth, part, agents, scalars
 
 
@@ -184,30 +183,27 @@ def test_scalar_exhaustive_oracle():
 
 def test_detect_contested_direct_inequality():
     agent = AgentState(1, np.array([0]), np.ones(1, dtype=bool))
-    agent.sigma_p = np.array([10.0])
     agent.sigma_a = 10.0
     agent.boundary = np.array([[1.0, np.inf]])
     scalars_row = np.array([2.0, np.inf])
-    contested = detect_contested(agent, scalars_row, "per-feature")
+    contested = detect_contested(agent, scalars_row)
     assert contested.tolist() == [0] and agent.trigger.tolist() == [0]  # 1 + 2 < 10
 
 
 def test_detect_contested_negative_case():
-    # boundary geometry where d_ika + d_aa' >= sigma_p: not contested
+    # boundary geometry where d_ika + d_aa' >= sigma_a: not contested
     agent = AgentState(1, np.array([0]), np.ones(1, dtype=bool))
-    agent.sigma_p = np.array([2.5])
     agent.sigma_a = 2.5
     agent.boundary = np.array([[3.0, np.inf]])
-    contested = detect_contested(agent, np.array([4.1, np.inf]), "per-feature")
+    contested = detect_contested(agent, np.array([4.1, np.inf]))
     assert contested.tolist() == [] and agent.trigger.tolist() == [2]  # m: none
 
 
 def test_detect_contested_strictness_at_equality():
     agent = AgentState(1, np.array([0]), np.ones(1, dtype=bool))
-    agent.sigma_p = np.array([3.0])
     agent.sigma_a = 3.0
     agent.boundary = np.array([[1.0, np.inf]])
-    assert detect_contested(agent, np.array([2.0, np.inf]), "per-feature").tolist() == []
+    assert detect_contested(agent, np.array([2.0, np.inf])).tolist() == []
     assert agent.trigger.tolist() == [2]
 
 
@@ -215,26 +211,23 @@ def test_detect_contested_matches_row_loop():
     rng = np.random.default_rng(5)
     n, m = 300, 6
     agent = AgentState(2, np.arange(n), np.ones(n, dtype=bool))
-    agent.sigma_p = rng.uniform(0, 2, n)
     agent.sigma_a = 1.5
     agent.boundary = rng.uniform(0, 2, (n, m))
     agent.boundary[:, 2] = np.inf
     scalars_row = np.append(rng.uniform(0, 1, m - 1), np.inf)
-    for mode in CONTESTED_SIGMA_MODES:
-        sigma_ref = agent.sigma_p if mode == "per-feature" else np.full(n, agent.sigma_a)
-        want = {}
-        for i in range(n):
-            triggers = np.flatnonzero(agent.boundary[i] + scalars_row < sigma_ref[i])
-            if len(triggers):
-                want[i] = tuple(int(t) for t in triggers)
-        got = detect_contested(agent, scalars_row, mode)
-        assert 0 < len(got) < n
-        assert got.tolist() == list(want)  # ascending
-        assert agent.trigger.tolist() == [min(want[i]) if i in want else m for i in range(n)]
+    want = {}
+    for i in range(n):
+        triggers = np.flatnonzero(agent.boundary[i] + scalars_row < agent.sigma_a)
+        if len(triggers):
+            want[i] = tuple(int(t) for t in triggers)
+    got = detect_contested(agent, scalars_row)
+    assert 0 < len(got) < n
+    assert got.tolist() == list(want)  # ascending
+    assert agent.trigger.tolist() == [min(want[i]) if i in want else m for i in range(n)]
 
 
 def test_bisecting_partition_detects_all_split_features():
-    fs, truth, part, agents, _ = _bisecting_setup("agent-max")
+    fs, truth, part, agents, _ = _bisecting_setup()
     union = set()
     for ag in agents:
         union.update(map(tuple, fs.id_array[ag.rows0[ag.trigger < part.m]].tolist()))
@@ -244,18 +237,6 @@ def test_bisecting_partition_detects_all_split_features():
     assert report.contested_recall == 1.0
     # conservative: detected set exceeds the truly split one, reported uncapped
     assert report.p_split is not None and report.p_split > 1.0
-
-
-def test_split_clusters_contain_contested_feature_even_per_feature_mode():
-    fs, truth, part, agents, _ = _bisecting_setup("per-feature")
-    union = set()
-    for ag in agents:
-        union.update(map(tuple, fs.id_array[ag.rows0[ag.trigger < part.m]].tolist()))
-    central = quickmatch(fs, QUAD)
-    labels = dict(zip(map(tuple, part.ids.tolist()), part.assignment.tolist()))
-    for members in central.clusters:
-        if len({labels[f] for f in members}) > 1:  # truly split
-            assert any(f in union for f in members)
 
 
 def test_contested_requires_other_agents():
@@ -284,7 +265,7 @@ def test_no_contested_clusters_no_transfers():
         compute_boundary(ag, fs, part)
     scalars = exchange_boundary_scalars(agents, fs, part)
     for ag in agents:
-        detect_contested(ag, scalars[ag.id], "agent-max")
+        detect_contested(ag, scalars[ag.id])
     assert all((ag.trigger == len(agents)).all() for ag in agents)
 
     ledger = NetworkLedger()
@@ -330,7 +311,7 @@ def test_validate_protocol_rejects_a_feature_carried_twice():
 
 
 def test_split_fragments_converge_to_lowest_involved_agent():
-    fs, truth, part, agents, _ = _bisecting_setup("agent-max")
+    fs, truth, part, agents, _ = _bisecting_setup()
     ledger = NetworkLedger()
     transfer_round(agents, fs, ledger)
     assert ledger.count("cluster") > 0
@@ -346,26 +327,18 @@ def test_split_fragments_converge_to_lowest_involved_agent():
 @st.composite
 def _transfer_cases(draw):
     """A small feature set (integer grids with ties, or floats) and a run config."""
-    dim = draw(st.integers(1, 3))
-    counts = draw(st.lists(st.integers(1, 8), min_size=1, max_size=4))
-    if draw(st.booleans()):
-        coord = st.integers(0, 4).map(float)
-    else:
-        coord = st.floats(-10, 10, allow_nan=False)
-    vectors = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=sum(counts), max_size=sum(counts)))
-    distinct = len({tuple(v) for v in vectors})
+    fs = draw(oracles.small_feature_sets())
+    distinct = len(np.unique(fs.vectors, axis=0))
     assume(distinct >= 2)
-    ids = [(img, k) for img, count in enumerate(counts) for k in range(count)]
-    fs = FeatureSet.from_rows([(img, k, v) for (img, k), v in zip(ids, vectors)])
     m = draw(st.integers(2, min(16, distinct)))
-    return fs, m, draw(st.sampled_from(CONTESTED_SIGMA_MODES)), draw(st.sampled_from(("kmeans", "random")))
+    return fs, m, draw(st.sampled_from(("kmeans", "random")))
 
 
 @settings(max_examples=120, database=None, deadline=None, derandomize=True)
 @given(_transfer_cases(), st.sampled_from((Kernel.QUADRATIC, Kernel.GAUSSIAN)), st.integers(0, 3))
 def test_every_contested_cluster_moves_one_hop_to_its_lowest_trigger(case, kernel, seed):
-    fs, m, mode, seeding = case
-    run = distributed_quickmatch(fs, m, MatchParams(kernel=kernel), seed=seed, seeding=seeding, contested_sigma=mode)
+    fs, m, seeding = case
+    run = distributed_quickmatch(fs, m, MatchParams(kernel=kernel), seed=seed, seeding=seeding)
     agents = run.agents
     for agent in agents:
         assert all(agent.trigger[i] > agent.id for i in np.flatnonzero(agent.kept))
@@ -453,7 +426,7 @@ def test_finalize_single_feature_image_uses_agent_bandwidth():
 
 @pytest.mark.parametrize("fault", ["owned-twice", "lost"])
 def test_finalize_rejects_a_feature_owned_twice_or_lost(fault):
-    fs, _, _, agents, _ = _bisecting_setup("agent-max")
+    fs, _, _, agents, _ = _bisecting_setup()
     ledger = NetworkLedger()
     transfer_round(agents, fs, ledger)
     ledger.seal()
@@ -523,5 +496,3 @@ def test_input_validation():
         distributed_quickmatch(fs, 0, QUAD)
     with pytest.raises(InputError):
         distributed_quickmatch(fs, 2, QUAD, seeding="voronoi")
-    with pytest.raises(InputError):
-        distributed_quickmatch(fs, 2, QUAD, contested_sigma="nope")

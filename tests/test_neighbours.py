@@ -27,12 +27,11 @@ from quickmatch.core import FeatureSet
 from quickmatch.kernels import Kernel, kernel_values
 from quickmatch.synthetic import SynthConfig, generate_synthetic
 
-FINITE = [Kernel.QUADRATIC, Kernel.QUADRATIC_AS_PRINTED]
+FINITE = [Kernel.QUADRATIC]
 
 # Plain-Python profiles for the oracle density, independent of kernels.py.
 _PY_KERNELS = {
     Kernel.QUADRATIC: lambda d, s: max(0.0, 1.0 - (d / s) ** 2),
-    Kernel.QUADRATIC_AS_PRINTED: lambda d, s: 1.0 - d * d / s if d < s else 0.0,
 }
 
 
@@ -52,10 +51,8 @@ def dense_tree(vectors, density, id_rank):
 
 
 def dense_density(vectors, image_slots, sigma, kernel):
-    """Exactly-rounded sum of every kernel term at ``cdist`` distances. Not
-    ``oracles.density``, whose ``dist_fsum`` distances differ in the last bit:
-    quadratic-as-printed jumps by 1 - sigma at d = sigma, where every image's
-    closest pair sits, so it is only comparable at the pipeline's formula."""
+    """Exactly-rounded sum of every kernel term at ``cdist`` distances, the
+    pipeline's distance formula."""
     h = _PY_KERNELS[kernel]
     d = cdist(vectors, vectors)
     sig = sigma[image_slots]
@@ -224,7 +221,7 @@ def test_parent_ties_at_the_kth_neighbour():
         np.testing.assert_array_equal(edge, want_edge)
 
 
-@pytest.mark.parametrize("kernel", [Kernel.GAUSSIAN, Kernel.GAUSSIAN_SQUARED], ids=lambda k: k.value)
+@pytest.mark.parametrize("kernel", [Kernel.GAUSSIAN], ids=lambda k: k.value)
 def test_gaussian_density_row_blocks_keep_every_bit(kernel, monkeypatch):
     """With 100 x 100 tiles and 7-row strips, 24 column blocks per row, each
     row's sum is still its column blocks added in ascending order, on one
@@ -261,7 +258,7 @@ def column_block_density(vectors, image_slots, sigma, kernel):
     return want
 
 
-@pytest.mark.parametrize("kernel", [Kernel.GAUSSIAN, Kernel.GAUSSIAN_SQUARED], ids=lambda k: k.value)
+@pytest.mark.parametrize("kernel", [Kernel.GAUSSIAN], ids=lambda k: k.value)
 def test_gaussian_density_symmetric_tiles_keep_every_bit(kernel, monkeypatch):
     """Each 1024 x 1024 distance tile is computed once and serves both of its
     row blocks; every row still adds its column blocks in ascending order,

@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -205,6 +206,21 @@ def test_random_seeds_degenerate_box_widened():
     fs = FeatureSet.from_rows([(0, 0, [5.0, 1.0]), (0, 1, [5.0, 2.0])])
     part = random_seeds(fs, 3, seed=0)  # x extent is zero, must still work
     assert len(np.unique(part.seeds, axis=0)) == 3
+
+
+@pytest.mark.parametrize("c", [0.0, 1e10, -3e-200])
+def test_random_seeds_for_one_repeated_vector_are_distinct(c):
+    """Every feature at c: a fixed 1e-6 widening rounds away beside 1e10,
+    leaving three representable seeds, so four distinct ones were redrawn
+    forever. The widening is now a millionth of c itself."""
+    fs = FeatureSet.from_rows([(i, 0, [c]) for i in range(5)])
+    seeds = []
+    worker = threading.Thread(target=lambda: seeds.append(random_seeds(fs, 4, seed=0).seeds), daemon=True)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive() and seeds
+    assert len(np.unique(seeds[0])) == 4
+    assert np.all(np.abs(seeds[0] - c) <= 1e-6 * (abs(c) or 1.0))
 
 
 # -- boundary distances ----------------------------------------------------------

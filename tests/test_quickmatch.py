@@ -15,12 +15,7 @@ from quickmatch.centralized import (
     quickmatch,
 )
 from quickmatch.core import Clustering, FeatureId, FeatureSet, InputError, validate_clustering
-from quickmatch.kernels import (
-    Kernel,
-    gaussian_kernel,
-    quadratic_kernel,
-    quadratic_kernel_as_printed,
-)
+from quickmatch.kernels import Kernel, gaussian_kernel, quadratic_kernel
 from quickmatch.metrics import compare_clusterings
 from quickmatch.synthetic import SynthConfig, generate_synthetic
 
@@ -288,10 +283,9 @@ def test_synthetic_dataset_recovered_exactly():
     assert compare_clusterings(c, truth).exact_equal
 
 
-def test_synthetic_recovery_both_gaussian_variants_and_quadratic():
+def test_synthetic_recovery_with_every_kernel():
     fs, truth = generate_synthetic(SynthConfig())
-    for kernel in (Kernel.GAUSSIAN, Kernel.GAUSSIAN_SQUARED, Kernel.QUADRATIC,
-                   Kernel.QUADRATIC_AS_PRINTED):
+    for kernel in Kernel:
         c = quickmatch(fs, MatchParams(kernel=kernel))
         assert compare_clusterings(c, truth).exact_equal, kernel
 
@@ -372,13 +366,6 @@ def test_quadratic_kernel_strictly_decreasing_on_support():
     assert np.all(np.diff(vals) < 0)
 
 
-def test_quadratic_as_printed_discontinuous_at_cutoff():
-    # zero lies at d = sqrt(sigma), not sigma, unless sigma == 1
-    assert quadratic_kernel_as_printed(0.0, 2.0) == 1.0
-    just_below = quadratic_kernel_as_printed(np.nextafter(2.0, 0.0), 2.0)
-    assert just_below == pytest.approx(-1.0)
-    assert quadratic_kernel_as_printed(2.0, 2.0) == 0.0
-
-
-def test_gaussian_kernel_as_printed_uses_unsquared_norm():
-    assert gaussian_kernel(2.0, 1.0) == pytest.approx(math.exp(-1.0))
+def test_gaussian_kernel_is_the_squared_exponential():
+    assert gaussian_kernel(2.0, 1.0) == pytest.approx(math.exp(-2.0))
+    assert gaussian_kernel(2.0, 2.0) == pytest.approx(math.exp(-0.5))

@@ -47,6 +47,13 @@ def test_cli_section_names_only_declared_flags_and_variables(monkeypatch):
     text = _section("CLI")
     flags = {opt for sub in _subparsers(build_parser()) for a in sub._actions for opt in a.option_strings}
     assert set(re.findall(r"--[a-z][a-z-]*", text)) - flags == set()
+    # Every `--flag a|b|c` list is that flag's parser choices, in order.
+    lists = re.findall(r"(--[a-z][a-z-]*)\s+([\w.-]+(?:\|[\w.-]+)+)", text)
+    assert lists
+    for flag, listed in lists:
+        choices = {tuple(a.choices) for sub in _subparsers(build_parser()) for a in sub._actions
+                   if flag in a.option_strings}
+        assert choices == {tuple(listed.split("|"))}, flag
     # A QM_* variable is declared when setting it changes some flag default.
     for name in set(re.findall(r"\bQM_[A-Z][A-Z_]*", text)):
         monkeypatch.setenv(name, "sentinel")
