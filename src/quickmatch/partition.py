@@ -176,12 +176,15 @@ def random_seeds(fs: FeatureSet, m: int, seed: int = 0) -> Partition:
     lo, hi = lo - pad, hi + pad
     rng = seeded_rng(seed)
     seeds = rng.uniform(lo, hi, size=(m, fs.dim))
-    # duplicate rows are essentially impossible; redraw deterministically if seen
-    while len(np.unique(seeds, axis=0)) != len(seeds):
+    # Duplicate rows are essentially impossible in a box of many floats;
+    # redraw them deterministically, and give up on a box of only a few.
+    for _ in range(100):
         _, first = np.unique(seeds, axis=0, return_index=True)
-        dup = sorted(set(range(m)) - set(int(i) for i in first))
+        if len(first) == m:
+            return Partition(seeds, assign_to_seeds(fs.vectors, seeds), fs.id_array, "random", seed)
+        dup = sorted(set(range(m)) - set(first.tolist()))
         seeds[dup] = rng.uniform(lo, hi, size=(len(dup), fs.dim))
-    return Partition(seeds, assign_to_seeds(fs.vectors, seeds), fs.id_array, "random", seed)
+    raise InputError(f"the features' bounding box holds too few distinct points for {m} random seeds")
 
 
 def bisector_distances(vectors: np.ndarray, seeds: np.ndarray, t: int) -> np.ndarray:

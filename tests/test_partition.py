@@ -223,6 +223,16 @@ def test_random_seeds_for_one_repeated_vector_are_distinct(c):
     assert np.all(np.abs(seeds[0] - c) <= 1e-6 * (abs(c) or 1.0))
 
 
+def test_random_seeds_refuse_a_box_of_fewer_points_than_seeds():
+    """Two adjacent floats and no flat dimension: only two seed values exist,
+    so four distinct seeds were once redrawn forever."""
+    c = 1e10
+    fs = FeatureSet.from_rows([(0, 0, [c]), (0, 1, [np.nextafter(c, np.inf)])])
+    with pytest.raises(InputError, match="too few distinct points for 4 random seeds"):
+        random_seeds(fs, 4, seed=0)
+    assert len(np.unique(random_seeds(fs, 2, seed=0).seeds)) == 2
+
+
 # -- boundary distances ----------------------------------------------------------
 
 
