@@ -6,7 +6,10 @@ the report's ``determinism_hash``. Runs cover `match` with every kernel and
 `dmatch` with m in {1, 4, 8} (its one contested rule, ``agent-max``), on two
 small inputs: ``blobs`` (every image has many features) and ``lone`` (blobs plus
 images holding a single feature, which exercise the merge-bandwidth
-fallback). A second table pins what `eval` (compare and split modes) and
+fallback). The ``match-gaussian-squared`` runs have no rows of their own: the
+Gaussian is the squared exponential, a function of d/sigma alone, so the same
+run on coordinates scaled by 2**-20 must give every digest of the
+``match-gaussian`` row. A second table pins what `eval` (compare and split modes) and
 `compare` write on the same inputs, the sweep's timing columns left out.
 
 A refactor must leave this table unchanged. A change that alters output on
@@ -54,15 +57,18 @@ INPUTS = {"blobs": _blobs, "lone": _lone}
 
 RUNS = {f"match-{k.value}": ["match", "--kernel", k.value] for k in Kernel}
 RUNS.update({f"dmatch-m{m}-agent-max": ["dmatch", "--agents", str(m)] for m in (1, 4, 8)})
+# run -> (the run whose row it must reproduce, scale applied to the coordinates)
+SCALED_RUNS = {"match-gaussian-squared": ("match-gaussian", 2.0**-20)}
 
 
-def _run_digests(input_name: str, run_name: str) -> tuple[str, str | None, str]:
+def _run_digests(input_name: str, run_name: str, scale: float = 1.0) -> tuple[str, str | None, str]:
     """Run one CLI job in the current directory and digest its outputs.
 
     Paths are relative so the report's config, and with it the
     determinism hash, does not depend on where the job runs.
     """
-    save_features(INPUTS[input_name](), "features.txt")
+    fs = INPUTS[input_name]()
+    save_features(FeatureSet(fs.vectors * scale, fs.id_array), "features.txt")
     argv = RUNS[run_name]
     assert main([argv[0], "features.txt", *argv[1:], "--out", "clusters.json"]) == 0
     ledger = Path("clusters.json.ledger.json")
@@ -130,12 +136,13 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("input_name", sorted(INPUTS))
-@pytest.mark.parametrize("run_name", sorted(RUNS))
+@pytest.mark.parametrize("run_name", sorted([*RUNS, *SCALED_RUNS]))
 def test_golden_digests(input_name, run_name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for name in [n for n in os.environ if n.startswith("QM_")]:
         monkeypatch.delenv(name)  # the table is for the built-in defaults
-    assert _run_digests(input_name, run_name) == GOLDEN[(input_name, run_name)]
+    row, scale = SCALED_RUNS.get(run_name, (run_name, 1.0))
+    assert _run_digests(input_name, row, scale) == GOLDEN[(input_name, row)]
 
 
 # Runs whose results reach the user through `eval` and `compare`, on one

@@ -221,18 +221,32 @@ def test_parent_ties_at_the_kth_neighbour():
         np.testing.assert_array_equal(edge, want_edge)
 
 
-@pytest.mark.parametrize("kernel", [Kernel.GAUSSIAN], ids=lambda k: k.value)
-def test_gaussian_density_row_blocks_keep_every_bit(kernel, monkeypatch):
+def _squared_exponential(d, sigma):
+    """The Gaussian kernel written out here, apart from kernels.py."""
+    return np.exp(-(d * d) / (2.0 * sigma**2))
+
+
+# What the tiled Gaussian density must equal, term for term: the library's
+# kernel, and the squared exponential exp(-d**2 / (2 sigma**2)) itself.
+GAUSSIAN_ORACLES = {
+    "gaussian": lambda d, sigma: kernel_values(Kernel.GAUSSIAN, d, sigma),
+    "gaussian-squared": _squared_exponential,
+}
+
+
+@pytest.mark.parametrize("oracle", sorted(GAUSSIAN_ORACLES))
+def test_gaussian_density_row_blocks_keep_every_bit(oracle, monkeypatch):
     """With 100 x 100 tiles and 7-row strips, 24 column blocks per row, each
     row's sum is still its column blocks added in ascending order, on one
     thread or on several, where 300 tiles finish out of order."""
+    kernel, h = Kernel.GAUSSIAN, GAUSSIAN_ORACLES[oracle]
     fs, _ = generate_synthetic(SynthConfig(300, 8, 3, 0.25, 2, 30.0))
     sigma = compute_distinctiveness(fs)
     sig_cols = sigma[fs.image_slots]
     want = np.zeros(len(fs))
     for c0 in range(0, len(fs), 100):
         d = cdist(fs.vectors, fs.vectors[c0:c0 + 100])
-        want += kernel_values(kernel, d, sig_cols[None, c0:c0 + 100]).sum(axis=1)
+        want += h(d, sig_cols[None, c0:c0 + 100]).sum(axis=1)
     monkeypatch.setattr(centralized, "_BLOCK", 100)
     monkeypatch.setattr(centralized, "_STRIP", 7)  # strips that do not divide a tile
     monkeypatch.setattr(centralized, "_WORKER_STRIP", 7)
@@ -247,29 +261,30 @@ def test_gaussian_density_row_blocks_keep_every_bit(kernel, monkeypatch):
         sys.setswitchinterval(interval)
 
 
-def column_block_density(vectors, image_slots, sigma, kernel):
-    """Every row against all columns, summed 1024 columns at a time in
-    ascending blocks: the order the symmetric tiles must keep."""
+def column_block_density(vectors, image_slots, sigma, h):
+    """Every row against all columns, kernel ``h``, summed 1024 columns at a
+    time in ascending blocks: the order the symmetric tiles must keep."""
     sig_cols = sigma[image_slots]
     want = np.zeros(len(vectors))
     for c0 in range(0, len(vectors), 1024):
         d = cdist(vectors, vectors[c0:c0 + 1024])
-        want += kernel_values(kernel, d, sig_cols[None, c0:c0 + 1024]).sum(axis=1)
+        want += h(d, sig_cols[None, c0:c0 + 1024]).sum(axis=1)
     return want
 
 
-@pytest.mark.parametrize("kernel", [Kernel.GAUSSIAN], ids=lambda k: k.value)
-def test_gaussian_density_symmetric_tiles_keep_every_bit(kernel, monkeypatch):
+@pytest.mark.parametrize("oracle", sorted(GAUSSIAN_ORACLES))
+def test_gaussian_density_symmetric_tiles_keep_every_bit(oracle, monkeypatch):
     """Each 1024 x 1024 distance tile is computed once and serves both of its
     row blocks; every row still adds its column blocks in ascending order,
     whatever the number of threads, and no thread outlives the call."""
+    kernel, h = Kernel.GAUSSIAN, GAUSSIAN_ORACLES[oracle]
     for n in (0, 1, 2, 1023, 1024, 1025, 2049, 3000):
         for dim in (3, 128):
             rng = np.random.default_rng(n * 1000 + dim)
             vectors = rng.normal(0.0, 1.0, (n, dim))
             slots = rng.integers(0, 9, n)
             sigma = rng.uniform(0.5, 2.0, 9) * math.sqrt(dim)  # per image, so tile (a, b) needs both blocks' sigmas
-            want = column_block_density(vectors, slots, sigma, kernel)
+            want = column_block_density(vectors, slots, sigma, h)
             for workers in (1, 2, 3):
                 monkeypatch.setattr(centralized, "_WORKERS", workers)
                 threads = threading.active_count()
@@ -285,7 +300,7 @@ def test_gaussian_density_symmetric_tiles_keep_every_bit(kernel, monkeypatch):
 
     def checking(vectors, image_slots, sigma, kern):
         got = tiled(vectors, image_slots, sigma, kern)
-        np.testing.assert_array_equal(got, column_block_density(vectors, image_slots, sigma, kern))
+        np.testing.assert_array_equal(got, column_block_density(vectors, image_slots, sigma, h))
         checked.append(len(vectors))
         return got
 
