@@ -25,7 +25,6 @@ from .distributed import (
     exchange_boundary_scalars,
     finalize,
     local_cluster,
-    route_features,
     transfer_round,
 )
 from .kernels import Kernel
@@ -82,7 +81,6 @@ __all__ = [
     "pr_curve",
     "quickmatch",
     "random_seeds",
-    "route_features",
     "save_clustering",
     "save_features",
     "split_quality",

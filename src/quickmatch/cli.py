@@ -168,21 +168,12 @@ def _check_out(args: argparse.Namespace, *inputs: str | None, agents: Sequence[i
                 raise InputError(f"{label} would overwrite the input file {name}")
 
 
-def _strip_timings(obj: Any) -> Any:
-    """Drop timing fields (keys ending in `_s`) for the determinism hash."""
-    if isinstance(obj, dict):
-        return {k: _strip_timings(v) for k, v in obj.items() if not k.endswith("_s")}
-    if isinstance(obj, list):
-        return [_strip_timings(v) for v in obj]
-    return obj
-
-
 def _write_outputs(
     args: argparse.Namespace, fs: FeatureSet, clustering: Clustering, fields: dict
 ) -> tuple[Path, Path]:
     """Save the clustering to ``--out`` and its run report to
     ``<out>.report.json``: the command, its resolved flags, counts, digests
-    and ``fields``. Returns both paths."""
+    and ``fields``, every time in ``timings_s``. Returns both paths."""
     out = Path(args.out)
     clusters_digest = sha256_hex(save_clustering(clustering, out, fs))
     config = {key: value for key, value in vars(args).items() if key != "command"}
@@ -196,9 +187,10 @@ def _write_outputs(
         "clusters_digest": clusters_digest,
         **fields,
     }
-    # Paths name where a run happened, not what it computed.
-    hashed = {**report, "config": {k: v for k, v in report["config"].items() if k not in ("input", "out")}}
-    report["determinism_hash"] = sha256_hex(canonical_json(_strip_timings(hashed)).encode())
+    # Times and paths say how and where a run happened, not what it computed.
+    hashed = {**report, "config": {k: v for k, v in config.items() if k not in ("input", "out")}}
+    del hashed["timings_s"]
+    report["determinism_hash"] = sha256_hex(canonical_json(hashed).encode())
     report_path = _derived(out, "report")
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return out, report_path
@@ -253,7 +245,7 @@ def _cmd_dmatch(args: argparse.Namespace) -> int:
                 for members, chain in run.ledger.transfer_chains()
             ],
         },
-        "timings_s": dict(run.timings),
+        "timings_s": {**run.timings, "per_agent": [agent.timings for agent in run.agents]},
     }
     if args.agents == 1:
         reference = quickmatch(fs, params)
@@ -267,7 +259,7 @@ def _cmd_dmatch(args: argparse.Namespace) -> int:
     run.partition.save(partition_path)
     print(
         f"distributed matched {len(fs)} features into {len(run.clustering)} clusters "
-        f"({args.agents} agents, {run.ledger.count('cluster')} cluster transfers) -> {out}"
+        f"({args.agents} agents, {fields['ledger']['cluster']} cluster transfers) -> {out}"
     )
     print(f"report -> {report_path}; ledger -> {ledger_path}; partition -> {partition_path}")
     return 0
@@ -324,13 +316,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         run = distributed_quickmatch(fs, m, params, seed=args.seed, seeding=args.seeding)
         report = split_quality(reference, run.partition, run.contested_ids)
         comparison = compare_clusterings(run.clustering, reference)
-        mean = lambda key: sum(s[key] for s in run.per_agent_stats) / m  # noqa: E731
+        mean = lambda *steps: sum(agent.timings[s] for agent in run.agents for s in steps) / m  # noqa: E731
         rows.append(
             {
                 "Number of Agents": m,
-                "Compute Time Per Agent (s)": round(mean("post_qp_compute_time_s") + mean("qp_time_s"), 6),
-                "QP Time Per Agent (s)": round(mean("qp_time_s"), 6) if m > 1 else "NA",
-                "Post-QP Compute Time Per Agent (s)": round(mean("post_qp_compute_time_s"), 6),
+                "Compute Time Per Agent (s)": round(mean("local_cluster_s", "boundary_s", "finalize_s"), 6),
+                "QP Time Per Agent (s)": round(mean("boundary_s"), 6) if m > 1 else "NA",
+                "Post-QP Compute Time Per Agent (s)": round(mean("local_cluster_s", "finalize_s"), 6),
                 "Percent Contested Clusters": round(100.0 * report.p_contested, 4),
                 "Number of Clusters Found": len(run.clustering),
                 "% Contested Features Found": (

@@ -138,7 +138,7 @@ class FeatureSet:
     def __init__(self, vectors: np.ndarray, ids: Sequence[FeatureId] | np.ndarray, dim: int | None = None):
         vectors = np.ascontiguousarray(np.asarray(vectors, dtype=np.float64))
         if vectors.ndim != 2:
-            vectors = vectors.reshape(len(ids), -1 if len(ids) else (dim or 0))
+            raise ValidationError(f"feature vectors must be an (n, dim) array, got shape {vectors.shape}")
         if dim is not None and vectors.shape[1] != dim and vectors.size:
             raise ValidationError(f"expected dimension {dim}, got {vectors.shape[1]}")
         if vectors.shape[0] != len(ids):

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -47,7 +48,6 @@ __all__ = [
     "AgentState",
     "NetworkLedger",
     "DistributedRun",
-    "route_features",
     "init_agents",
     "compute_boundary",
     "local_cluster",
@@ -79,8 +79,6 @@ class NetworkLedger:
 
     def __init__(self) -> None:
         self._messages: list[dict] = []
-        self._counts: Counter[str] = Counter()
-        self._pairs: Counter[tuple[int, int]] = Counter()
         self._sealed = False
 
     def log(
@@ -96,21 +94,28 @@ class NetworkLedger:
         if value is not None:
             record["value"] = value if math.isfinite(value) else "inf"
         self._messages.append(record)
-        self._counts[kind] += 1
-        self._pairs[src, dst] += 1
 
     def seal(self) -> None:
         self._sealed = True
 
+    def _tally(self) -> tuple[Counter[str], Counter[str]]:
+        """One pass over the log: :meth:`counts`, and the messages per ``"from->to"`` pair."""
+        counts = Counter({"route": 0, "scalar": 0, "cluster": 0, "cross_agent": 0})
+        pairs: Counter[str] = Counter()
+        for (kind, src, dst), n in Counter(map(itemgetter("kind", "from", "to"), self._messages)).items():
+            counts[kind] += n
+            pairs[f"{src}->{dst}"] += n
+            if src >= 0 and src != dst:
+                counts["cross_agent"] += n
+        return counts, pairs
+
     def count(self, kind: str) -> int:
-        return self._counts[kind]
+        return self._tally()[0][kind]
 
     def counts(self) -> dict[str, int]:
         """Messages per kind, and ``cross_agent``: those that actually left an
         agent (ingest routing excluded)."""
-        counts = {kind: self.count(kind) for kind in ("route", "scalar", "cluster")}
-        counts["cross_agent"] = sum(n for (src, dst), n in self._pairs.items() if src >= 0 and src != dst)
-        return counts
+        return self._tally()[0]
 
     def transfer_chains(self) -> list[tuple[list[list[int]], list[int]]]:
         """Per cluster message, in log order: its members' ``[image, index]``
@@ -122,11 +127,11 @@ class NetworkLedger:
         scalars = m(m-1), and no feature carried by two cluster messages, so
         each cluster makes one hop (:meth:`log` refuses one that does not
         decrease)."""
-        if self.count("route") != feature_count:
-            raise ProtocolError(f"routed {self.count('route')} features, expected {feature_count}")
-        expected_scalars = m * (m - 1)
-        if self.count("scalar") != expected_scalars:
-            raise ProtocolError(f"{self.count('scalar')} scalars, expected {expected_scalars}")
+        counts = self.counts()
+        if counts["route"] != feature_count:
+            raise ProtocolError(f"routed {counts['route']} features, expected {feature_count}")
+        if counts["scalar"] != m * (m - 1):
+            raise ProtocolError(f"{counts['scalar']} scalars, expected {m * (m - 1)}")
         carried = [fid for msg in self._messages if msg["kind"] == "cluster" for fid in msg["ids"]]
         try:
             _unique_order(np.array(carried, dtype=np.int64).reshape(-1, 2), "feature {} is carried by two cluster messages")
@@ -134,11 +139,8 @@ class NetworkLedger:
             raise ProtocolError(str(exc)) from None
 
     def to_json(self) -> str:
-        payload = {
-            "messages": self._messages,
-            "counts": {**self.counts(), "pairs": {f"{src}->{dst}": n for (src, dst), n in self._pairs.items()}},
-        }
-        return canonical_json(payload)
+        counts, pairs = self._tally()
+        return canonical_json({"messages": self._messages, "counts": {**counts, "pairs": pairs}})
 
     def digest(self) -> str:
         return sha256_hex(self.to_json().encode())
@@ -152,7 +154,7 @@ class AgentState:
     ``kept`` masks out clusters sent away; ``adopted`` collects received
     clusters that settled here. Arrays from the local pipeline are aligned
     with ``rows0``. ``trigger`` holds the lowest agent each feature is
-    contested with, or m where there is none.
+    contested with, or m where there is none. ``timings`` holds its seconds per step.
     """
 
     id: int
@@ -174,24 +176,16 @@ class AgentState:
         return np.sort(out.astype(np.intp))
 
 
-def route_features(fs: FeatureSet, part: Partition, ledger: NetworkLedger | None = None) -> list[np.ndarray]:
-    """Deliver every feature to the agent owning its region; one route message
-    per feature. Returns per-agent row arrays in ascending row order."""
+def init_agents(fs: FeatureSet, part: Partition, ledger: NetworkLedger | None = None) -> list[AgentState]:
+    """Deliver every feature to the agent owning its region, one route message
+    per feature, and stand up one AgentState per region, rows ascending."""
     if not np.array_equal(part.ids, fs.id_array):
         raise InputError("partition was built over a different feature set")
     if ledger is not None:
         for fid, agent in zip(fs.id_array.tolist(), part.assignment.tolist()):
             ledger.log(0, "route", INGEST, agent, [fid])
-    return [np.flatnonzero(part.assignment == a).astype(np.intp) for a in range(part.m)]
-
-
-def init_agents(fs: FeatureSet, part: Partition, ledger: NetworkLedger | None = None) -> list[AgentState]:
-    """Route features and stand up one AgentState per region."""
-    rows = route_features(fs, part, ledger)
-    return [
-        AgentState(a, r, np.ones(len(r), dtype=bool))
-        for a, r in enumerate(rows)
-    ]
+    rows = [np.flatnonzero(part.assignment == a).astype(np.intp) for a in range(part.m)]
+    return [AgentState(a, r, np.ones(len(r), dtype=bool)) for a, r in enumerate(rows)]
 
 
 def _cluster_agent_rows(rows: np.ndarray, fs: FeatureSet, params: MatchParams) -> RowClusters:
@@ -333,8 +327,8 @@ class DistributedRun:
     partition: Partition
     agents: tuple[AgentState, ...]
     contested_ids: np.ndarray  # (k, 2) int64, sorted by id
-    per_agent_stats: tuple[dict, ...]
-    timings: dict
+    per_agent_stats: tuple[dict, ...]  # counts; each agent's times are its AgentState.timings
+    timings: dict[str, float]  # per phase, over all agents
 
 
 def distributed_quickmatch(
@@ -397,16 +391,11 @@ def distributed_quickmatch(
     for agent in agents:
         contested = agent.trigger < m
         contested_rows.append(agent.rows0[contested])
-        compute = agent.timings.get("local_cluster_s", 0.0) + agent.timings.get("finalize_s", 0.0)
-        qp = agent.timings.get("boundary_s", 0.0)
         stats.append(
             {
                 "agent": agent.id,
                 "features_routed": int(len(agent.rows0)),
                 "features_final": int(len(agent.final_rows())),
-                "compute_time_s": compute + qp,
-                "qp_time_s": qp,
-                "post_qp_compute_time_s": compute,
                 "contested_features": int(np.count_nonzero(contested)),
                 "local_clusters": len(np.unique(agent.labels)),
                 "contested_clusters": len(np.unique(agent.labels[contested])),

@@ -93,7 +93,7 @@ class ClusterComparison:
     only_in_b: list[list[list[int]]]
 
 
-def _pairs(counts: np.ndarray) -> int:
+def _pair_count(counts: np.ndarray) -> int:
     """Number of unordered pairs within groups of the given sizes."""
     return int((counts * (counts - 1) // 2).sum())
 
@@ -133,7 +133,7 @@ def compare_clusterings(a: Clustering, b: Clustering) -> ClusterComparison:
     sizes_a, sizes_b = np.diff(a.offsets), np.diff(b.offsets)
     # Same-cluster pairs in both: pairs within each cell of the contingency table.
     _, cells = np.unique(label_a * max(len(b), 1) + label_b, return_counts=True)
-    tp, pairs_a, pairs_b = _pairs(cells), _pairs(sizes_a), _pairs(sizes_b)
+    tp, pairs_a, pairs_b = _pair_count(cells), _pair_count(sizes_a), _pair_count(sizes_b)
     denom = pairs_a + pairs_b
     f1 = 2.0 * tp / denom if denom else 1.0
 

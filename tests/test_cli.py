@@ -6,9 +6,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from quickmatch import cli
+from quickmatch import cli, core
 from quickmatch.cli import main
-from quickmatch.core import Clustering, FeatureSet, load_clustering, load_features, save_features
+from quickmatch.core import Clustering, FeatureSet, ProtocolError, load_clustering, load_features, save_features
 from quickmatch.partition import Partition
 
 import oracles
@@ -122,7 +122,6 @@ DMATCH_REPORT_SCHEMA = {
             "items": {
                 "type": "object",
                 "required": ["agent", "features_routed", "features_final",
-                             "compute_time_s", "qp_time_s", "post_qp_compute_time_s",
                              "contested_features", "local_clusters",
                              "contested_clusters", "clusters_found"],
             },
@@ -131,6 +130,23 @@ DMATCH_REPORT_SCHEMA = {
             "type": "object",
             "required": ["route", "scalar", "cluster", "cross_agent", "digest",
                          "transfer_chains"],
+        },
+        "timings_s": {
+            "type": "object",
+            "required": ["partition_s", "route_s", "local_cluster_s", "boundary_s", "detect_s",
+                         "transfer_s", "finalize_s", "per_agent"],
+            "properties": {
+                "per_agent": {
+                    "type": "array",
+                    "minItems": 4,
+                    "maxItems": 4,
+                    "items": {
+                        "type": "object",
+                        "required": ["local_cluster_s", "boundary_s", "finalize_s"],
+                        "additionalProperties": {"type": "number", "minimum": 0},
+                    },
+                },
+            },
         },
         "determinism_hash": {"type": "string", "pattern": "^[0-9a-f]{64}$"},
     },
@@ -144,6 +160,48 @@ def test_dmatch_report_schema_valid():
     assert main(["dmatch", str(feat), "--agents", "4", "--out", "d.json"]) == 0
     report = json.loads(Path("d.json.report.json").read_text())
     jsonschema.validate(report, DMATCH_REPORT_SCHEMA)
+
+
+def _keys_ending_in_s(obj, path=()):
+    """The path of every dict key ending in ``_s``, at any depth, that does not
+    lie inside another such key's value."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            if key.endswith("_s"):
+                yield (*path, key)
+            else:
+                yield from _keys_ending_in_s(value, (*path, key))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _keys_ending_in_s(value, (*path, i))
+
+
+def _leaves(obj):
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        return [leaf for value in obj for leaf in _leaves(value)]
+    return [obj]
+
+
+@pytest.mark.parametrize("command", [["match"], ["dmatch", "--agents", "4"]], ids=lambda argv: argv[0])
+def test_every_time_sits_in_timings_s_outside_the_hash(command, monkeypatch):
+    feat, _ = _generate(["--clusters", "6", "--per-cluster", "4"])
+    reports = []
+    for step in (1.0, 3.0):
+        # A clock that moves ``step`` per reading: every measured time differs between the runs.
+        ticks = iter(range(10**6))
+        monkeypatch.setattr(core, "time", SimpleNamespace(perf_counter=lambda: step * next(ticks)))
+        assert main([command[0], str(feat), *command[1:], "--out", "c.json"]) == 0
+        reports.append(json.loads(Path("c.json.report.json").read_text()))
+    for report in reports:
+        assert list(_keys_ending_in_s(report)) == [("timings_s",)]
+    times = [_leaves(report["timings_s"]) for report in reports]
+    assert len(times[0]) == len(times[1]) >= (1 if command[0] == "match" else 7 + 3 * 4)
+    assert all(a != b for a, b in zip(*times))
+    assert reports[0]["determinism_hash"] == reports[1]["determinism_hash"]
+    same = [{k: v for k, v in report.items() if k != "timings_s"} for report in reports]
+    assert same[0] == same[1]
 
 
 @pytest.mark.parametrize("command", [["match"], ["dmatch", "--agents", "2"]], ids=lambda argv: argv[0])
@@ -395,6 +453,30 @@ def test_coordinates_at_the_bound_are_matched(argv):
 def test_unknown_command_exits_one(capsys):
     assert main(["frobnicate"]) == 1
     capsys.readouterr()
+
+
+def test_an_internal_invariant_violation_exits_two(monkeypatch, capsys):
+    feat, _ = _generate(["--clusters", "4", "--per-cluster", "3"])
+
+    def broken(*args, **kwargs):
+        raise ProtocolError("feature (0, 0) is carried by two cluster messages")
+
+    monkeypatch.setattr(cli, "distributed_quickmatch", broken)
+    capsys.readouterr()
+    assert main(["dmatch", str(feat), "--agents", "2", "--out", "d.json"]) == 2
+    assert capsys.readouterr().err == "internal error: feature (0, 0) is carried by two cluster messages\n"
+    assert not Path("d.json").exists()
+
+
+def test_eval_split_refuses_a_contested_file_without_contested_ids(capsys):
+    feat, _ = _generate(["--clusters", "4", "--per-cluster", "3"])
+    assert main(["dmatch", str(feat), "--agents", "2", "--out", "d.json"]) == 0
+    Path("counts-only.json").write_text('{"contested_features": 0}')
+    capsys.readouterr()
+    argv = ["eval", "d.json", "--mode", "split", "--partition", "d.json.partition.json",
+            "--contested-from", "counts-only.json"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: counts-only.json: no contested_ids field\n"
 
 
 _BAD_INPUTS = {

@@ -84,6 +84,25 @@ def test_feature_set_rejects_duplicates_and_nonfinite():
         FeatureSet.from_rows([(0, 0, [math.nan])])
 
 
+_TWO_IDS = [(0, 0), (0, 1)]
+
+
+@pytest.mark.parametrize(
+    "vectors, dim, message",
+    [
+        (np.arange(6.0), None, r"^feature vectors must be an \(n, dim\) array, got shape \(6,\)$"),
+        (np.zeros((2, 2, 2)), None, r"^feature vectors must be an \(n, dim\) array, got shape \(2, 2, 2\)$"),
+        (np.zeros((2, 3)), 2, r"^expected dimension 2, got 3$"),
+        (np.zeros((3, 2)), None, r"^vector count does not match id count$"),
+    ],
+    ids=["flat", "3-d", "dimension", "count"],
+)
+def test_feature_set_refuses_vectors_of_the_wrong_shape(vectors, dim, message):
+    # Six values for two ids once became two 3-D vectors, and (n, 2, 2) became (n, 4).
+    with pytest.raises(ValidationError, match=message):
+        FeatureSet(vectors, _TWO_IDS, dim=dim)
+
+
 def test_feature_set_bounds_coordinates_at_1e150():
     assert FeatureSet.from_rows([(0, 0, [1e150, -1e150])]).vectors.tolist() == [[1e150, -1e150]]
     for v in (np.nextafter(1e150, math.inf), -np.nextafter(1e150, math.inf), 1e308):

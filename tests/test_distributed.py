@@ -26,7 +26,6 @@ from quickmatch.distributed import (
     finalize,
     init_agents,
     local_cluster,
-    route_features,
     transfer_round,
 )
 from quickmatch.kernels import Kernel
@@ -69,21 +68,24 @@ def test_route_features_counts_and_disjoint_union():
     fs, _ = generate_synthetic(SynthConfig())
     part = kmeans_seeds(fs, 4, seed=0)
     ledger = NetworkLedger()
-    per_agent = route_features(fs, part, ledger)
+    agents = init_agents(fs, part, ledger)
     assert ledger.count("route") == 250
-    all_rows = np.concatenate(per_agent)
+    all_rows = np.concatenate([agent.rows0 for agent in agents])
     assert len(all_rows) == 250
     assert len(set(all_rows.tolist())) == 250
     # routing matches the partition assignment
-    for a, rows in enumerate(per_agent):
-        assert np.all(part.assignment[rows] == a)
+    for a, agent in enumerate(agents):
+        assert agent.id == a
+        assert np.all(part.assignment[agent.rows0] == a)
+        assert np.all(np.diff(agent.rows0) > 0) and agent.kept.all()
 
 
 def test_route_m1_all_local_zero_cross_agent():
     fs, _ = generate_synthetic(SynthConfig())
     part = kmeans_seeds(fs, 1, seed=0)
     ledger = NetworkLedger()
-    route_features(fs, part, ledger)
+    (agent,) = init_agents(fs, part, ledger)
+    assert agent.rows0.tolist() == list(range(250))
     assert ledger.count("route") == 250
     assert ledger.counts()["cross_agent"] == 0
 
@@ -310,6 +312,28 @@ def test_validate_protocol_rejects_a_feature_carried_twice():
         ledger.validate_protocol(1, 3)
 
 
+def _ledger_missing(kind, features=3, m=3):
+    """A route for each feature and a scalar for each ordered agent pair,
+    leaving out the first message of ``kind``."""
+    messages = [(0, "route", -1, k % m, [[0, k]], None) for k in range(features)]
+    messages += [(1, "scalar", src, dst, None, 1.0) for src in range(m) for dst in range(m) if src != dst]
+    if kind is not None:
+        del messages[[message[1] for message in messages].index(kind)]
+    ledger = NetworkLedger()
+    for message in messages:
+        ledger.log(*message)
+    return ledger
+
+
+@pytest.mark.parametrize(
+    "kind, message", [("route", r"^routed 2 features, expected 3$"), ("scalar", r"^5 scalars, expected 6$")]
+)
+def test_validate_protocol_rejects_a_ledger_one_message_short(kind, message):
+    _ledger_missing(None).validate_protocol(3, 3)
+    with pytest.raises(ProtocolError, match=message):
+        _ledger_missing(kind).validate_protocol(3, 3)
+
+
 def test_split_fragments_converge_to_lowest_involved_agent():
     fs, truth, part, agents, _ = _bisecting_setup()
     ledger = NetworkLedger()
@@ -477,15 +501,18 @@ def test_per_agent_stats_schema():
             "agent",
             "features_routed",
             "features_final",
-            "compute_time_s",
-            "qp_time_s",
-            "post_qp_compute_time_s",
             "contested_features",
             "local_clusters",
             "contested_clusters",
             "clusters_found",
         ):
             assert key in s
+        assert not [key for key in s if key.endswith("_s")]  # times live in each agent's timings
+    for agent in run.agents:
+        assert sorted(agent.timings) == ["boundary_s", "finalize_s", "local_cluster_s"]
+    assert sorted(run.timings) == sorted(
+        ["partition_s", "route_s", "local_cluster_s", "boundary_s", "detect_s", "transfer_s", "finalize_s"]
+    )
     assert sum(s["features_final"] for s in run.per_agent_stats) == 250
     assert sum(s["clusters_found"] for s in run.per_agent_stats) == len(run.clustering)
 

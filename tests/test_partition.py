@@ -170,6 +170,24 @@ def test_converged_kmeans_keeps_the_labels_its_repair_chose():
     assert part.seeds[part.assignment, 0].tolist() == fs.vectors[:, 0].tolist()
 
 
+def test_kmeans_at_the_iteration_cap_assigns_each_feature_its_nearest_final_seed(monkeypatch):
+    # One round, no fixed point: the seeds move to the first round's means,
+    # which put feature 3 nearer the other seed than the first round did.
+    fs = FeatureSet.from_rows([(0, k, [v]) for k, v in enumerate([0.0, 1.0, 2.0, 3.0, 10.0, 11.0])])
+    rounds = []
+
+    def spy(vectors, seeds):
+        rounds.append(assign_to_seeds(vectors, seeds))
+        return rounds[-1]
+
+    monkeypatch.setattr(partition, "KMEANS_ITERATIONS", 1)
+    monkeypatch.setattr(partition, "assign_to_seeds", spy)
+    part = kmeans_seeds(fs, 2, seed=0)
+    final = assign_to_seeds(fs.vectors, part.seeds)
+    assert part.assignment.tolist() == final.tolist() == [1, 1, 1, 1, 0, 0]
+    assert rounds[0].tolist() != final.tolist()  # the labels of the last round are not kept
+
+
 # -- random seeds ----------------------------------------------------------------
 
 
