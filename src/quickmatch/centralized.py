@@ -221,33 +221,20 @@ def density_values(
         return add(pool.map(tile_sums, tiles))
 
 
-def density_in_id_order(
-    vectors: np.ndarray, image_slots: np.ndarray, id_rank: np.ndarray, sigma: np.ndarray, kernel: Kernel
-) -> np.ndarray:
-    """:func:`density_values`, each feature's terms summed in feature-id order
-    rather than row order, so that reordering the rows cannot change a
-    density's last bits, and with them a tie between two densities."""
-    by_id = np.argsort(id_rank)
-    density = np.empty(len(vectors))
-    density[by_id] = density_values(vectors[by_id], image_slots[by_id], sigma, kernel)
-    return density
-
-
 def compute_density(fs: FeatureSet, sigma: np.ndarray, kernel: Kernel = Kernel.GAUSSIAN) -> np.ndarray:
-    return density_in_id_order(fs.vectors, fs.image_slots, fs.id_rank, sigma, kernel)
+    return density_values(fs.vectors, fs.image_slots, sigma, kernel)
 
 
-def tree_arrays(
-    vectors: np.ndarray, density: np.ndarray, id_rank: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def tree_arrays(vectors: np.ndarray, density: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Parent row and edge length per feature.
 
     The parent is the nearest feature with strictly higher density, searched
     over all features; features with no strictly denser feature are roots
-    (parent -1, length NaN). Exactly tied densities are ordered by feature id
-    (higher id counts as denser), so symmetric configurations still form
+    (parent -1, length NaN). Exactly tied densities are ordered by row
+    (the later row counts as denser), so symmetric configurations still form
     edges; without this, a lone cross-image pair could never match. Equal
-    candidate distances resolve to the lowest feature id.
+    candidate distances resolve to the lowest row. Rows in id order, as a
+    FeatureSet keeps them, make both tie-breaks go by feature id.
 
     Each row first looks among its k nearest neighbours (kd-tree), k doubling
     from 16 to 256 while the row has no denser neighbour nearer than the k-th;
@@ -256,7 +243,7 @@ def tree_arrays(
     n = len(vectors)
     parent = np.full(n, -1, dtype=np.intp)
     edge = np.full(n, np.nan)
-    by_rank = np.lexsort((id_rank, density))  # ascending "denser" order
+    by_rank = np.argsort(density, kind="stable")  # ascending "denser" order
     rank = np.empty(n, dtype=np.intp)
     rank[by_rank] = np.arange(n)
 
@@ -264,7 +251,7 @@ def tree_arrays(
         """Record each row's parent among its candidate columns; returns the best distances."""
         d = np.where(rank[cand] > rank[rows][:, None], d, np.inf)
         best = d.min(axis=1)
-        pick = np.where(d == best[:, None], id_rank[cand], np.iinfo(np.intp).max).argmin(axis=1)
+        pick = np.where(d == best[:, None], cand, np.iinfo(np.intp).max).argmin(axis=1)
         found = np.isfinite(best)
         parent[rows[found]] = cand[found, pick[found]]
         edge[rows[found]] = best[found]
@@ -299,7 +286,7 @@ def tree_arrays(
 
 
 def build_tree(fs: FeatureSet, density: np.ndarray) -> DensityTree:
-    return DensityTree(*tree_arrays(fs.vectors, np.asarray(density, dtype=np.float64), fs.id_rank))
+    return DensityTree(*tree_arrays(fs.vectors, np.asarray(density, dtype=np.float64)))
 
 
 def merge_labels(
@@ -308,14 +295,13 @@ def merge_labels(
     image_slots: np.ndarray,
     sigma: np.ndarray,
     rho: float,
-    id_rank: np.ndarray,
 ) -> np.ndarray:
     """Union-find merge loop over tree edges in ascending length order.
 
     Starting from singletons, an edge joins its endpoint clusters iff their
     image sets are disjoint and the edge is no longer than rho times the
     smallest per-image sigma among the images present in either cluster.
-    Equal-length edges are processed in lowest-child-id order.
+    Equal-length edges are processed in lowest-child-row order.
     """
     n = len(parent)
     uf = list(range(n))
@@ -336,7 +322,7 @@ def merge_labels(
     par, length = parent.tolist(), edge_length.tolist()
 
     children = np.flatnonzero(parent >= 0)
-    order = children[np.lexsort((id_rank[children], edge_length[children]))]
+    order = children[np.argsort(edge_length[children], kind="stable")]
     for child in order.tolist():
         a, b = find(child), find(par[child])
         ia, ib = images[a], images[b]
@@ -373,7 +359,6 @@ class RowClusters(NamedTuple):
 def cluster_rows(
     vectors: np.ndarray,
     image_slots: np.ndarray,
-    id_rank: np.ndarray,
     n_images: int,
     params: MatchParams,
     *,
@@ -389,13 +374,13 @@ def cluster_rows(
     """
     raw = sigma_per_image(vectors, image_slots, n_images)
     sigma = resolve_sigma(raw, vectors)
-    density = density_in_id_order(vectors, image_slots, id_rank, sigma, params.kernel)
-    parent, edge = tree_arrays(vectors, density, id_rank)
+    density = density_values(vectors, image_slots, sigma, params.kernel)
+    parent, edge = tree_arrays(vectors, density)
     has_parent = parent >= 0
     sigma_a = float(edge[has_parent].max()) if has_parent.any() else math.inf
     if fallback_sigma_a:
         sigma = np.maximum(np.where(np.isnan(raw), sigma_a, raw), SIGMA_FLOOR)
-    labels = merge_labels(parent, edge, image_slots, sigma, params.rho, id_rank)
+    labels = merge_labels(parent, edge, image_slots, sigma, params.rho)
     return RowClusters(labels, parent, sigma_a)
 
 
@@ -405,11 +390,11 @@ def _labels_to_clustering(labels: np.ndarray, id_array: np.ndarray, params: Matc
 
 
 def break_and_merge(fs: FeatureSet, tree: DensityTree, sigma: np.ndarray, params: MatchParams) -> Clustering:
-    labels = merge_labels(tree.parent, tree.edge_length, fs.image_slots, sigma, params.rho, fs.id_rank)
+    labels = merge_labels(tree.parent, tree.edge_length, fs.image_slots, sigma, params.rho)
     return _labels_to_clustering(labels, fs.id_array, params)
 
 
 def quickmatch(fs: FeatureSet, params: MatchParams = MatchParams()) -> Clustering:
     """Full centralized pipeline: :func:`cluster_rows` over every feature."""
-    labels = cluster_rows(fs.vectors, fs.image_slots, fs.id_rank, fs.image_count, params).labels
+    labels = cluster_rows(fs.vectors, fs.image_slots, fs.image_count, params).labels
     return _labels_to_clustering(labels, fs.id_array, params)

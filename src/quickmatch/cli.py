@@ -287,6 +287,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             raise InputError("--mode split requires --partition")
         part = Partition.load(args.partition)
         contested = _load_contested(args.contested_from) if args.contested_from else None
+        if contested is not None:
+            foreign = _find_rows(pred.id_array, contested) < 0
+            if foreign.any():
+                fid = tuple(contested[np.argmax(foreign)].tolist())
+                raise InputError(f"{args.contested_from}: contested feature {fid} is not in {args.pred}")
         result = split_quality(pred, part, contested)
     text = json.dumps(vars(result), indent=2, sort_keys=True)  # vars, not asdict: the member lists are not copied
     if args.out:

@@ -129,14 +129,16 @@ class FeatureSet:
     """All descriptors of a dataset, indexed by (image, feature index).
 
     Vectors are dense float64 rows and ids one ``(n, 2)`` int64 array
-    (:attr:`id_array`), both kept in input order. Image ids from input files
-    may be arbitrary integers in [0, 2**63); they are preserved verbatim and
+    (:attr:`id_array`), both kept in id order: sorted by (image, index),
+    whatever the order they were given in, so a row's index is its id rank
+    and every tie-break by row is one by id. Image ids from input files may
+    be arbitrary integers in [0, 2**63); they are preserved verbatim and
     mapped to contiguous slots ``0..N-1`` (sorted id order) for internal
     per-image bookkeeping.
     """
 
     def __init__(self, vectors: np.ndarray, ids: Sequence[FeatureId] | np.ndarray, dim: int | None = None):
-        vectors = np.ascontiguousarray(np.asarray(vectors, dtype=np.float64))
+        vectors = np.asarray(vectors, dtype=np.float64)  # copied into id order, and contiguous, below
         if vectors.ndim != 2:
             raise ValidationError(f"feature vectors must be an (n, dim) array, got shape {vectors.shape}")
         if dim is not None and vectors.shape[1] != dim and vectors.size:
@@ -149,6 +151,8 @@ class FeatureSet:
             raise ValidationError(f"feature vector components must lie within ±{_COORD_BOUND:g}")
         id_array = _id_array(ids)
         order = _unique_order(id_array, "duplicate (image, feature) id {}")
+        # Indexing copies a strided input (a parsed file's vector field) once; take would copy it twice.
+        vectors, id_array = vectors[order], id_array.take(order, axis=0)
 
         self._vectors = vectors
         self._id_array = id_array
@@ -157,10 +161,7 @@ class FeatureSet:
         image_ids, slots = np.unique(id_array[:, 0], return_inverse=True)
         self._image_ids = tuple(image_ids.tolist())
         self._image_slots = slots.astype(np.intp, copy=False).reshape(-1)
-        # rank[r] = position of row r when features are sorted by id
-        self._id_rank = np.empty(len(id_array), dtype=np.intp)
-        self._id_rank[order] = np.arange(len(id_array))
-        for array in (vectors, id_array, self._image_slots, self._id_rank):
+        for array in (vectors, id_array, self._image_slots):
             array.setflags(write=False)
 
     @classmethod
@@ -210,11 +211,6 @@ class FeatureSet:
         """Per-row contiguous image slot in ``0..image_count-1``."""
         return self._image_slots
 
-    @property
-    def id_rank(self) -> np.ndarray:
-        """Per-row rank in (image, index) sorted order; used for tie-breaks."""
-        return self._id_rank
-
     def __len__(self) -> int:
         return len(self._id_array)
 
@@ -232,7 +228,7 @@ class FeatureSet:
     # -- lookups -------------------------------------------------------------
 
     def for_images(self, image_ids: Sequence[int]) -> "FeatureSet":
-        """Sub-FeatureSet keeping only the given images (row order preserved)."""
+        """Sub-FeatureSet keeping only the given images."""
         keep = np.isin(self._id_array[:, 0], np.asarray(list(image_ids), dtype=np.int64))
         return FeatureSet(self._vectors[keep], self._id_array[keep], dim=self._dim)
 
@@ -414,8 +410,8 @@ def validate_clustering(clustering: Clustering, source: FeatureSet | None = None
         raise ValidationError(f"cluster {cluster_of[c2[0]]} has two features of image {ids[c2[0], 0]} (C2)")
     if source is None:
         return
-    src = source.id_array
-    if np.array_equal(ids[_sorted_order(ids)], src[_sorted_order(src)]):
+    src = source.id_array  # sorted by id
+    if np.array_equal(ids[_sorted_order(ids)], src):
         return
     seen, known = set(map(tuple, ids.tolist())), set(map(tuple, src.tolist()))
     if known - seen:

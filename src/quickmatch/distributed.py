@@ -34,7 +34,6 @@ from .core import (
     InputError,
     ProtocolError,
     ValidationError,
-    _sorted_order,
     _unique_order,
     canonical_json,
     sha256_hex,
@@ -190,9 +189,7 @@ def init_agents(fs: FeatureSet, part: Partition, ledger: NetworkLedger | None = 
 
 def _cluster_agent_rows(rows: np.ndarray, fs: FeatureSet, params: MatchParams) -> RowClusters:
     """:func:`cluster_rows` over an agent's rows, with the sigma_a merge fallback."""
-    return cluster_rows(
-        fs.vectors[rows], fs.image_slots[rows], fs.id_rank[rows], fs.image_count, params, fallback_sigma_a=True
-    )
+    return cluster_rows(fs.vectors[rows], fs.image_slots[rows], fs.image_count, params, fallback_sigma_a=True)
 
 
 def local_cluster(agent: AgentState, fs: FeatureSet, params: MatchParams) -> AgentState:
@@ -275,9 +272,9 @@ def transfer_round(agents: Sequence[AgentState], fs: FeatureSet, ledger: Network
     for agent in agents:
         if agent.labels is None or len(agent.rows0) == 0:
             continue
-        # Each member's cluster head, its smallest id rank (labels index local rows).
+        # Each member's cluster head, its smallest row (labels index local rows).
         head = np.full(len(agent.rows0), len(fs))
-        np.minimum.at(head, agent.labels, fs.id_rank[agent.rows0])
+        np.minimum.at(head, agent.labels, agent.rows0)
         key = head[agent.labels]
         order = np.argsort(key, kind="stable")  # stable: members stay in ascending local order
         starts = np.flatnonzero(np.diff(key[order], prepend=-1))
@@ -402,6 +399,5 @@ def distributed_quickmatch(
                 "clusters_found": agent.final_cluster_count,
             }
         )
-    contested_ids = fs.id_array[np.concatenate(contested_rows)]
-    contested_ids = contested_ids[_sorted_order(contested_ids)]
+    contested_ids = fs.id_array[np.sort(np.concatenate(contested_rows))]
     return DistributedRun(clustering, ledger, part, tuple(agents), contested_ids, tuple(stats), timings)

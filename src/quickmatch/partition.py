@@ -107,16 +107,12 @@ def kmeans_seeds(fs: FeatureSet, m: int, seed: int = 0) -> Partition:
     stale seed among those not alone in their cluster. A converged run keeps
     the labels of its fixed point, as the repair chose them; otherwise each
     feature goes to its nearest final seed.
-
-    Every step visits the features in id order, not row order (the draws,
-    the repair's ties, the sums behind each mean), so the partition does
-    not depend on the order of the input's rows.
     """
     if m < 1:
         raise InputError(f"agent count must be >= 1, got {m}")
     if len(fs) < m:
         raise InputError(f"need at least {m} features for {m} agents, got {len(fs)}")
-    X = fs.vectors[np.argsort(fs.id_rank)]
+    X = fs.vectors
     rng = seeded_rng(seed)
 
     # Forgy init on pairwise-distinct vectors so no two seeds coincide.
@@ -154,7 +150,7 @@ def kmeans_seeds(fs: FeatureSet, m: int, seed: int = 0) -> Partition:
 
     if len(np.unique(seeds, axis=0)) != len(seeds):
         raise ProtocolError("seed update produced coincident seeds")
-    return Partition(seeds, labels[fs.id_rank], fs.id_array, "kmeans", seed)
+    return Partition(seeds, labels, fs.id_array, "kmeans", seed)
 
 
 def random_seeds(fs: FeatureSet, m: int, seed: int = 0) -> Partition:

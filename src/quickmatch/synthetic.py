@@ -66,10 +66,11 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[FeatureSet, Clustering]:
     samples = centers[:, None, :] + jitter
 
     images, entities = np.divmod(np.arange(cfg.per_cluster * cfg.n_clusters), cfg.n_clusters)
-    fs = FeatureSet(samples.transpose(1, 0, 2).reshape(-1, cfg.dim), np.stack([images, entities], axis=1))
+    ids = np.stack([images, entities], axis=1)
+    fs = FeatureSet(samples.transpose(1, 0, 2).reshape(-1, cfg.dim), ids)
 
     truth = Clustering.from_labels(
-        fs.id_array,
+        ids,
         entities,
         {
             "algorithm": "ground-truth",

@@ -479,6 +479,22 @@ def test_eval_split_refuses_a_contested_file_without_contested_ids(capsys):
     assert capsys.readouterr().err == "error: counts-only.json: no contested_ids field\n"
 
 
+def test_eval_split_refuses_contested_ids_outside_the_clustering(capsys):
+    """Two ids no feature carries, added to a dmatch report's contested set:
+    eval once counted them and raised the split ratio, with exit 0."""
+    feat, _ = _generate(["--clusters", "4", "--per-cluster", "3"])
+    assert main(["dmatch", str(feat), "--agents", "2", "--out", "d.json"]) == 0
+    report = json.loads(Path("d.json.report.json").read_text())
+    report["contested_ids"] += [[77, 77], [78, 1]]
+    Path("foreign.json").write_text(json.dumps(report))
+    capsys.readouterr()
+    argv = ["eval", "d.json", "--mode", "split", "--partition", "d.json.partition.json", "--out", "e.json"]
+    assert main([*argv, "--contested-from", "foreign.json"]) == 1
+    assert capsys.readouterr().err == "error: foreign.json: contested feature (77, 77) is not in d.json\n"
+    assert not Path("e.json").exists()
+    assert main([*argv, "--contested-from", "d.json.report.json"]) == 0
+
+
 _BAD_INPUTS = {
     "partition-bad-json": ["eval", "d.json", "--mode", "split", "--partition", "bad.json"],
     "partition-missing": ["eval", "d.json", "--mode", "split", "--partition", "missing.json"],

@@ -355,13 +355,35 @@ def test_id_holders_accept_exactly_the_ids_a_set_oracle_accepts(ids):
 
 
 def test_feature_set_ids_are_an_int64_array_with_cached_feature_ids():
+    """Ids given out of order come back sorted by (image, index)."""
     fs = FeatureSet(np.zeros((3, 1)), [(2, 5), (0, 1), (2, 0)])
-    assert fs.id_array.dtype == np.int64 and fs.id_array.tolist() == [[2, 5], [0, 1], [2, 0]]
+    assert fs.id_array.dtype == np.int64 and fs.id_array.tolist() == [[0, 1], [2, 0], [2, 5]]
     assert not fs.id_array.flags.writeable
-    assert fs.ids == (FeatureId(2, 5), FeatureId(0, 1), FeatureId(2, 0)) and fs.ids is fs.ids
-    assert fs.id_rank.tolist() == [2, 0, 1]
-    assert fs.image_ids == (0, 2) and fs.image_slots.tolist() == [1, 0, 1]
-    assert fs.for_images([2]).ids == (FeatureId(2, 5), FeatureId(2, 0))
+    assert fs.ids == (FeatureId(0, 1), FeatureId(2, 0), FeatureId(2, 5)) and fs.ids is fs.ids
+    assert fs.image_ids == (0, 2) and fs.image_slots.tolist() == [0, 1, 1]
+    assert fs.for_images([2]).ids == (FeatureId(2, 0), FeatureId(2, 5))
+
+
+def test_feature_set_keeps_its_rows_in_id_order(tmp_path):
+    """Rows given in any order are stored sorted by (image, index), each
+    vector with its id, from the constructor and from a shuffled file."""
+    rng = np.random.default_rng(3)
+    ids = np.array([(image, k) for image in (4, 0, 7) for k in range(5)])
+    vectors = rng.normal(size=(len(ids), 3))
+    by_id = np.lexsort((ids[:, 1], ids[:, 0]))
+    in_order = FeatureSet(vectors[by_id], ids[by_id])
+    order = rng.permutation(len(ids))
+    shuffled = FeatureSet(vectors[order], ids[order])
+    assert shuffled.id_array.tolist() == sorted(ids.tolist())
+    vector_of = dict(zip(map(tuple, ids.tolist()), vectors.tolist()))
+    assert shuffled.vectors.tolist() == [vector_of[fid] for fid in map(tuple, shuffled.id_array.tolist())]
+    assert shuffled == in_order
+
+    save_features(shuffled, tmp_path / "saved.txt")
+    header, *lines = (tmp_path / "saved.txt").read_text().splitlines(keepends=True)
+    (tmp_path / "shuffled.txt").write_text(header + "".join(lines[i] for i in order))
+    assert load_features(tmp_path / "saved.txt") == in_order
+    assert load_features(tmp_path / "shuffled.txt") == in_order
 
 
 def test_ids_outside_int64_are_rejected_naming_the_source(tmp_path):

@@ -109,18 +109,18 @@ GOLDEN = {
     ),
     ("lone", "dmatch-m1-agent-max"): (
         "b34ea8ab8b633a6e3e2cc81935a82dca09ea625bc8ecd9bbbac45cf3460b9120",
-        "60eb34ccff082b7e8e5d18b17652d1e99e653008e5200f17588cb45695abd55a",
-        "5f4f801996ef230aa467b1a2c182fd1584660e684ad68d2c6e4ddbac6d3dbca5",
+        "f4e708141bdeb88f718de71c926acf7599a5b90a540c7d0d39da9237e7a2c695",
+        "2923147584733bc42ef65d2749e71feb281065cfcb29d1366d00c058b09115b7",
     ),
     ("lone", "dmatch-m4-agent-max"): (
         "4f4e86f9692ad3727126ad9bd97700f2b01cd706be81627d47caa0dc7b76ec88",
-        "f8d9725832f6b14482607abc927fc5ba7c4ad294ecb457d6c94f69ecf35ec5a5",
-        "c9121ce1745d24d7d59d7bfc8392e482afc4a03938e4b7d9b85b575c00d62777",
+        "31c2ad59834276914b57a1b12ddfa7180904893371be6967a07bd06d967e5ba6",
+        "965e64a92b197c5f91604133a7a0be47b5b7a91e04d4673c29013cb70e35649f",
     ),
     ("lone", "dmatch-m8-agent-max"): (
         "eea58e55a153aab45d7e64f4a5761d3a257a79cd6b65c30c8fd25b540d2e78be",
-        "f1a4812201c0facbe3095e19cfa1fb05b415eb155eacec93f337772255a0ef97",
-        "41b8c0c9ae8cdfe5f21ee1a832012e9ac7d69af3615eb02396ab7cf44a57e366",
+        "19d46ec5273358bad1ae8896ccb5b66a32de22847ca574156c3f351b162101d1",
+        "84f42213633b694dc3cb41aac59f62aceee7fc9688bbba08b47c030fc7837e9c",
     ),
     ("lone", "match-gaussian"): (
         "b86263dad08266a731be0553ad3b7a61145f316f9a191dfbd79c6da956b5e404",
@@ -197,7 +197,7 @@ EVAL_GOLDEN = {
     ),
     ("lone", "compare-m1,4"): (
         "f21f577d5464c0c741133afc12e5d93e4a7ad9e38ce58b3972bda303c8b127e3",
-        "066acd815625ccc13ee55153992eff2eb29178b4e8546f78dd089f0575638238",
+        "25c8f9275de729242630f884130dbf8b78b3a98f6d9a5e38fd07b3c08048e677",
     ),
     ("lone", "eval-compare"): (
         "9c83e1d870fae03a0ff96390ed8e5beef3cb8601ad82c2752895cfb794bfa714",

@@ -1,6 +1,8 @@
 """Clusters depend on the features, not on how the input presents them: the
 same cluster bytes whatever the order of the rows, and whatever the unit of
 the coordinates (a power-of-two scale, which floating point applies exactly).
+A `dmatch` run's ledger and partition bytes do not follow the row order
+either.
 
 README's Kernels note states where the scale property stops: a bandwidth
 clamped at ``SIGMA_FLOOR``, and a squared distance outside the normal float
@@ -19,12 +21,15 @@ from quickmatch.kernels import Kernel
 import oracles
 
 
+DMATCH_RUNS = ("dmatch-kmeans", "dmatch-random")
+
+
 @st.composite
-def _cases(draw):
+def _cases(draw, runs=("match-gaussian", "match-quadratic", *DMATCH_RUNS)):
     """A small feature set (integer grids with ties, or floats) and a run:
     `match` with either kernel, or `dmatch` with either seeding and m <= 8."""
     fs = draw(oracles.small_feature_sets())
-    run = draw(st.sampled_from(["match-gaussian", "match-quadratic", "dmatch-kmeans", "dmatch-random"]))
+    run = draw(st.sampled_from(runs))
     m = draw(st.integers(1, min(8, len(np.unique(fs.vectors, axis=0)))))
     return fs, run, m, draw(st.integers(0, 3))
 
@@ -36,15 +41,30 @@ def _cluster_bytes(fs: FeatureSet, run: str, m: int, seed: int) -> bytes:
     return canonical_cluster_bytes(distributed_quickmatch(fs, m, seed=seed, seeding=option).clustering)
 
 
+def _shuffled(fs: FeatureSet, rnd) -> FeatureSet:
+    """``fs`` built again from its rows in a shuffled, unsorted order."""
+    order = list(range(len(fs)))
+    rnd.shuffle(order)
+    assume(order != sorted(order))
+    return FeatureSet(fs.vectors[order], fs.id_array[order])
+
+
 @settings(max_examples=150, database=None, deadline=None, derandomize=True)
 @given(_cases(), st.randoms(use_true_random=False))
 def test_row_order_leaves_the_clusters_unchanged(case, rnd):
     fs, run, m, seed = case
-    order = list(range(len(fs)))
-    rnd.shuffle(order)
-    assume(order != sorted(order))
-    shuffled = FeatureSet(fs.vectors[order], fs.id_array[order])
+    shuffled = _shuffled(fs, rnd)
     assert _cluster_bytes(shuffled, run, m, seed) == _cluster_bytes(fs, run, m, seed)
+
+
+@settings(max_examples=150, database=None, deadline=None, derandomize=True)
+@given(_cases(DMATCH_RUNS), st.randoms(use_true_random=False))
+def test_row_order_leaves_the_dmatch_ledger_and_partition_unchanged(case, rnd):
+    fs, run, m, seed = case
+    seeding = run.split("-")[1]
+    want, got = (distributed_quickmatch(s, m, seed=seed, seeding=seeding) for s in (fs, _shuffled(fs, rnd)))
+    assert got.ledger.to_json() == want.ledger.to_json()
+    assert got.partition.to_json() == want.partition.to_json()
 
 
 @settings(max_examples=150, database=None, deadline=None, derandomize=True)

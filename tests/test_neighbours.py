@@ -37,7 +37,8 @@ _PY_KERNELS = {
 
 def dense_tree(vectors, density, id_rank):
     """All-pairs scan: nearest strictly denser row, density ties to the higher
-    id, distance ties to the lower id."""
+    id rank, distance ties to the lower one. A FeatureSet keeps its rows in id
+    order, so the pipeline's ranks are ``np.arange(n)``."""
     d = cdist(vectors, vectors)
     denser = (density[None, :] > density[:, None]) | (
         (density[None, :] == density[:, None]) & (id_rank[None, :] > id_rank[:, None])
@@ -74,7 +75,7 @@ def test_neighbour_passes_match_oracles(kernel):
         # Isolated features have density exactly 1 and a pair just inside the
         # support adds ~1e-16, so densities tie or sit an ulp apart: the parent
         # oracle gets the tree's own density, whose accuracy is checked above.
-        parent, edge = tree_arrays(fs.vectors, dens, fs.id_rank)
+        parent, edge = tree_arrays(fs.vectors, dens)
         assert [None if p < 0 else int(p) for p in parent] == oracles.parents(fs, dens)
         for r, p in enumerate(parent):
             if p >= 0:
@@ -144,8 +145,8 @@ def test_adversarial_inputs_match_dense_scan(case, settings, monkeypatch):
     for kernel in FINITE:
         dens = density_values(fs.vectors, fs.image_slots, sigma, kernel)
         np.testing.assert_allclose(dens, dense_density(fs.vectors, fs.image_slots, sigma, kernel), rtol=0, atol=1e-12)
-        parent, edge = tree_arrays(fs.vectors, dens, fs.id_rank)
-        want_parent, want_edge = dense_tree(fs.vectors, dens, fs.id_rank)
+        parent, edge = tree_arrays(fs.vectors, dens)
+        want_parent, want_edge = dense_tree(fs.vectors, dens, np.arange(len(fs)))
         np.testing.assert_array_equal(parent, want_parent)
         np.testing.assert_array_equal(edge, want_edge)
 
@@ -162,14 +163,15 @@ def test_sigma_per_image_leaves_small_and_empty_slots_nan():
 
 
 def test_row_subset_keeps_global_id_ranks():
-    """Agents cluster a subset of rows whose id ranks are not 0..n-1."""
+    """Agents cluster an ascending subset of a FeatureSet's rows, which are
+    in id order, so the subset's row order is still the global id order."""
     fs, _ = generate_synthetic(SynthConfig(120, 6, 2, 0.25, 3, 20.0))
     rows = np.flatnonzero(np.arange(len(fs)) % 3 != 1)
-    vectors, slots, id_rank = fs.vectors[rows], fs.image_slots[rows], fs.id_rank[rows]
+    vectors, slots = fs.vectors[rows], fs.image_slots[rows]
     sigma = resolve_sigma(sigma_per_image(vectors, slots, fs.image_count), vectors)
     dens = density_values(vectors, slots, sigma, Kernel.QUADRATIC)
-    parent, edge = tree_arrays(vectors, dens, id_rank)
-    want_parent, want_edge = dense_tree(vectors, dens, id_rank)
+    parent, edge = tree_arrays(vectors, dens)
+    want_parent, want_edge = dense_tree(vectors, dens, np.arange(len(rows)))
     np.testing.assert_array_equal(parent, want_parent)
     np.testing.assert_array_equal(edge, want_edge)
 
@@ -204,7 +206,9 @@ def test_quadratic_quickmatch_memory_is_bounded():
 def test_parent_ties_at_the_kth_neighbour():
     """Grid centres whose 12 nearest neighbours are sparser and whose 8
     neighbours at distance sqrt(5), all denser, straddle the 16th: the query
-    cuts that tie, so the lowest-id denser feature may not be among the 16."""
+    cuts that tie, so the lowest-row denser feature may not be among the 16.
+    The grid's rows go in both directions, so the lowest row sits at either
+    corner."""
     xs, ys = np.meshgrid(np.arange(30), np.arange(30))
     pts = np.column_stack([xs.ravel(), ys.ravel()]).astype(float)
     density = np.zeros(len(pts))
@@ -213,10 +217,10 @@ def test_parent_ties_at_the_kth_neighbour():
             ring = np.round(((pts - [cx, cy]) ** 2).sum(axis=1)) == 5
             density[ring] = 1.0
             density[cy * 30 + cx] = 0.5
-    id_rank = np.arange(len(pts))[::-1].copy()  # lowest id at the far corner
-    for ranks in (id_rank, id_rank[::-1].copy()):
-        parent, edge = tree_arrays(pts, density, ranks)
-        want_parent, want_edge = dense_tree(pts, density, ranks)
+    forward = np.arange(len(pts))
+    for rows in (forward[::-1], forward):  # reversed: the lowest row at the far corner
+        parent, edge = tree_arrays(pts[rows], density[rows])
+        want_parent, want_edge = dense_tree(pts[rows], density[rows], forward)
         np.testing.assert_array_equal(parent, want_parent)
         np.testing.assert_array_equal(edge, want_edge)
 
@@ -292,8 +296,8 @@ def test_gaussian_density_symmetric_tiles_keep_every_bit(oracle, monkeypatch):
                 assert threading.active_count() == threads
                 np.testing.assert_array_equal(got, want, err_msg=f"n={n} dim={dim} workers={workers}")
 
-    # An agent's rows: a subset whose id ranks are not 0..n-1, clustered with
-    # the sigma_a fallback, checked where cluster_rows takes its density.
+    # An agent's rows: a subset of the rows, clustered with the sigma_a
+    # fallback, checked where cluster_rows takes its density.
     fs, _ = generate_synthetic(SynthConfig(350, 10, 3, 0.25, 4, 30.0))
     rows = np.flatnonzero(np.arange(len(fs)) % 3 != 1)
     tiled, checked = centralized.density_values, []
@@ -305,8 +309,8 @@ def test_gaussian_density_symmetric_tiles_keep_every_bit(oracle, monkeypatch):
         return got
 
     monkeypatch.setattr(centralized, "density_values", checking)
-    cluster_rows(fs.vectors[rows], fs.image_slots[rows], fs.id_rank[rows], fs.image_count,
-                 MatchParams(kernel=kernel), fallback_sigma_a=True)
+    cluster_rows(fs.vectors[rows], fs.image_slots[rows], fs.image_count, MatchParams(kernel=kernel),
+                 fallback_sigma_a=True)
     assert checked == [len(rows)] and len(rows) > 2048
 
 

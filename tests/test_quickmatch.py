@@ -227,6 +227,8 @@ def reference_merge_labels(parent, edge_length, image_slots, sigma, rho, id_rank
 
 
 def test_merge_labels_matches_reference_loop():
+    """Each forest's rows are shuffled, so equal-length edges meet the
+    lowest-child-row rule with their children in every order."""
     rng = np.random.default_rng(11)
     for trial in range(60):
         n = int(rng.integers(1, 120))
@@ -242,10 +244,14 @@ def test_merge_labels_matches_reference_loop():
         # Many equal lengths, some exactly at a rho = 1.1 threshold.
         lengths = np.concatenate([np.arange(1, 6) * 0.25, 1.1 * sigma])
         edge = np.where(parent >= 0, rng.choice(lengths, n), np.nan)
-        id_rank = rng.permutation(n)
+        # The same forest with its rows shuffled: row r moves to new_row[r].
+        rows = rng.permutation(n)
+        new_row = np.argsort(rows)
+        parent = np.where(parent[rows] >= 0, new_row[parent[rows]], -1)
+        edge, slots = edge[rows], slots[rows]
         for rho in (0.0, 1.1, math.inf):
-            got = merge_labels(parent, edge, slots, sigma, rho, id_rank)
-            np.testing.assert_array_equal(got, reference_merge_labels(parent, edge, slots, sigma, rho, id_rank))
+            got = merge_labels(parent, edge, slots, sigma, rho)
+            np.testing.assert_array_equal(got, reference_merge_labels(parent, edge, slots, sigma, rho, np.arange(n)))
 
 
 def test_quickmatch_empty_set():
