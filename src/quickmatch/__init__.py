@@ -30,12 +30,8 @@ from .distributed import (
 from .kernels import Kernel
 from .metrics import (
     ClusterComparison,
-    PRCurve,
     SplitReport,
-    baseline_ratio_match,
     compare_clusterings,
-    match_counts_vs_reference,
-    pr_curve,
     split_quality,
 )
 from .partition import (
@@ -58,14 +54,12 @@ __all__ = [
     "Kernel",
     "MatchParams",
     "NetworkLedger",
-    "PRCurve",
     "ParseError",
     "Partition",
     "ProtocolError",
     "SplitReport",
     "SynthConfig",
     "ValidationError",
-    "baseline_ratio_match",
     "canonical_cluster_bytes",
     "compare_clusterings",
     "detect_contested",
@@ -77,8 +71,6 @@ __all__ = [
     "load_clustering",
     "load_features",
     "local_cluster",
-    "match_counts_vs_reference",
-    "pr_curve",
     "quickmatch",
     "random_seeds",
     "save_clustering",

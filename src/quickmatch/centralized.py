@@ -3,9 +3,11 @@ density-ascent tree, and the merge-or-break loop.
 
 `cluster_rows` runs the whole chain over any set of feature rows; it is the
 one pipeline behind `quickmatch` and behind every agent's local and final
-clustering in the distributed harness. The public step functions
+clustering in the distributed harness. The tree reads only the density's
+order, which `density_order` takes for the Gaussian from BLAS distance tiles
+under a proven error bound. The public step functions
 (`compute_distinctiveness` ... `break_and_merge`) expose the same stages one
-at a time over a whole FeatureSet.
+at a time over a whole FeatureSet; `compute_density` gives the exact values.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 import queue
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -56,6 +58,11 @@ _K0, _K_MAX = 16, 256  # neighbour counts tried by the parent search, doubling
 # formula in the last ulps: a search radius or "farther" test carrying it
 # cannot drop a candidate tied under the exact formula.
 _SLACK = 1e-9
+# density_order's bound: the unit roundoff, np.exp's assumed relative error,
+# and the exponent beyond which a term is bounded absolutely, not relatively.
+_U = 2.0**-53
+_EXP_ERR = 2.0**-50
+_Z = 700.0
 
 
 @dataclass(frozen=True)
@@ -142,12 +149,8 @@ def density_values(
     The self term is included (it contributes a constant 1). The quadratic
     kernel vanishes beyond its bandwidth, so only the pairs within the
     column's bandwidth are found (kd-tree) and summed, each row in ascending
-    column order. The Gaussian sums every pair in 1024-column blocks; each
-    1024 x 1024 distance tile is computed once and serves both of its row
-    blocks, so no temporary grows with n. The tiles run on up to one thread
-    per CPU the process may use, as many as _TILE_BYTES of tile buffers
-    allow, and their sums are added in tile order, so the result is the same
-    bit for bit whatever the thread count.
+    column order. The Gaussian sums every pair over ``cdist`` tiles (see
+    :func:`_tiled_sums`), the same bits whatever the thread count.
     """
     n = len(vectors)
     sig_cols = sigma[image_slots]
@@ -167,6 +170,35 @@ def density_values(
         rows, cols = rows[order], cols[order]
         h = kernel_values(kernel, pair_distances(vectors, rows, cols), sig_cols[cols])
         return np.bincount(rows, weights=h, minlength=n)
+    return _tiled_sums(n, lambda a, b, out: cdist(vectors[a], vectors[b], out=out), _gaussian_terms(sig_cols))
+
+
+def _gaussian_terms(sig_cols: np.ndarray) -> Callable[[np.ndarray, slice], np.ndarray]:
+    """The exact Gaussian density's terms over the columns ``cols``, given their ``cdist`` distances."""
+    return lambda d, cols: kernel_values(Kernel.GAUSSIAN, d, sig_cols[None, cols])
+
+
+def _strip_sums(d: np.ndarray, cols: slice, terms: Callable[[np.ndarray, slice], np.ndarray], strip: int) -> np.ndarray:
+    """Each row's sum of ``terms`` over ``cols``, given their distances ``d``;
+    a strip of rows at a time, each row contiguous, so numpy sums it exactly
+    as it would the whole row."""
+    sums = np.empty(len(d))
+    for r0 in range(0, len(d), strip):
+        sums[r0:r0 + strip] = terms(np.ascontiguousarray(d[r0:r0 + strip]), cols).sum(axis=1)
+    return sums
+
+
+def _tiled_sums(n: int, distances: Callable[[slice, slice, np.ndarray], np.ndarray],
+                terms: Callable[[np.ndarray, slice], np.ndarray]) -> np.ndarray:
+    """Each row's sum of ``terms`` over all n columns, in 1024-column blocks.
+
+    ``distances(a, b, out)`` fills ``out`` with the tile of rows ``a`` against
+    columns ``b``. Each 1024 x 1024 tile of the upper triangle is computed
+    once and serves both of its row blocks, so no temporary grows with n. The
+    tiles run on up to one thread per CPU the process may use, as many as
+    _TILE_BYTES of tile buffers allow, and their sums are added in tile order,
+    so the result is the same bit for bit whatever the thread count.
+    """
     block = _BLOCK
     tiles = [(a0, b0) for a0 in range(0, n, block) for b0 in range(a0, n, block)]
     side = min(block, n)
@@ -178,27 +210,18 @@ def density_values(
     for _ in range(workers):
         buffers.put(np.empty(side * side))
 
-    def row_sums(d: np.ndarray, cols: slice) -> np.ndarray:
-        """Each row's kernel terms over ``cols``, given their distances ``d``;
-        a strip of rows at a time, each row contiguous, so numpy sums it
-        exactly as it would the whole row."""
-        sums = np.empty(len(d))
-        for r0 in range(0, len(d), strip):
-            part = np.ascontiguousarray(d[r0:r0 + strip])
-            sums[r0:r0 + len(part)] = kernel_values(kernel, part, sig_cols[None, cols]).sum(axis=1)
-        return sums
-
     def tile_sums(tile: tuple[int, int]) -> tuple[np.ndarray, np.ndarray | None]:
         """Row sums of tile (a, b): block a's rows over block b's columns and,
         off the diagonal, block b's rows over block a's columns."""
         a0, b0 = tile
-        xa, xb = vectors[a0:a0 + block], vectors[b0:b0 + block]
+        a, b = slice(a0, min(a0 + block, n)), slice(b0, min(b0 + block, n))
         buf = buffers.get()
         try:
-            d = cdist(xa, xb, out=buf[:len(xa) * len(xb)].reshape(len(xa), len(xb)))
-            across = row_sums(d, slice(b0, b0 + block))
-            # cdist is symmetric bit for bit, so the transpose serves block b.
-            return across, row_sums(d.T, slice(a0, a0 + block)) if b0 > a0 else None
+            d = distances(a, b, buf[:(a.stop - a0) * (b.stop - b0)].reshape(a.stop - a0, b.stop - b0))
+            across = _strip_sums(d, b, terms, strip)
+            # The transpose serves block b: cdist is symmetric bit for bit,
+            # and the error bound of density_order's tiles is symmetric.
+            return across, _strip_sums(d.T, a, terms, strip) if b0 > a0 else None
         finally:
             buffers.put(buf)
 
@@ -221,12 +244,113 @@ def density_values(
         return add(pool.map(tile_sums, tiles))
 
 
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u): the relative error bound of k roundings."""
+    return k * _U / (1 - k * _U)
+
+
+def density_order(
+    vectors: np.ndarray, image_slots: np.ndarray, sigma: np.ndarray, kernel: Kernel
+) -> np.ndarray:
+    """Rows in ascending stable order of :func:`density_values`: all that the
+    density tree reads of the density.
+
+    For the Gaussian, each row gets an approximate density S~ and a proven
+    half-width W; only rows whose intervals overlap another's get their exact
+    ``density_values`` bits D^. Every row takes ``density_values`` where the
+    bound does not hold (huge coordinates, bandwidths at SIGMA_FLOOR) or
+    leaves over half of the rows to sum exactly.
+
+    S~ sums exp(-t s_j), s_j = 1/(2 sigma_j^2), over BLAS tiles t = |a|^2 +
+    |b|^2 - 2 a.b clamped at 0. S is the real sum at the float sigmas; u =
+    2^-53, gamma_k = k u / (1 - k u); a term is near when its true exponent
+    has |z| <= Z = 700, far otherwise. The bound, term by term:
+    - BLAS: |t - d^2| <= gamma_{dim+2} (|a|^2 + |b|^2 + 2 sum |a_k b_k|) <=
+      2 gamma_{dim+2} (|a|^2 + |b|^2) in any product and sum order, FMA
+      included; the clamp cannot add to it.
+    - Through the exponential: s_j and t s_j add gamma_3, so a near term's
+      exponent is off by at most Delta_i = (1 + gamma_3) 2 gamma_{dim+2}
+      s_max (|a_i|^2 + max_j |a_j|^2) + gamma_3 Z, the term by e^Delta_i - 1.
+    - ``np.exp`` is within eps = 2^-50 relative on normal results: an
+      assumption, which a test checks against ``math.exp`` on [-Z - 1, 0].
+    - The sum of n nonnegative terms, in any order, is within gamma_{n-1} of
+      their sum (Higham 2002, ch. 4).
+    - Far terms: with Delta_i <= 1/2 a computed far exponent stays beyond
+      Z - 1, so true and computed far terms lie in [0, tau], tau = e^{2-Z}.
+    So |S~_i - S_i| <= c_i S_i + 2 n tau, c_i = (1 + eps) (1 + gamma_n)
+    e^Delta_i - 1. D^ has the same form with gamma_{dim+7} Z for Delta_i:
+    ``cdist``'s d^2 is within gamma_{dim+2}, and its square root, the
+    kernel's ``d*d``, ``sigma**2`` and division add five roundings, all
+    relative to z; its blocked sums are one summation order. Hence
+    |D^_i - S~_i| <= W_i = (c_i + c_dense) (S~_i + 2 n tau) / (1 - c_i) +
+    4 n tau, widened by 1% for the rounding of the bound's own evaluation.
+
+    Certify: sort the intervals by lower end and find the runs that overlap;
+    the rows of every run of two or more get D^ from ``density_values``'
+    strip sums, in ascending 1024-column blocks. A row outside the runs is
+    disjoint from every other interval, so it compares strictly, and as
+    under D^, with every row; rows inside runs compare by their exact
+    values, ties going to the lower row. So the merged values' stable
+    argsort is D^'s.
+    """
+    n = len(vectors)
+    intervals = _density_intervals(vectors, sigma[image_slots]) if kernel == Kernel.GAUSSIAN and n else None
+    if intervals is not None:
+        approx, width = intervals
+        lo, hi = approx - width, approx + width
+        by_lo = np.argsort(lo, kind="stable")
+        # A run starts where a row's interval begins beyond every earlier one's end.
+        run = np.cumsum(np.r_[True, lo[by_lo[1:]] > np.maximum.accumulate(hi[by_lo])[:-1]])
+        rows = np.sort(by_lo[np.bincount(run)[run] > 1])
+        if len(rows) <= n // 2:
+            terms = _gaussian_terms(sigma[image_slots])
+            for r0 in range(0, len(rows), _BLOCK):
+                part = rows[r0:r0 + _BLOCK]
+                approx[part] = 0.0
+                for c0 in range(0, n, _BLOCK):
+                    cols = slice(c0, c0 + _BLOCK)
+                    approx[part] += _strip_sums(cdist(vectors[part], vectors[cols]), cols, terms, _STRIP)
+            return np.argsort(approx, kind="stable")
+    return np.argsort(density_values(vectors, image_slots, sigma, kernel), kind="stable")
+
+
+def _density_intervals(vectors: np.ndarray, sig_cols: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """S~ and the half-widths W of :func:`density_order`'s bound, one per
+    row; None where the bound does not hold, overflow included."""
+    n, dim = vectors.shape
+    norms = np.einsum("ij,ij->i", vectors, vectors)
+    neg_s = -0.5 / sig_cols**2
+    k = (1 + _gamma(3)) * 2 * _gamma(dim + 2) * float(-neg_s.min())
+    top, dense_delta = float(norms.max()), _gamma(dim + 7) * _Z
+    if not (2 * k * top + _gamma(3) * _Z <= 0.5 and dense_delta <= 0.5):
+        return None
+    rounding = math.log1p(_EXP_ERR) + math.log1p(_gamma(n))
+    c = np.expm1(k * (norms + top) + _gamma(3) * _Z + rounding)
+    c_dense = math.expm1(dense_delta + rounding)
+
+    def blas(a: slice, b: slice, out: np.ndarray) -> np.ndarray:
+        t = np.matmul(vectors[a], vectors[b].T, out=out)
+        t *= -2.0
+        t += norms[a, None]
+        t += norms[None, b]
+        return np.maximum(t, 0.0, out=t)
+
+    def terms(t: np.ndarray, cols: slice) -> np.ndarray:
+        z = t * neg_s[None, cols]
+        return np.exp(z, out=z)
+
+    approx = _tiled_sums(n, blas, terms)
+    tau = n * math.exp(2 - _Z)
+    return approx, 1.01 * ((c + c_dense) * (approx + 2 * tau) / (1 - c) + 4 * tau)
+
+
 def compute_density(fs: FeatureSet, sigma: np.ndarray, kernel: Kernel = Kernel.GAUSSIAN) -> np.ndarray:
     return density_values(fs.vectors, fs.image_slots, sigma, kernel)
 
 
-def tree_arrays(vectors: np.ndarray, density: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Parent row and edge length per feature.
+def tree_arrays(vectors: np.ndarray, by_rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Parent row and edge length per feature, given the rows in ascending
+    stable density order (:func:`density_order`).
 
     The parent is the nearest feature with strictly higher density, searched
     over all features; features with no strictly denser feature are roots
@@ -243,7 +367,6 @@ def tree_arrays(vectors: np.ndarray, density: np.ndarray) -> tuple[np.ndarray, n
     n = len(vectors)
     parent = np.full(n, -1, dtype=np.intp)
     edge = np.full(n, np.nan)
-    by_rank = np.argsort(density, kind="stable")  # ascending "denser" order
     rank = np.empty(n, dtype=np.intp)
     rank[by_rank] = np.arange(n)
 
@@ -286,7 +409,7 @@ def tree_arrays(vectors: np.ndarray, density: np.ndarray) -> tuple[np.ndarray, n
 
 
 def build_tree(fs: FeatureSet, density: np.ndarray) -> DensityTree:
-    return DensityTree(*tree_arrays(fs.vectors, np.asarray(density, dtype=np.float64)))
+    return DensityTree(*tree_arrays(fs.vectors, np.argsort(np.asarray(density, dtype=np.float64), kind="stable")))
 
 
 def merge_labels(
@@ -374,8 +497,7 @@ def cluster_rows(
     """
     raw = sigma_per_image(vectors, image_slots, n_images)
     sigma = resolve_sigma(raw, vectors)
-    density = density_values(vectors, image_slots, sigma, params.kernel)
-    parent, edge = tree_arrays(vectors, density)
+    parent, edge = tree_arrays(vectors, density_order(vectors, image_slots, sigma, params.kernel))
     has_parent = parent >= 0
     sigma_a = float(edge[has_parent].max()) if has_parent.any() else math.inf
     if fallback_sigma_a:

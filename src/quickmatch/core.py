@@ -172,10 +172,6 @@ class FeatureSet:
         vecs = np.array([r[2] for r in rows], dtype=np.float64)
         return cls(vecs, [(r[0], r[1]) for r in rows])
 
-    @classmethod
-    def empty(cls, dim: int) -> "FeatureSet":
-        return cls(np.zeros((0, dim)), [], dim=dim)
-
     # -- basic shape ---------------------------------------------------------
 
     @property
@@ -226,11 +222,6 @@ class FeatureSet:
     __hash__ = None  # type: ignore[assignment]
 
     # -- lookups -------------------------------------------------------------
-
-    def for_images(self, image_ids: Sequence[int]) -> "FeatureSet":
-        """Sub-FeatureSet keeping only the given images."""
-        keep = np.isin(self._id_array[:, 0], np.asarray(list(image_ids), dtype=np.int64))
-        return FeatureSet(self._vectors[keep], self._id_array[keep], dim=self._dim)
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-dimension (min, max) of all vectors."""

@@ -12,9 +12,9 @@ logged in a :class:`NetworkLedger`. The pipeline follows five phases:
 
 Agents run one at a time, in agent-index order, in every phase; each phase
 finishes for all agents before the next begins. Inside one agent's
-clustering, a Gaussian density may spread its distance tiles over a thread
-pool (see :func:`quickmatch.centralized.density_values`); the result does not
-depend on the number of threads.
+clustering, a Gaussian density order may spread its distance tiles over a
+thread pool (see :func:`quickmatch.centralized.density_order`); the result
+does not depend on the number of threads.
 """
 
 from __future__ import annotations

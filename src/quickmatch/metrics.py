@@ -1,26 +1,21 @@
-"""Match-quality metrics, clustering comparison, the pairwise ratio-test
-baseline, and precision/recall machinery."""
+"""Match-quality metrics: split quality against a partition and clustering
+comparison."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .core import Clustering, FeatureId, FeatureSet, InputError, _find_rows, _id_array, _sorted_order
+from .core import Clustering, FeatureId, InputError, _find_rows, _id_array, _sorted_order
 from .partition import Partition
 
 __all__ = [
     "SplitReport",
     "ClusterComparison",
-    "PRCurve",
     "split_quality",
     "compare_clusterings",
-    "baseline_ratio_match",
-    "match_counts_vs_reference",
-    "pr_curve",
 ]
 
 
@@ -145,103 +140,3 @@ def compare_clusterings(a: Clustering, b: Clustering) -> ClusterComparison:
     only_a = _unmatched(a, b_of_a, sizes_b)
     only_b = _unmatched(b, a_of_b, sizes_a)
     return ClusterComparison(not only_a and not only_b, f1, tp, pairs_a, pairs_b, only_a, only_b)
-
-
-def baseline_ratio_match(
-    fs_query: FeatureSet, fs_train: FeatureSet, ratio: float = 0.75
-) -> list[tuple[FeatureId, FeatureId]]:
-    """Pairwise nearest-neighbor matching with the classic ratio test.
-
-    Exhaustive search: each query feature matches its nearest train feature
-    iff d1 < ratio * d2, with d2 the second-nearest distance. A query feature
-    exactly tied between two train features is rejected. Degenerate mode:
-    with fewer than two train features there is no second neighbor, and
-    ``ratio`` is reused as an absolute distance threshold (d1 < ratio).
-    """
-    if fs_query.dim != fs_train.dim:
-        raise InputError(f"dimension mismatch: {fs_query.dim} vs {fs_train.dim}")
-    if not (0 < ratio):
-        raise InputError("ratio must be positive")
-    if len(fs_query) == 0 or len(fs_train) == 0:
-        return []
-    d = cdist(fs_query.vectors, fs_train.vectors)
-    rows = np.arange(len(fs_query))
-    nearest = d.argmin(axis=1)
-    d1 = d[rows, nearest]
-    d[rows, nearest] = np.inf  # the row minimum is now the second-nearest distance
-    keep = d1 < (ratio * d.min(axis=1) if len(fs_train) > 1 else ratio)
-    query_ids, train_ids = fs_query.ids, fs_train.ids
-    return [(query_ids[q], train_ids[t]) for q, t in zip(np.flatnonzero(keep).tolist(), nearest[keep].tolist())]
-
-
-def match_counts_vs_reference(clustering: Clustering, reference_image: int) -> dict[int, int]:
-    """Per-image count of clusters joining that image with the reference one.
-
-    Under the one-feature-per-image rule each such cluster contributes
-    exactly one matched feature pair, so this is the matched-feature count
-    the threshold detector consumes.
-    """
-    ids, cluster_of = clustering.id_array, clustering.cluster_of
-    images = ids[:, 0]
-    joined = np.isin(cluster_of, cluster_of[images == reference_image])
-    # Members are sorted by id, so a cluster's features of one image are
-    # neighbours: count each (cluster, image) pair once.
-    first = np.ones(len(ids), dtype=bool)
-    first[1:] = (images[1:] != images[:-1]) | (cluster_of[1:] != cluster_of[:-1])
-    counted, counts = np.unique(images[first & joined & (images != reference_image)], return_counts=True)
-    return dict(zip(counted.tolist(), counts.tolist()))
-
-
-@dataclass(frozen=True)
-class PRCurve:
-    """Precision/recall points of a count-threshold detector, plus the
-    trapezoidal area under the curve over the recall axis."""
-
-    points: tuple[tuple[float, float, float], ...]  # (threshold, precision, recall)
-    auc: float
-
-
-def pr_curve(
-    counts: Sequence[float] | Mapping[int, float],
-    truth: Sequence[bool] | Mapping[int, bool],
-    thresholds: Sequence[float] | None = None,
-) -> PRCurve:
-    """Precision and recall of the detector "match exists iff count > t".
-
-    ``counts`` and ``truth`` are aligned per image (mappings are joined on
-    their keys). Default thresholds sweep every distinct count plus -1, so
-    the curve spans everything-detected through nothing-detected. Precision
-    at zero detections is taken as 1.
-    """
-    if isinstance(counts, Mapping) or isinstance(truth, Mapping):
-        if not (isinstance(counts, Mapping) and isinstance(truth, Mapping)):
-            raise InputError("counts and truth must both be mappings or both sequences")
-        keys = sorted(truth.keys())
-        count_arr = np.array([counts.get(k, 0) for k in keys], dtype=np.float64)
-        truth_arr = np.array([bool(truth[k]) for k in keys])
-    else:
-        if len(counts) != len(truth):
-            raise InputError("counts and truth must have equal length")
-        count_arr = np.asarray(counts, dtype=np.float64)
-        truth_arr = np.asarray(truth, dtype=bool)
-    positives = int(truth_arr.sum())
-    if positives == 0:
-        raise InputError("no positive ground truth; recall is undefined")
-    if thresholds is None:
-        thresholds = sorted(set(float(c) for c in count_arr) | {-1.0})
-    else:
-        thresholds = sorted(float(t) for t in thresholds)
-
-    points: list[tuple[float, float, float]] = []
-    for t in sorted(thresholds, reverse=True):
-        detected = count_arr > t
-        tp = int((detected & truth_arr).sum())
-        n_det = int(detected.sum())
-        precision = tp / n_det if n_det else 1.0
-        recall = tp / positives
-        points.append((t, precision, recall))
-
-    auc = 0.0
-    for (_, p0, r0), (_, p1, r1) in zip(points, points[1:]):
-        auc += (r1 - r0) * (p1 + p0) / 2.0
-    return PRCurve(tuple(points), auc)

@@ -1,19 +1,26 @@
-"""Independent reference implementations used as test oracles.
+"""Independent reference implementations used as test oracles, and the
+evaluation helpers that only the tests run.
 
-Everything here is deliberately written as plain loops over the definitions,
-sharing no code with the package internals it checks.
+The oracles are deliberately written as plain loops over the definitions,
+sharing no code with the package internals they check. The helpers at the
+end (criterion 8's ratio-test baseline, match counts and PR curves) are
+vectorized code moved out of the package, which no command runs.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
-from quickmatch.core import FeatureId, FeatureSet, InputError
+from quickmatch.core import Clustering, FeatureId, FeatureSet, InputError
 from quickmatch.metrics import SplitReport
 
 
@@ -73,6 +80,39 @@ def density(fs: FeatureSet, sigma: dict[int, float], kernel_fn) -> list[float]:
             for j in range(len(fs))
         ]
         out.append(math.fsum(terms))
+    return out
+
+
+def gaussian_density_sums(vectors, sig_cols) -> list[float]:
+    """The real Gaussian density sum of every row, to a few ulps: squared
+    distances and exponents as exact fractions, each term ``math.exp`` of the
+    rounded exponent, summed exactly by ``math.fsum``."""
+    rows = [[Fraction(float(x)) for x in row] for row in vectors]
+    s = [1 / (2 * Fraction(float(sig)) ** 2) for sig in sig_cols]
+    return [
+        math.fsum(math.exp(-float(sum((a - b) ** 2 for a, b in zip(x, y)) * s_j)) for y, s_j in zip(rows, s))
+        for x in rows
+    ]
+
+
+def certified_half_widths(vectors, sig_cols, approx) -> list[float]:
+    """``centralized.density_order``'s half-width W_i per row, written out
+    term by term as its docstring states the bound."""
+    n, dim = len(vectors), len(vectors[0])
+    u, eps, z_near = 2.0**-53, 2.0**-50, 700.0
+
+    def gamma(k):
+        return k * u / (1 - k * u)
+
+    s_max = max(1 / (2 * float(sig) ** 2) for sig in sig_cols)
+    norms = [math.fsum(float(x) ** 2 for x in row) for row in vectors]
+    tau = math.exp(2 - z_near)
+    c_dense = (1 + eps) * (1 + gamma(n)) * math.exp(gamma(dim + 7) * z_near) - 1
+    out = []
+    for i in range(n):
+        delta = (1 + gamma(3)) * 2 * gamma(dim + 2) * s_max * (norms[i] + max(norms)) + gamma(3) * z_near
+        c = (1 + eps) * (1 + gamma(n)) * math.exp(delta) - 1
+        out.append(1.01 * ((c + c_dense) * (float(approx[i]) + 2 * n * tau) / (1 - c) + 4 * n * tau))
     return out
 
 
@@ -348,8 +388,8 @@ def split_quality(clustering, part, contested=None) -> SplitReport:
     )
 
 
-def match_counts_vs_reference(clustering, reference_image: int) -> dict[int, int]:
-    """``metrics.match_counts_vs_reference`` as a loop over image sets."""
+def match_counts_loop(clustering, reference_image: int) -> dict[int, int]:
+    """:func:`match_counts_vs_reference` as a loop over image sets."""
     counts: dict[int, int] = {}
     for members in clustering.clusters:
         images = {fid.image for fid in members}
@@ -381,3 +421,114 @@ def write_plot_data(out: Path, m: int, fs, run) -> None:
             x0 = float(vec[0])
             x1 = float(vec[1]) if fs.dim > 1 else 0.0
             writer.writerow([fid.image, fid.index, repr(x0), repr(x1), labels[fid], agent_of[fid]])
+
+
+# -- criterion 8's pairwise baseline and detector curves ------------------------
+# No command runs these; the acceptance suite compares the matcher against the
+# ratio-test baseline with them.
+
+
+def for_images(fs: FeatureSet, image_ids: Sequence[int]) -> FeatureSet:
+    """Sub-FeatureSet keeping only the given images."""
+    keep = np.isin(fs.id_array[:, 0], np.asarray(list(image_ids), dtype=np.int64))
+    return FeatureSet(fs.vectors[keep], fs.id_array[keep], dim=fs.dim)
+
+
+def baseline_ratio_match(
+    fs_query: FeatureSet, fs_train: FeatureSet, ratio: float = 0.75
+) -> list[tuple[FeatureId, FeatureId]]:
+    """Pairwise nearest-neighbor matching with the classic ratio test.
+
+    Exhaustive search: each query feature matches its nearest train feature
+    iff d1 < ratio * d2, with d2 the second-nearest distance. A query feature
+    exactly tied between two train features is rejected. Degenerate mode:
+    with fewer than two train features there is no second neighbor, and
+    ``ratio`` is reused as an absolute distance threshold (d1 < ratio).
+    """
+    if fs_query.dim != fs_train.dim:
+        raise InputError(f"dimension mismatch: {fs_query.dim} vs {fs_train.dim}")
+    if not (0 < ratio):
+        raise InputError("ratio must be positive")
+    if len(fs_query) == 0 or len(fs_train) == 0:
+        return []
+    d = cdist(fs_query.vectors, fs_train.vectors)
+    rows = np.arange(len(fs_query))
+    nearest = d.argmin(axis=1)
+    d1 = d[rows, nearest]
+    d[rows, nearest] = np.inf  # the row minimum is now the second-nearest distance
+    keep = d1 < (ratio * d.min(axis=1) if len(fs_train) > 1 else ratio)
+    query_ids, train_ids = fs_query.ids, fs_train.ids
+    return [(query_ids[q], train_ids[t]) for q, t in zip(np.flatnonzero(keep).tolist(), nearest[keep].tolist())]
+
+
+def match_counts_vs_reference(clustering: Clustering, reference_image: int) -> dict[int, int]:
+    """Per-image count of clusters joining that image with the reference one.
+
+    Under the one-feature-per-image rule each such cluster contributes
+    exactly one matched feature pair, so this is the matched-feature count
+    the threshold detector consumes.
+    """
+    ids, cluster_of = clustering.id_array, clustering.cluster_of
+    images = ids[:, 0]
+    joined = np.isin(cluster_of, cluster_of[images == reference_image])
+    # Members are sorted by id, so a cluster's features of one image are
+    # neighbours: count each (cluster, image) pair once.
+    first = np.ones(len(ids), dtype=bool)
+    first[1:] = (images[1:] != images[:-1]) | (cluster_of[1:] != cluster_of[:-1])
+    counted, counts = np.unique(images[first & joined & (images != reference_image)], return_counts=True)
+    return dict(zip(counted.tolist(), counts.tolist()))
+
+
+@dataclass(frozen=True)
+class PRCurve:
+    """Precision/recall points of a count-threshold detector, plus the
+    trapezoidal area under the curve over the recall axis."""
+
+    points: tuple[tuple[float, float, float], ...]  # (threshold, precision, recall)
+    auc: float
+
+
+def pr_curve(
+    counts: Sequence[float] | Mapping[int, float],
+    truth: Sequence[bool] | Mapping[int, bool],
+    thresholds: Sequence[float] | None = None,
+) -> PRCurve:
+    """Precision and recall of the detector "match exists iff count > t".
+
+    ``counts`` and ``truth`` are aligned per image (mappings are joined on
+    their keys). Default thresholds sweep every distinct count plus -1, so
+    the curve spans everything-detected through nothing-detected. Precision
+    at zero detections is taken as 1.
+    """
+    if isinstance(counts, Mapping) or isinstance(truth, Mapping):
+        if not (isinstance(counts, Mapping) and isinstance(truth, Mapping)):
+            raise InputError("counts and truth must both be mappings or both sequences")
+        keys = sorted(truth.keys())
+        count_arr = np.array([counts.get(k, 0) for k in keys], dtype=np.float64)
+        truth_arr = np.array([bool(truth[k]) for k in keys])
+    else:
+        if len(counts) != len(truth):
+            raise InputError("counts and truth must have equal length")
+        count_arr = np.asarray(counts, dtype=np.float64)
+        truth_arr = np.asarray(truth, dtype=bool)
+    positives = int(truth_arr.sum())
+    if positives == 0:
+        raise InputError("no positive ground truth; recall is undefined")
+    if thresholds is None:
+        thresholds = sorted(set(float(c) for c in count_arr) | {-1.0})
+    else:
+        thresholds = sorted(float(t) for t in thresholds)
+
+    points: list[tuple[float, float, float]] = []
+    for t in sorted(thresholds, reverse=True):
+        detected = count_arr > t
+        tp = int((detected & truth_arr).sum())
+        n_det = int(detected.sum())
+        precision = tp / n_det if n_det else 1.0
+        recall = tp / positives
+        points.append((t, precision, recall))
+
+    auc = 0.0
+    for (_, p0, r0), (_, p1, r1) in zip(points, points[1:]):
+        auc += (r1 - r0) * (p1 + p0) / 2.0
+    return PRCurve(tuple(points), auc)

@@ -30,13 +30,7 @@ from quickmatch.distributed import (
     transfer_round,
 )
 from quickmatch.kernels import Kernel, gaussian_kernel
-from quickmatch.metrics import (
-    baseline_ratio_match,
-    compare_clusterings,
-    match_counts_vs_reference,
-    pr_curve,
-    split_quality,
-)
+from quickmatch.metrics import compare_clusterings, split_quality
 from quickmatch.partition import Partition, assign_to_seeds, bisector_distances, kmeans_seeds
 from quickmatch.synthetic import SynthConfig, generate_synthetic
 
@@ -250,14 +244,14 @@ def test_criterion_8_baseline_comparison():
     with criterion(8, "multi-image matcher PR AUC >= ratio-test baseline on noisy data"):
         fs, ref, truth = _object_dataset(seed=1, spread=0.35)
         clustering = quickmatch(fs, MatchParams())
-        qm_counts = match_counts_vs_reference(clustering, ref)
-        ref_fs = fs.for_images([ref])
+        qm_counts = oracles.match_counts_vs_reference(clustering, ref)
+        ref_fs = oracles.for_images(fs, [ref])
         bf_counts = {
-            img: len(baseline_ratio_match(ref_fs, fs.for_images([img]), 0.75)) for img in truth
+            img: len(oracles.baseline_ratio_match(ref_fs, oracles.for_images(fs, [img]), 0.75)) for img in truth
         }
         thresholds = sorted(set(qm_counts.values()) | set(bf_counts.values()) | {-1, 0})
-        auc_qm = pr_curve(qm_counts, truth, thresholds).auc
-        auc_bf = pr_curve(bf_counts, truth, thresholds).auc
+        auc_qm = oracles.pr_curve(qm_counts, truth, thresholds).auc
+        auc_bf = oracles.pr_curve(bf_counts, truth, thresholds).auc
         # noise level genuinely produces errors on both sides
         assert auc_qm < 1.0 or auc_bf < 1.0
         assert auc_bf < 1.0

@@ -361,7 +361,7 @@ def test_feature_set_ids_are_an_int64_array_with_cached_feature_ids():
     assert not fs.id_array.flags.writeable
     assert fs.ids == (FeatureId(0, 1), FeatureId(2, 0), FeatureId(2, 5)) and fs.ids is fs.ids
     assert fs.image_ids == (0, 2) and fs.image_slots.tolist() == [0, 1, 1]
-    assert fs.for_images([2]).ids == (FeatureId(2, 0), FeatureId(2, 5))
+    assert oracles.for_images(fs, [2]).ids == (FeatureId(2, 0), FeatureId(2, 5))
 
 
 def test_feature_set_keeps_its_rows_in_id_order(tmp_path):

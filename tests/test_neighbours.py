@@ -75,7 +75,7 @@ def test_neighbour_passes_match_oracles(kernel):
         # Isolated features have density exactly 1 and a pair just inside the
         # support adds ~1e-16, so densities tie or sit an ulp apart: the parent
         # oracle gets the tree's own density, whose accuracy is checked above.
-        parent, edge = tree_arrays(fs.vectors, dens)
+        parent, edge = tree_arrays(fs.vectors, np.argsort(dens, kind="stable"))
         assert [None if p < 0 else int(p) for p in parent] == oracles.parents(fs, dens)
         for r, p in enumerate(parent):
             if p >= 0:
@@ -145,7 +145,7 @@ def test_adversarial_inputs_match_dense_scan(case, settings, monkeypatch):
     for kernel in FINITE:
         dens = density_values(fs.vectors, fs.image_slots, sigma, kernel)
         np.testing.assert_allclose(dens, dense_density(fs.vectors, fs.image_slots, sigma, kernel), rtol=0, atol=1e-12)
-        parent, edge = tree_arrays(fs.vectors, dens)
+        parent, edge = tree_arrays(fs.vectors, np.argsort(dens, kind="stable"))
         want_parent, want_edge = dense_tree(fs.vectors, dens, np.arange(len(fs)))
         np.testing.assert_array_equal(parent, want_parent)
         np.testing.assert_array_equal(edge, want_edge)
@@ -170,7 +170,7 @@ def test_row_subset_keeps_global_id_ranks():
     vectors, slots = fs.vectors[rows], fs.image_slots[rows]
     sigma = resolve_sigma(sigma_per_image(vectors, slots, fs.image_count), vectors)
     dens = density_values(vectors, slots, sigma, Kernel.QUADRATIC)
-    parent, edge = tree_arrays(vectors, dens)
+    parent, edge = tree_arrays(vectors, np.argsort(dens, kind="stable"))
     want_parent, want_edge = dense_tree(vectors, dens, np.arange(len(rows)))
     np.testing.assert_array_equal(parent, want_parent)
     np.testing.assert_array_equal(edge, want_edge)
@@ -219,7 +219,7 @@ def test_parent_ties_at_the_kth_neighbour():
             density[cy * 30 + cx] = 0.5
     forward = np.arange(len(pts))
     for rows in (forward[::-1], forward):  # reversed: the lowest row at the far corner
-        parent, edge = tree_arrays(pts[rows], density[rows])
+        parent, edge = tree_arrays(pts[rows], np.argsort(density[rows], kind="stable"))
         want_parent, want_edge = dense_tree(pts[rows], density[rows], forward)
         np.testing.assert_array_equal(parent, want_parent)
         np.testing.assert_array_equal(edge, want_edge)
@@ -296,22 +296,22 @@ def test_gaussian_density_symmetric_tiles_keep_every_bit(oracle, monkeypatch):
                 assert threading.active_count() == threads
                 np.testing.assert_array_equal(got, want, err_msg=f"n={n} dim={dim} workers={workers}")
 
-    # An agent's rows: a subset of the rows, clustered with the sigma_a
-    # fallback, checked where cluster_rows takes its density.
+
+@pytest.mark.parametrize("oracle", sorted(GAUSSIAN_ORACLES))
+def test_agent_rows_take_the_parents_of_the_column_block_density(oracle):
+    """An agent's rows: a subset of the rows, over two tiles, clustered with
+    the sigma_a fallback. cluster_rows takes the certified order, not the
+    dense density, so its parents are checked against the tree over the
+    stable order of the column-block density."""
     fs, _ = generate_synthetic(SynthConfig(350, 10, 3, 0.25, 4, 30.0))
     rows = np.flatnonzero(np.arange(len(fs)) % 3 != 1)
-    tiled, checked = centralized.density_values, []
-
-    def checking(vectors, image_slots, sigma, kern):
-        got = tiled(vectors, image_slots, sigma, kern)
-        np.testing.assert_array_equal(got, column_block_density(vectors, image_slots, sigma, h))
-        checked.append(len(vectors))
-        return got
-
-    monkeypatch.setattr(centralized, "density_values", checking)
-    cluster_rows(fs.vectors[rows], fs.image_slots[rows], fs.image_count, MatchParams(kernel=kernel),
-                 fallback_sigma_a=True)
-    assert checked == [len(rows)] and len(rows) > 2048
+    vectors, slots = fs.vectors[rows], fs.image_slots[rows]
+    sigma = resolve_sigma(sigma_per_image(vectors, slots, fs.image_count), vectors)
+    dens = column_block_density(vectors, slots, sigma, GAUSSIAN_ORACLES[oracle])
+    want, _ = tree_arrays(vectors, np.argsort(dens, kind="stable"))
+    got = cluster_rows(vectors, slots, fs.image_count, MatchParams(kernel=Kernel.GAUSSIAN), fallback_sigma_a=True)
+    np.testing.assert_array_equal(got.parent, want)
+    assert len(rows) > 2048
 
 
 def test_gaussian_quickmatch_memory_is_bounded():

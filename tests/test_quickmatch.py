@@ -255,7 +255,7 @@ def test_merge_labels_matches_reference_loop():
 
 
 def test_quickmatch_empty_set():
-    assert len(quickmatch(FeatureSet.empty(2))) == 0
+    assert len(quickmatch(FeatureSet(np.zeros((0, 2)), [], dim=2))) == 0
 
 
 def test_rho_zero_gives_singletons():
