@@ -20,12 +20,7 @@ from .distributed import (
     AgentState,
     DistributedRun,
     NetworkLedger,
-    detect_contested,
     distributed_quickmatch,
-    exchange_boundary_scalars,
-    finalize,
-    local_cluster,
-    transfer_round,
 )
 from .kernels import Kernel
 from .metrics import (
@@ -62,20 +57,15 @@ __all__ = [
     "ValidationError",
     "canonical_cluster_bytes",
     "compare_clusterings",
-    "detect_contested",
     "distributed_quickmatch",
-    "exchange_boundary_scalars",
-    "finalize",
     "generate_synthetic",
     "kmeans_seeds",
     "load_clustering",
     "load_features",
-    "local_cluster",
     "quickmatch",
     "random_seeds",
     "save_clustering",
     "save_features",
     "split_quality",
-    "transfer_round",
     "validate_clustering",
 ]

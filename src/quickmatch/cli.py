@@ -192,7 +192,7 @@ def _write_outputs(
     del hashed["timings_s"]
     report["determinism_hash"] = sha256_hex(canonical_json(hashed).encode())
     report_path = _derived(out, "report")
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    report_path.write_text(canonical_json(report) + "\n")
     return out, report_path
 
 

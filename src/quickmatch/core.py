@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import time
 import warnings
 from contextlib import contextmanager
@@ -70,18 +71,30 @@ _ID_END = 1 << 63  # ids are stored as int64, so each must lie in [0, 2**63)
 _COORD_BOUND = 1e150
 
 
+def _is_int_type(kind: type) -> bool:
+    return issubclass(kind, numbers.Integral) and not issubclass(kind, bool)
+
+
 def _id_array(ids: Sequence[FeatureId] | np.ndarray) -> np.ndarray:
-    """``ids`` as a new ``(n, 2)`` int64 array; an id outside [0, 2**63)
-    raises ValidationError."""
+    """``ids`` as a new ``(n, 2)`` int64 array. An id outside [0, 2**63), or
+    one that is not an integer (a float, bool or string: never truncated or
+    coerced), raises ValidationError."""
     if len(ids) == 0:
         return np.empty((0, 2), dtype=np.int64)
+    # Anything but an integer array int64 holds goes through Python objects, whose
+    # types are checked and whose large values overflow instead of wrapping.
+    if not (isinstance(ids, np.ndarray) and ids.dtype.kind in "iu" and np.can_cast(ids.dtype, np.int64)):
+        ids = np.asarray(ids, dtype=object)
+    if ids.shape != (len(ids), 2):
+        raise ValidationError(f"expected (image, feature) id pairs, got an array of shape {ids.shape}")
+    if ids.dtype == object and not all(map(_is_int_type, set(map(type, ids.flat)))):
+        bad = next(pair for pair in ids.tolist() if not all(_is_int_type(type(v)) for v in pair))
+        raise ValidationError(f"non-integer id {tuple(bad)!r}")
     try:
         out = np.array(ids, dtype=np.int64)
     except OverflowError:
         bad = next(f for f in ids if not all(-_ID_END <= int(v) < _ID_END for v in f))
         raise ValidationError(f"id {tuple(map(int, bad))} does not fit in int64") from None
-    if out.shape != (len(ids), 2):
-        raise ValidationError(f"expected (image, feature) id pairs, got an array of shape {out.shape}")
     negative = (out < 0).any(axis=1)
     if negative.any():
         raise ValidationError(f"negative id {tuple(out[negative][0].tolist())}")
@@ -137,12 +150,10 @@ class FeatureSet:
     per-image bookkeeping.
     """
 
-    def __init__(self, vectors: np.ndarray, ids: Sequence[FeatureId] | np.ndarray, dim: int | None = None):
+    def __init__(self, vectors: np.ndarray, ids: Sequence[FeatureId] | np.ndarray):
         vectors = np.asarray(vectors, dtype=np.float64)  # copied into id order, and contiguous, below
         if vectors.ndim != 2:
             raise ValidationError(f"feature vectors must be an (n, dim) array, got shape {vectors.shape}")
-        if dim is not None and vectors.shape[1] != dim and vectors.size:
-            raise ValidationError(f"expected dimension {dim}, got {vectors.shape[1]}")
         if vectors.shape[0] != len(ids):
             raise ValidationError("vector count does not match id count")
         if vectors.size and not np.all(np.isfinite(vectors)):
@@ -157,7 +168,6 @@ class FeatureSet:
         self._vectors = vectors
         self._id_array = id_array
         self._ids: tuple[FeatureId, ...] | None = None
-        self._dim = int(vectors.shape[1]) if vectors.size or dim is None else int(dim)
         image_ids, slots = np.unique(id_array[:, 0], return_inverse=True)
         self._image_ids = tuple(image_ids.tolist())
         self._image_slots = slots.astype(np.intp, copy=False).reshape(-1)
@@ -192,7 +202,7 @@ class FeatureSet:
 
     @property
     def dim(self) -> int:
-        return self._dim
+        return self._vectors.shape[1]
 
     @property
     def image_ids(self) -> tuple[int, ...]:
@@ -215,7 +225,6 @@ class FeatureSet:
             return NotImplemented
         return (
             np.array_equal(self._id_array, other._id_array)
-            and self._dim == other._dim
             and np.array_equal(self._vectors, other._vectors)
         )
 

@@ -108,9 +108,6 @@ class NetworkLedger:
                 counts["cross_agent"] += n
         return counts, pairs
 
-    def count(self, kind: str) -> int:
-        return self._tally()[0][kind]
-
     def counts(self) -> dict[str, int]:
         """Messages per kind, and ``cross_agent``: those that actually left an
         agent (ingest routing excluded)."""
@@ -209,10 +206,7 @@ def local_cluster(agent: AgentState, fs: FeatureSet, params: MatchParams) -> Age
 
 def compute_boundary(agent: AgentState, fs: FeatureSet, part: Partition) -> AgentState:
     with timed(agent.timings, "boundary_s"):
-        if len(agent.rows0) and part.m > 1:
-            agent.boundary = bisector_distances(fs.vectors[agent.rows0], part.seeds, agent.id)
-        else:
-            agent.boundary = np.full((len(agent.rows0), part.m), np.inf)
+        agent.boundary = bisector_distances(fs.vectors[agent.rows0], part.seeds, agent.id)
     return agent
 
 
@@ -231,7 +225,7 @@ def exchange_boundary_scalars(
         for receiver in range(m):
             if receiver == sender:
                 continue
-            value = float(src.boundary[:, receiver].min()) if len(src.rows0) else math.inf
+            value = float(src.boundary[:, receiver].min(initial=math.inf))
             scalars[receiver, sender] = value
             if ledger is not None:
                 ledger.log(1, "scalar", sender, receiver, value=value)
@@ -270,8 +264,8 @@ def transfer_round(agents: Sequence[AgentState], fs: FeatureSet, ledger: Network
     arrivals by sender index, then by smallest member id.
     """
     for agent in agents:
-        if agent.labels is None or len(agent.rows0) == 0:
-            continue
+        if agent.labels is None:
+            raise ProtocolError(f"agent {agent.id} has no local clusters yet")
         # Each member's cluster head, its smallest row (labels index local rows).
         head = np.full(len(agent.rows0), len(fs))
         np.minimum.at(head, agent.labels, agent.rows0)

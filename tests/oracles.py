@@ -431,7 +431,7 @@ def write_plot_data(out: Path, m: int, fs, run) -> None:
 def for_images(fs: FeatureSet, image_ids: Sequence[int]) -> FeatureSet:
     """Sub-FeatureSet keeping only the given images."""
     keep = np.isin(fs.id_array[:, 0], np.asarray(list(image_ids), dtype=np.int64))
-    return FeatureSet(fs.vectors[keep], fs.id_array[keep], dim=fs.dim)
+    return FeatureSet(fs.vectors[keep], fs.id_array[keep])
 
 
 def baseline_ratio_match(

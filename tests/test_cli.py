@@ -220,6 +220,23 @@ def test_determinism_hash_ignores_input_and_out_paths(command, capsys):
     assert hashes[0] == hashes[1]
 
 
+def test_every_json_file_a_run_writes_is_canonical(capsys):
+    """Clusters, truth, reports, ledger and partition: each one line of canonical JSON."""
+    feat, _ = _generate(["--clusters", "4", "--per-cluster", "3"])
+    assert main(["match", str(feat), "--out", "c.json"]) == 0
+    assert main(["dmatch", str(feat), "--agents", "2", "--out", "d.json"]) == 0
+    capsys.readouterr()
+    written = sorted(path.name for path in Path().glob("*.json"))
+    assert written == [
+        "c.json", "c.json.report.json",
+        "d.json", "d.json.ledger.json", "d.json.partition.json", "d.json.report.json",
+        "features.truth.json",
+    ]
+    for name in written:
+        text = Path(name).read_text()
+        assert text == core.canonical_json(json.loads(text)) + "\n", name
+
+
 def test_dmatch_rejects_bad_agents(capsys):
     feat, _ = _generate()
     assert main(["dmatch", str(feat), "--agents", "0"]) == 1

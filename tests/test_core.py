@@ -88,19 +88,18 @@ _TWO_IDS = [(0, 0), (0, 1)]
 
 
 @pytest.mark.parametrize(
-    "vectors, dim, message",
+    "vectors, message",
     [
-        (np.arange(6.0), None, r"^feature vectors must be an \(n, dim\) array, got shape \(6,\)$"),
-        (np.zeros((2, 2, 2)), None, r"^feature vectors must be an \(n, dim\) array, got shape \(2, 2, 2\)$"),
-        (np.zeros((2, 3)), 2, r"^expected dimension 2, got 3$"),
-        (np.zeros((3, 2)), None, r"^vector count does not match id count$"),
+        (np.arange(6.0), r"^feature vectors must be an \(n, dim\) array, got shape \(6,\)$"),
+        (np.zeros((2, 2, 2)), r"^feature vectors must be an \(n, dim\) array, got shape \(2, 2, 2\)$"),
+        (np.zeros((3, 2)), r"^vector count does not match id count$"),
     ],
-    ids=["flat", "3-d", "dimension", "count"],
+    ids=["flat", "3-d", "count"],
 )
-def test_feature_set_refuses_vectors_of_the_wrong_shape(vectors, dim, message):
+def test_feature_set_refuses_vectors_of_the_wrong_shape(vectors, message):
     # Six values for two ids once became two 3-D vectors, and (n, 2, 2) became (n, 4).
     with pytest.raises(ValidationError, match=message):
-        FeatureSet(vectors, _TWO_IDS, dim=dim)
+        FeatureSet(vectors, _TWO_IDS)
 
 
 def test_feature_set_bounds_coordinates_at_1e150():
@@ -386,9 +385,38 @@ def test_feature_set_keeps_its_rows_in_id_order(tmp_path):
     assert load_features(tmp_path / "shuffled.txt") == in_order
 
 
+@pytest.mark.parametrize(
+    "ids, bad",
+    [
+        ([(0.7, 1), (True, 2)], r"\(0\.7, 1\)"),  # once truncated to (0, 1) and (1, 2)
+        ([(0, 1), (True, 2)], r"\(True, 2\)"),
+        ([[0.5, 1], [0, 1]], r"\(0\.5, 1\)"),  # once a "duplicate (image, feature) id (0, 1)"
+        ([(0, "1"), (0, 2)], r"\(0, '1'\)"),
+        (np.array([[0.0, 1.0], [0.0, 2.0]]), r"\(0\.0, 1\.0\)"),
+        (np.array([[False, True], [True, True]]), r"\(False, True\)"),
+    ],
+    ids=["float", "bool", "float-duplicate", "string", "float-array", "bool-array"],
+)
+def test_feature_set_and_clustering_refuse_ids_that_are_not_integers(ids, bad):
+    with pytest.raises(ValidationError, match=rf"^non-integer id {bad}$"):
+        FeatureSet(np.zeros((2, 2)), ids)
+    with pytest.raises(ValidationError, match=rf"^non-integer id {bad}$"):
+        Clustering([ids])
+    with pytest.raises(ValidationError, match=rf"^non-integer id {bad}$"):
+        Clustering.from_labels(ids, [0, 1])
+
+
+def test_ids_may_be_integers_of_any_numpy_width():
+    fs = FeatureSet(np.zeros((2, 2)), [(np.int64(3), np.uint8(1)), FeatureId(0, 2)])
+    assert fs.id_array.tolist() == [[0, 2], [3, 1]]
+    assert FeatureSet(np.zeros((2, 2)), fs.id_array.astype(np.uint16)) == fs
+
+
 def test_ids_outside_int64_are_rejected_naming_the_source(tmp_path):
     with pytest.raises(ValidationError, match=r"id \(9223372036854775808, 0\) does not fit in int64"):
         FeatureSet(np.zeros((2, 1)), [(0, 0), (2**63, 0)])
+    with pytest.raises(ValidationError, match=r"id \(9223372036854775808, 0\) does not fit in int64"):
+        FeatureSet(np.zeros((1, 1)), np.array([[2**63, 0]], dtype=np.uint64))  # once a "negative id"
     FeatureSet(np.zeros((1, 1)), [(2**63 - 1, 2**63 - 1)])  # the largest id fits
     path = tmp_path / "f.txt"
     path.write_text("9223372036854775807 0 1.0\n0 9223372036854775808 2.0\n")

@@ -69,7 +69,7 @@ def test_route_features_counts_and_disjoint_union():
     part = kmeans_seeds(fs, 4, seed=0)
     ledger = NetworkLedger()
     agents = init_agents(fs, part, ledger)
-    assert ledger.count("route") == 250
+    assert ledger.counts()["route"] == 250
     all_rows = np.concatenate([agent.rows0 for agent in agents])
     assert len(all_rows) == 250
     assert len(set(all_rows.tolist())) == 250
@@ -86,7 +86,7 @@ def test_route_m1_all_local_zero_cross_agent():
     ledger = NetworkLedger()
     (agent,) = init_agents(fs, part, ledger)
     assert agent.rows0.tolist() == list(range(250))
-    assert ledger.count("route") == 250
+    assert ledger.counts()["route"] == 250
     assert ledger.counts()["cross_agent"] == 0
 
 
@@ -142,7 +142,7 @@ def test_scalar_exchange_count_m4():
         compute_boundary(ag, fs, part)
     ledger = NetworkLedger()
     exchange_boundary_scalars(agents, fs, part, ledger)
-    assert ledger.count("scalar") == 12  # m(m-1)
+    assert ledger.counts()["scalar"] == 12  # m(m-1)
 
 
 def test_scalar_single_far_feature():
@@ -166,6 +166,13 @@ def test_scalar_empty_agent_is_infinite():
         compute_boundary(ag, fs, part)
     scalars = exchange_boundary_scalars(agents, fs, part)
     assert math.isinf(scalars[0, 1])
+    # The empty agent's boundary has no rows; detection and transfer pass over it.
+    assert agents[1].boundary.shape == (0, 2)
+    for ag in agents:
+        detect_contested(ag, scalars[ag.id])
+    ledger = NetworkLedger()
+    transfer_round(agents, fs, ledger)
+    assert ledger.counts()["cluster"] == 0
 
 
 def test_scalar_exhaustive_oracle():
@@ -245,6 +252,8 @@ def test_contested_requires_other_agents():
     fs, _ = generate_synthetic(SynthConfig(seed=1))
     run = distributed_quickmatch(fs, 1, QUAD, seed=0)
     assert run.contested_ids.shape == (0, 2)
+    (agent,) = run.agents
+    assert agent.boundary.shape == (len(fs), 1) and np.isinf(agent.boundary).all()
 
 
 # -- transfers ---------------------------------------------------------------------
@@ -272,7 +281,7 @@ def test_no_contested_clusters_no_transfers():
 
     ledger = NetworkLedger()
     transfer_round(agents, fs, ledger)
-    assert ledger.count("cluster") == 0
+    assert ledger.counts()["cluster"] == 0
 
     # fast path: final clustering equals the concatenation of local clusterings
     local_union = Clustering(
@@ -285,6 +294,13 @@ def test_no_contested_clusters_no_transfers():
     ledger.seal()
     final = finalize(agents, fs, QUAD)
     assert canonical_cluster_bytes(final) == canonical_cluster_bytes(local_union)
+
+
+def test_transfer_round_refuses_an_agent_never_clustered():
+    fs, _, _, agents, _ = _bisecting_setup()
+    agents[1].labels = None
+    with pytest.raises(ProtocolError, match=r"^agent 1 has no local clusters yet$"):
+        transfer_round(agents, fs, NetworkLedger())
 
 
 def test_transfer_chains_strictly_decrease():
@@ -338,7 +354,7 @@ def test_split_fragments_converge_to_lowest_involved_agent():
     fs, truth, part, agents, _ = _bisecting_setup()
     ledger = NetworkLedger()
     transfer_round(agents, fs, ledger)
-    assert ledger.count("cluster") > 0
+    assert ledger.counts()["cluster"] > 0
     for msg in json.loads(ledger.to_json())["messages"]:
         if msg["kind"] == "cluster":
             assert msg["to"] == 0  # two agents: everything moves toward agent 0
@@ -430,8 +446,8 @@ def test_m1_pipeline_byte_identical_to_centralized_quadratic():
     run = distributed_quickmatch(fs, 1, QUAD, seed=0)
     central = quickmatch(fs, QUAD)
     assert canonical_cluster_bytes(run.clustering) == canonical_cluster_bytes(central)
-    assert run.ledger.count("cluster") == 0
-    assert run.ledger.count("scalar") == 0
+    assert run.ledger.counts()["cluster"] == 0
+    assert run.ledger.counts()["scalar"] == 0
 
 
 def test_finalize_single_feature_image_uses_agent_bandwidth():

@@ -6,10 +6,13 @@ either.
 
 README's Kernels note states where the scale property stops: a bandwidth
 clamped at ``SIGMA_FLOOR``, and a squared distance outside the normal float
-range. Larger searches with this generator reach both; the 150 examples
-drawn here reach neither."""
+range. Larger searches with this generator reach both. The 150 examples
+drawn here reach neither only for the package's current literals, from
+which hypothesis draws part of its examples; the first limit is pinned
+directly below, as an expected failure."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -73,6 +76,18 @@ def test_power_of_two_units_leave_the_clusters_unchanged(case, k):
     fs, run, m, seed = case
     scaled = FeatureSet(fs.vectors * 2.0**k, fs.id_array)
     assert _cluster_bytes(scaled, run, m, seed) == _cluster_bytes(fs, run, m, seed)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="image 0's bandwidth is clamped to the absolute SIGMA_FLOOR, which does not scale "
+    "with the data; a relative floor (ROADMAP item 6) lifts this limit",
+)
+@pytest.mark.parametrize("run", ["match-gaussian", "match-quadratic"])
+def test_scaling_keeps_the_clusters_of_features_closer_than_the_sigma_floor(run):
+    fs = FeatureSet(np.array([[0.0], [0.0], [1e-12]]), [(0, 0), (0, 1), (1, 0)])
+    scaled = FeatureSet(fs.vectors * 2.0, fs.id_array)
+    assert _cluster_bytes(scaled, run, 1, 0) == _cluster_bytes(fs, run, 1, 0)
 
 
 def test_density_sums_do_not_follow_the_row_order():

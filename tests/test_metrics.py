@@ -92,6 +92,17 @@ def test_split_quality_rejects_uncovered_features():
         split_quality(Clustering([[FeatureId(5, 5)]]), part)
 
 
+def test_split_quality_refuses_contested_ids_that_are_not_integers():
+    ids = (FeatureId(0, 0), FeatureId(0, 1))
+    part = _partition_by_map(ids, {ids[0]: 0, ids[1]: 0}, 1)
+    clustering = Clustering([ids])
+    assert split_quality(clustering, part, contested=[(0, 1)]).detected_contested_count == 1
+    with pytest.raises(ValidationError, match=r"^non-integer id \(0, 1\.0\)$"):
+        split_quality(clustering, part, contested=[(0, 1.0)])  # once counted as (0, 1)
+    with pytest.raises(ValidationError, match=r"^non-integer id \(0, True\)$"):
+        split_quality(clustering, part, contested=np.array([[0, True]], dtype=object))
+
+
 # Ids drawn from a few small values and the top of int64.
 _ID_VALUES = st.sampled_from([0, 1, 2, 2**63 - 2, 2**63 - 1])
 
