@@ -27,11 +27,11 @@ from .core import (
     InputError,
     ProtocolError,
     _find_rows,
+    _id_array,
     canonical_cluster_bytes,
     canonical_json,
     load_clustering,
     load_features,
-    read_ids,
     read_input,
     save_clustering,
     save_features,
@@ -269,8 +269,8 @@ def _load_contested(path: str) -> np.ndarray:
     def convert(payload: Any) -> np.ndarray:
         ids = payload.get("contested_ids") if isinstance(payload, dict) else payload
         if ids is None:
-            raise InputError(f"{path}: no contested_ids field")
-        return read_ids(path, ids)
+            raise InputError("no contested_ids field")
+        return _id_array(ids)
 
     return read_input(path, convert)
 

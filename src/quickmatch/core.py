@@ -75,18 +75,20 @@ def _is_int_type(kind: type) -> bool:
     return issubclass(kind, numbers.Integral) and not issubclass(kind, bool)
 
 
-def _id_array(ids: Sequence[FeatureId] | np.ndarray) -> np.ndarray:
-    """``ids`` as a new ``(n, 2)`` int64 array. An id outside [0, 2**63), or
-    one that is not an integer (a float, bool or string: never truncated or
-    coerced), raises ValidationError."""
+def _id_array(ids: Sequence[Sequence[int]] | np.ndarray, width: int = 2) -> np.ndarray:
+    """``ids`` as a new ``(n, width)`` int64 array: (image, feature) pairs or,
+    with ``width=3``, a partition's (image, feature, agent) rows. Every id the
+    package takes in, from an array, a Python list or a JSON file, is checked
+    here. An id outside [0, 2**63), or one that is not an integer (a float,
+    bool or string: never truncated or coerced), raises ValidationError."""
     if len(ids) == 0:
-        return np.empty((0, 2), dtype=np.int64)
+        return np.empty((0, width), dtype=np.int64)
     # Anything but an integer array int64 holds goes through Python objects, whose
     # types are checked and whose large values overflow instead of wrapping.
     if not (isinstance(ids, np.ndarray) and ids.dtype.kind in "iu" and np.can_cast(ids.dtype, np.int64)):
         ids = np.asarray(ids, dtype=object)
-    if ids.shape != (len(ids), 2):
-        raise ValidationError(f"expected (image, feature) id pairs, got an array of shape {ids.shape}")
+    if ids.shape != (len(ids), width):
+        raise ValidationError(f"expected rows of {width} ids, got an array of shape {ids.shape}")
     if ids.dtype == object and not all(map(_is_int_type, set(map(type, ids.flat)))):
         bad = next(pair for pair in ids.tolist() if not all(_is_int_type(type(v)) for v in pair))
         raise ValidationError(f"non-integer id {tuple(bad)!r}")
@@ -430,7 +432,8 @@ def read_input(path: str | Path, convert: Callable[[Any], T] | None = None) -> s
     A file that cannot be read or decoded raises InputError. With
     ``convert``, the text is parsed as JSON and the payload passed through
     ``convert``; malformed JSON or a payload of the wrong shape raises
-    ParseError. Input errors raised by ``convert`` itself pass unchanged.
+    ParseError, and an InputError from ``convert`` is raised again with
+    ``path`` in front of its message.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -444,31 +447,10 @@ def read_input(path: str | Path, convert: Callable[[Any], T] | None = None) -> s
         return convert(json.loads(text))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from None
-    except InputError:
-        raise
+    except InputError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: unexpected payload ({type(exc).__name__}: {exc})") from None
-
-
-def read_ids(path: str | Path, rows: Any, width: int = 2) -> np.ndarray:
-    """Check JSON rows of ``width`` ids (image, feature and, in a partition,
-    agent) and return them as an ``(n, width)`` int64 array. Each id must be
-    an int in [0, 2**63): a float, bool or string raises ParseError naming
-    ``path``, never truncated or coerced, and so does an id int64 cannot hold."""
-    ids = None
-    if (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}
-            and set(map(type, chain.from_iterable(rows))) <= {int}):
-        try:
-            ids = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=width * len(rows)).reshape(-1, width)
-        except OverflowError:
-            pass
-    if ids is None or (ids < 0).any():
-        bad = next(
-            r for r in rows
-            if type(r) is not list or len(r) != width or any(type(v) is not int or not 0 <= v < _ID_END for v in r)
-        )
-        raise ParseError(f"{path}: expected {width} integer ids in [0, 2**63), got {bad!r}")
-    return ids
 
 
 # -- descriptor text format ---------------------------------------------------
@@ -572,18 +554,15 @@ def load_clustering(path: str | Path) -> Clustering:
 
     def convert(payload: Any) -> Clustering:
         if not isinstance(payload, dict) or "clusters" not in payload:
-            raise ParseError(f"{path}: missing `clusters` key")
+            raise ParseError("missing `clusters` key")
         meta = payload.get("meta", {})
         if not isinstance(meta, dict):
-            raise ParseError(f"{path}: `meta` must be an object")
+            raise ParseError("`meta` must be an object")
         clusters = payload["clusters"]
-        ids = read_ids(path, list(chain.from_iterable(clusters)))
         sizes = list(map(len, clusters))
         if 0 in sizes:
-            raise ValidationError(f"{path}: empty cluster")
-        try:
-            return Clustering.from_labels(ids, np.repeat(np.arange(len(sizes)), sizes), meta)
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: {exc}") from None
+            raise ValidationError("empty cluster")
+        # One flat id list: Clustering() would first copy each cluster's list, which costs more.
+        return Clustering.from_labels(list(chain.from_iterable(clusters)), np.repeat(np.arange(len(sizes)), sizes), meta)
 
     return read_input(path, convert)

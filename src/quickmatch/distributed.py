@@ -4,7 +4,7 @@ Agents are isolated state machines; everything that would cross the wire is
 logged in a :class:`NetworkLedger`. The pipeline follows five phases:
 
 1. route every feature to the agent owning its Voronoi region,
-2. per-agent clustering with the finite quadratic kernel,
+2. per-agent clustering with the run's kernel (quadratic by default),
 3. exchange of one boundary scalar per ordered agent pair,
 4. contested-feature detection and the decreasing-index cluster transfer
    protocol,
@@ -172,14 +172,15 @@ class AgentState:
         return np.sort(out.astype(np.intp))
 
 
-def init_agents(fs: FeatureSet, part: Partition, ledger: NetworkLedger | None = None) -> list[AgentState]:
+def init_agents(fs: FeatureSet, part: Partition, ledger: NetworkLedger) -> list[AgentState]:
     """Deliver every feature to the agent owning its region, one route message
     per feature, and stand up one AgentState per region, rows ascending."""
+    if ledger is None:
+        raise ProtocolError("routing needs a ledger to log its messages")
     if not np.array_equal(part.ids, fs.id_array):
         raise InputError("partition was built over a different feature set")
-    if ledger is not None:
-        for fid, agent in zip(fs.id_array.tolist(), part.assignment.tolist()):
-            ledger.log(0, "route", INGEST, agent, [fid])
+    for fid, agent in zip(fs.id_array.tolist(), part.assignment.tolist()):
+        ledger.log(0, "route", INGEST, agent, [fid])
     rows = [np.flatnonzero(part.assignment == a).astype(np.intp) for a in range(part.m)]
     return [AgentState(a, r, np.ones(len(r), dtype=bool)) for a, r in enumerate(rows)]
 
@@ -211,11 +212,13 @@ def compute_boundary(agent: AgentState, fs: FeatureSet, part: Partition) -> Agen
 
 
 def exchange_boundary_scalars(
-    agents: Sequence[AgentState], fs: FeatureSet, part: Partition, ledger: NetworkLedger | None = None
+    agents: Sequence[AgentState], fs: FeatureSet, part: Partition, ledger: NetworkLedger
 ) -> np.ndarray:
     """All-pairs boundary scalars: entry [a, a'] is the minimum distance from
     any feature of a' to the a/a' bisector (+inf if a' holds no features).
     Exactly m(m-1) scalar messages are logged."""
+    if ledger is None:
+        raise ProtocolError("the boundary exchange needs a ledger to log its messages")
     m = part.m
     scalars = np.full((m, m), np.inf)
     for sender in range(m):
@@ -227,8 +230,7 @@ def exchange_boundary_scalars(
                 continue
             value = float(src.boundary[:, receiver].min(initial=math.inf))
             scalars[receiver, sender] = value
-            if ledger is not None:
-                ledger.log(1, "scalar", sender, receiver, value=value)
+            ledger.log(1, "scalar", sender, receiver, value=value)
     return scalars
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .core import FeatureSet, InputError, ProtocolError, _id_array, _unique_order, canonical_json
-from .core import read_ids, read_input, seeded_rng
+from .core import read_input, seeded_rng
 
 __all__ = [
     "Partition",
@@ -90,12 +90,9 @@ class Partition:
     def load(cls, path: str | Path) -> "Partition":
         """Read a partition file, naming ``path`` in every error."""
         def convert(payload: dict) -> Partition:
-            rows = read_ids(path, payload["assignment"], 3)
-            try:
-                return cls(np.array(payload["seeds"], dtype=np.float64), rows[:, 2], rows[:, :2],
-                           payload.get("method", "explicit"), payload.get("seed"))
-            except InputError as exc:
-                raise type(exc)(f"{path}: {exc}") from None
+            rows = _id_array(payload["assignment"], 3)
+            return cls(np.array(payload["seeds"], dtype=np.float64), rows[:, 2], rows[:, :2],
+                       payload.get("method", "explicit"), payload.get("seed"))
 
         return read_input(path, convert)
 

@@ -129,11 +129,11 @@ def test_criterion_4_brute_force_oracles():
 
             m = int(rng.integers(2, 6))
             part = kmeans_seeds(fs, m, seed=seed)
-            agents = init_agents(fs, part)
+            agents = init_agents(fs, part, NetworkLedger())
             for ag in agents:
                 local_cluster(ag, fs, QUAD)
                 compute_boundary(ag, fs, part)
-            got_scalars = exchange_boundary_scalars(agents, fs, part)
+            got_scalars = exchange_boundary_scalars(agents, fs, part, NetworkLedger())
             want_scalars = oracles.boundary_scalars(fs, part.seeds, part.assignment)
             np.testing.assert_allclose(got_scalars, want_scalars, rtol=0, atol=1e-12)
 
@@ -187,11 +187,11 @@ def test_criterion_6_contested_detection_recall():
         # bisector along x=5 cuts the five blobs of that grid column
         seeds = np.array([[4.0, 5.0], [6.0, 5.0]])
         part = Partition(seeds, assign_to_seeds(fs.vectors, seeds), fs.ids)
-        agents = init_agents(fs, part)
+        agents = init_agents(fs, part, NetworkLedger())
         for ag in agents:
             local_cluster(ag, fs, QUAD)
             compute_boundary(ag, fs, part)
-        scalars = exchange_boundary_scalars(agents, fs, part)
+        scalars = exchange_boundary_scalars(agents, fs, part, NetworkLedger())
         detected = set()
         for ag in agents:
             flagged = detect_contested(ag, scalars[ag.id])  # default conservative mode

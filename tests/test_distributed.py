@@ -39,7 +39,7 @@ QUAD = MatchParams(kernel=Kernel.QUADRATIC)
 
 
 def _agents_for(fs, part):
-    return init_agents(fs, part)
+    return init_agents(fs, part, NetworkLedger())
 
 
 def _explicit_partition(fs, seeds):
@@ -55,7 +55,7 @@ def _bisecting_setup():
     for ag in agents:
         local_cluster(ag, fs, QUAD)
         compute_boundary(ag, fs, part)
-    scalars = exchange_boundary_scalars(agents, fs, part)
+    scalars = exchange_boundary_scalars(agents, fs, part, NetworkLedger())
     for ag in agents:
         detect_contested(ag, scalars[ag.id])
     return fs, truth, part, agents, scalars
@@ -88,6 +88,18 @@ def test_route_m1_all_local_zero_cross_agent():
     assert agent.rows0.tolist() == list(range(250))
     assert ledger.counts()["route"] == 250
     assert ledger.counts()["cross_agent"] == 0
+
+
+def test_routing_and_boundary_exchange_refuse_to_run_unlogged():
+    fs, _ = generate_synthetic(SynthConfig())
+    part = kmeans_seeds(fs, 2, seed=0)
+    with pytest.raises(ProtocolError, match="^routing needs a ledger"):
+        init_agents(fs, part, None)
+    agents = _agents_for(fs, part)
+    for ag in agents:
+        compute_boundary(ag, fs, part)
+    with pytest.raises(ProtocolError, match="^the boundary exchange needs a ledger"):
+        exchange_boundary_scalars(agents, fs, part, None)
 
 
 # -- local clustering ------------------------------------------------------------
@@ -152,7 +164,7 @@ def test_scalar_single_far_feature():
     for ag in agents:
         local_cluster(ag, fs, QUAD)
         compute_boundary(ag, fs, part)
-    scalars = exchange_boundary_scalars(agents, fs, part)
+    scalars = exchange_boundary_scalars(agents, fs, part, NetworkLedger())
     assert scalars[0, 1] == pytest.approx(3.0)  # agent 1's feature at 4.0 vs boundary 1.0
     assert scalars[1, 0] == pytest.approx(2.0)
 
@@ -164,7 +176,7 @@ def test_scalar_empty_agent_is_infinite():
     for ag in agents:
         local_cluster(ag, fs, QUAD)
         compute_boundary(ag, fs, part)
-    scalars = exchange_boundary_scalars(agents, fs, part)
+    scalars = exchange_boundary_scalars(agents, fs, part, NetworkLedger())
     assert math.isinf(scalars[0, 1])
     # The empty agent's boundary has no rows; detection and transfer pass over it.
     assert agents[1].boundary.shape == (0, 2)
@@ -182,7 +194,7 @@ def test_scalar_exhaustive_oracle():
     for ag in agents:
         local_cluster(ag, fs, QUAD)
         compute_boundary(ag, fs, part)
-    got = exchange_boundary_scalars(agents, fs, part)
+    got = exchange_boundary_scalars(agents, fs, part, NetworkLedger())
     want = oracles.boundary_scalars(fs, part.seeds, part.assignment)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
@@ -274,7 +286,7 @@ def test_no_contested_clusters_no_transfers():
     for ag in agents:
         local_cluster(ag, fs, QUAD)
         compute_boundary(ag, fs, part)
-    scalars = exchange_boundary_scalars(agents, fs, part)
+    scalars = exchange_boundary_scalars(agents, fs, part, NetworkLedger())
     for ag in agents:
         detect_contested(ag, scalars[ag.id])
     assert all((ag.trigger == len(agents)).all() for ag in agents)

@@ -78,6 +78,18 @@ def test_power_of_two_units_leave_the_clusters_unchanged(case, k):
     assert _cluster_bytes(scaled, run, m, seed) == _cluster_bytes(fs, run, m, seed)
 
 
+@settings(max_examples=150, database=None, deadline=None, derandomize=True)
+@given(oracles.small_feature_sets(), st.sampled_from(list(Kernel)), st.sampled_from(("kmeans", "random")),
+       st.integers(0, 3))
+def test_one_agent_gives_the_centralized_clusters(fs, kernel, seeding, seed):
+    """README's `--agents 1` contract: when every image has at least two
+    features, one agent's clusters are `match`'s, byte for byte."""
+    assume(np.bincount(fs.image_slots).min() >= 2)
+    params = MatchParams(kernel=kernel)
+    run = distributed_quickmatch(fs, 1, params, seed=seed, seeding=seeding)
+    assert canonical_cluster_bytes(run.clustering) == canonical_cluster_bytes(quickmatch(fs, params))
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="image 0's bandwidth is clamped to the absolute SIGMA_FLOOR, which does not scale "
