@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -252,14 +252,18 @@ class Clustering:
     member id, cluster after cluster, and cluster ``c`` is rows
     ``offsets[c]:offsets[c + 1]`` of it. ``clusters`` gives the same content
     as tuples of :class:`FeatureId`, built on first use. ``meta`` records
-    which algorithm and parameters produced it.
+    which algorithm and parameters produced it. The constructor takes member
+    sequences as a clustering file holds them (anything with a length) and
+    reads each once without copying it; :func:`load_clustering` builds
+    through it.
     """
 
-    def __init__(self, clusters: Iterable[Iterable[FeatureId]], meta: Mapping[str, Any] | None = None):
-        groups = [list(members) for members in clusters]
-        if not all(groups):
+    def __init__(self, clusters: Iterable[Collection[FeatureId]], meta: Mapping[str, Any] | None = None):
+        groups = list(clusters)  # references to the member sequences, which are not copied
+        sizes = list(map(len, groups))
+        if 0 in sizes:
             raise ValidationError("empty cluster")
-        labels = np.repeat(np.arange(len(groups)), list(map(len, groups)))
+        labels = np.repeat(np.arange(len(sizes)), sizes)
         self._canonicalize(_id_array(list(chain.from_iterable(groups))), labels, meta)
 
     @classmethod
@@ -548,9 +552,9 @@ def save_clustering(clustering: Clustering, path: str | Path, source: FeatureSet
 
 
 def load_clustering(path: str | Path) -> Clustering:
-    """Read a clustering file, naming ``path`` in any error, the
-    :class:`Clustering` constructor's included (a feature listed twice). C2
-    and cover are left to :func:`validate_clustering`."""
+    """Read a clustering file through the :class:`Clustering` constructor,
+    naming ``path`` in any error, the constructor's included (a feature
+    listed twice). C2 and cover are left to :func:`validate_clustering`."""
 
     def convert(payload: Any) -> Clustering:
         if not isinstance(payload, dict) or "clusters" not in payload:
@@ -558,11 +562,6 @@ def load_clustering(path: str | Path) -> Clustering:
         meta = payload.get("meta", {})
         if not isinstance(meta, dict):
             raise ParseError("`meta` must be an object")
-        clusters = payload["clusters"]
-        sizes = list(map(len, clusters))
-        if 0 in sizes:
-            raise ValidationError("empty cluster")
-        # One flat id list: Clustering() would first copy each cluster's list, which costs more.
-        return Clustering.from_labels(list(chain.from_iterable(clusters)), np.repeat(np.arange(len(sizes)), sizes), meta)
+        return Clustering(payload["clusters"], meta)
 
     return read_input(path, convert)

@@ -167,9 +167,8 @@ class AgentState:
     final_cluster_count: int = 0
 
     def final_rows(self) -> np.ndarray:
-        parts = [self.rows0[self.kept]] + list(self.adopted)
-        out = np.concatenate(parts) if parts else np.empty(0, dtype=np.intp)
-        return np.sort(out.astype(np.intp))
+        parts = [self.rows0[self.kept], *self.adopted]
+        return np.sort(np.concatenate(parts).astype(np.intp))
 
 
 def init_agents(fs: FeatureSet, part: Partition, ledger: NetworkLedger) -> list[AgentState]:
@@ -265,6 +264,8 @@ def transfer_round(agents: Sequence[AgentState], fs: FeatureSet, ledger: Network
     sent. Agents send in index order, so each agent's ``adopted`` lists its
     arrivals by sender index, then by smallest member id.
     """
+    if ledger is None:
+        raise ProtocolError("the cluster transfer needs a ledger to log its messages")
     for agent in agents:
         if agent.labels is None:
             raise ProtocolError(f"agent {agent.id} has no local clusters yet")
@@ -334,8 +335,6 @@ def distributed_quickmatch(
     """Full distributed pipeline; deterministic for (input, m, params, seed)."""
     if params is None:
         params = MatchParams(kernel=Kernel.QUADRATIC)
-    if m < 1:
-        raise InputError(f"agent count must be >= 1, got {m}")
     if len(fs) == 0:
         raise InputError("empty feature set")
     if seeding not in ("kmeans", "random"):

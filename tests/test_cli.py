@@ -240,7 +240,7 @@ def test_every_json_file_a_run_writes_is_canonical(capsys):
 def test_dmatch_rejects_bad_agents(capsys):
     feat, _ = _generate()
     assert main(["dmatch", str(feat), "--agents", "0"]) == 1
-    capsys.readouterr()
+    assert capsys.readouterr().err == "error: agent count must be >= 1, got 0\n"
 
 
 def test_eval_compare_identical(capsys):

@@ -1,4 +1,5 @@
 import ast
+import json
 import math
 import re
 import tempfile
@@ -262,8 +263,9 @@ def test_empty_cluster_rejected():
         Clustering([[]])
 
 
-def test_clustering_from_labels_matches_the_tuple_constructor_and_the_reference():
+def test_clustering_from_labels_matches_the_tuple_constructor_and_the_reference(tmp_path):
     rng = np.random.default_rng(21)
+    path = tmp_path / "c.json"
     for _ in range(40):
         n = int(rng.integers(0, 60))
         images = rng.choice([0, 3, 17, 2**40, 2**63 - 1], size=n)
@@ -275,20 +277,27 @@ def test_clustering_from_labels_matches_the_tuple_constructor_and_the_reference(
         for fid, label in zip(map(tuple, ids.tolist()), labels.tolist()):
             groups.setdefault(label, []).append(fid)
         want = oracles.canonical_clusters(groups.values())
-        for clustering in (Clustering.from_labels(ids, labels, {"k": 1}), Clustering(groups.values(), {"k": 1})):
+        path.write_text(json.dumps({"clusters": list(groups.values()), "meta": {"k": 1}}))
+        built = (Clustering.from_labels(ids, labels, {"k": 1}), Clustering(groups.values(), {"k": 1}), load_clustering(path))
+        for clustering in built:
             assert clustering.clusters == want
             assert all(type(fid) is FeatureId for members in clustering.clusters for fid in members)
             assert canonical_cluster_bytes(clustering) == oracles.canonical_cluster_bytes(want)
             assert len(clustering) == len(want)
-        assert Clustering.from_labels(ids, labels, {"k": 1}) == Clustering(groups.values(), {"k": 1})
+        assert built[0] == built[1] == built[2]
 
 
-def test_clustering_rejects_a_repeated_feature():
+def test_clustering_rejects_a_repeated_feature(tmp_path):
     groups = [[(1, 0), (0, 0)], [(0, 0)], [(2, 0), (0, 0)]]
     ids = np.array([fid for members in groups for fid in members])
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"clusters": groups}))
+    message = r"feature \(0, 0\) appears in two clusters \(C1\)$"
     for build in (lambda: Clustering(groups), lambda: Clustering.from_labels(ids, np.repeat([5, 1, 3], [2, 1, 2]))):
-        with pytest.raises(ValidationError, match=r"^feature \(0, 0\) appears in two clusters \(C1\)$"):
+        with pytest.raises(ValidationError, match="^" + message):
             build()
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: {message}"):
+        load_clustering(path)
 
 
 _FAULT_KINDS = ("(C2)", "two clusters", "one cluster", "missing", "not in the source")

@@ -100,6 +100,21 @@ def test_routing_and_boundary_exchange_refuse_to_run_unlogged():
         compute_boundary(ag, fs, part)
     with pytest.raises(ProtocolError, match="^the boundary exchange needs a ledger"):
         exchange_boundary_scalars(agents, fs, part, None)
+    for m in (1, 4):
+        part = kmeans_seeds(fs, m, seed=0)
+        agents = _agents_for(fs, part)
+        for ag in agents:
+            local_cluster(ag, fs, QUAD)
+            compute_boundary(ag, fs, part)
+        scalars = exchange_boundary_scalars(agents, fs, part, NetworkLedger())
+        for ag in agents:
+            detect_contested(ag, scalars[ag.id])
+        with pytest.raises(ProtocolError, match="^the cluster transfer needs a ledger"):
+            transfer_round(agents, fs, None)
+        assert all(ag.kept.all() and ag.adopted == [] for ag in agents)
+        ledger = NetworkLedger()
+        transfer_round(agents, fs, ledger)
+        assert (ledger.counts()["cluster"] > 0) == (m == 4)  # at m = 4 the refused call had clusters to send
 
 
 # -- local clustering ------------------------------------------------------------
@@ -547,7 +562,8 @@ def test_per_agent_stats_schema():
 
 def test_input_validation():
     fs, _ = generate_synthetic(SynthConfig(n_clusters=4, per_cluster=3))
-    with pytest.raises(InputError):
-        distributed_quickmatch(fs, 0, QUAD)
+    for seeding in ("kmeans", "random"):
+        with pytest.raises(InputError, match=r"^agent count must be >= 1, got 0$"):
+            distributed_quickmatch(fs, 0, QUAD, seeding=seeding)
     with pytest.raises(InputError):
         distributed_quickmatch(fs, 2, QUAD, seeding="voronoi")
