@@ -5,7 +5,11 @@ density-ascent tree, and the merge-or-break loop.
 one pipeline behind `quickmatch` and behind every agent's local and final
 clustering in the distributed harness. The tree reads only the density's
 order, which `density_order` takes for the Gaussian from BLAS distance tiles
-under a proven error bound. The public step functions
+under a proven error bound. With the quadratic kernel the density's own
+pairs within the smallest bandwidth settle most parents, and only the rest
+go to the kd-tree search. The merge settles each component of short edges
+whose rows come from distinct images as one cluster, and runs the
+union-find loop over the other components only. The public step functions
 (`compute_distinctiveness` ... `break_and_merge`) expose the same stages one
 at a time over a whole FeatureSet; `compute_density` gives the exact values.
 """
@@ -155,22 +159,41 @@ def density_values(
     n = len(vectors)
     sig_cols = sigma[image_slots]
     if kernel == Kernel.QUADRATIC:
-        # A column only reaches rows within its own image's bandwidth, and one
-        # image's features lie at least that far apart, so in low dimensions
-        # each row meets a bounded number of every image's features.
-        tree = cKDTree(vectors)
-        rows, cols = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
-        for members in label_groups(image_slots):
-            radius = float(sigma[image_slots[members[0]]]) * (1 + _SLACK)
-            near = cKDTree(vectors[members]).sparse_distance_matrix(tree, radius, output_type="ndarray")
-            rows.append(near["j"])
-            cols.append(members[near["i"]])
-        rows, cols = np.concatenate(rows), np.concatenate(cols)
-        order = np.argsort(rows * n + cols)
-        rows, cols = rows[order], cols[order]
-        h = kernel_values(kernel, pair_distances(vectors, rows, cols), sig_cols[cols])
-        return np.bincount(rows, weights=h, minlength=n)
+        return _pair_sums(n, *_quadratic_pairs(vectors, image_slots, sigma), sig_cols)
     return _tiled_sums(n, lambda a, b, out: cdist(vectors[a], vectors[b], out=out), _gaussian_terms(sig_cols))
+
+
+def _quadratic_pairs(
+    vectors: np.ndarray, image_slots: np.ndarray, sigma: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every (row, col) pair within the column's image bandwidth, sorted by
+    row then column, with its ``pair_distances`` distance: all the pairs
+    whose quadratic kernel term is not zero.
+
+    A column only reaches rows within its own image's bandwidth, and one
+    image's features lie at least that far apart, so in low dimensions each
+    row meets a bounded number of every image's features. The kd radius
+    carries _SLACK, so every pair within the bandwidth under the exact
+    formula is found, some just beyond it too.
+    """
+    n = len(vectors)
+    tree = cKDTree(vectors)
+    rows, cols = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
+    for members in label_groups(image_slots):
+        radius = float(sigma[image_slots[members[0]]]) * (1 + _SLACK)
+        near = cKDTree(vectors[members]).sparse_distance_matrix(tree, radius, output_type="ndarray")
+        rows.append(near["j"])
+        cols.append(members[near["i"]])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    order = np.argsort(rows * n + cols)
+    rows, cols = rows[order], cols[order]
+    return rows, cols, pair_distances(vectors, rows, cols)
+
+
+def _pair_sums(n: int, rows: np.ndarray, cols: np.ndarray, d: np.ndarray, sig_cols: np.ndarray) -> np.ndarray:
+    """The quadratic density over :func:`_quadratic_pairs`' pairs: each row
+    adds its terms in ascending column order."""
+    return np.bincount(rows, weights=kernel_values(Kernel.QUADRATIC, d, sig_cols[cols]), minlength=n)
 
 
 def _gaussian_terms(sig_cols: np.ndarray) -> Callable[[np.ndarray, slice], np.ndarray]:
@@ -348,7 +371,11 @@ def compute_density(fs: FeatureSet, sigma: np.ndarray, kernel: Kernel = Kernel.G
     return density_values(fs.vectors, fs.image_slots, sigma, kernel)
 
 
-def tree_arrays(vectors: np.ndarray, by_rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def tree_arrays(
+    vectors: np.ndarray,
+    by_rank: np.ndarray,
+    near: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Parent row and edge length per feature, given the rows in ascending
     stable density order (:func:`density_order`).
 
@@ -360,15 +387,39 @@ def tree_arrays(vectors: np.ndarray, by_rank: np.ndarray) -> tuple[np.ndarray, n
     candidate distances resolve to the lowest row. Rows in id order, as a
     FeatureSet keeps them, make both tie-breaks go by feature id.
 
-    Each row first looks among its k nearest neighbours (kd-tree), k doubling
-    from 16 to 256 while the row has no denser neighbour nearer than the k-th;
-    the rows left, mainly the modes, scan every denser feature exactly.
+    ``near`` is an optional ``(rows, cols, d)`` pair list, sorted by row then
+    column, that holds for some reach every pair whose ``pair_distances``
+    distance ``d`` is within it, and no other. A row with a strictly denser
+    column among its pairs takes the nearest, the lowest column on ties:
+    every feature at most that far is within the reach, so it is the row's
+    parent over all features.
+
+    The other rows first look among their k nearest neighbours (kd-tree), k
+    doubling from 16 to 256 while the row has no denser neighbour nearer
+    than the k-th; the rows left, mainly the modes, scan every denser
+    feature exactly.
     """
     n = len(vectors)
     parent = np.full(n, -1, dtype=np.intp)
     edge = np.full(n, np.nan)
     rank = np.empty(n, dtype=np.intp)
     rank[by_rank] = np.arange(n)
+    todo = np.arange(n)
+    if near is not None:
+        rows, cols, d = near
+        # An infinite distance makes no edge, as in settle below.
+        denser = (rank[cols] > rank[rows]) & (d < math.inf)
+        rows, cols, d = rows[denser], cols[denser], d[denser]
+        # Per row, the smallest distance; the first pair at it, in column
+        # order, has the lowest column.
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        best = np.minimum.reduceat(d, starts)
+        at_best = d == np.repeat(best, np.diff(starts, append=len(d)))
+        rows, cols = rows[at_best], cols[at_best]
+        first = np.flatnonzero(np.diff(rows, prepend=-1))
+        parent[rows[first]] = cols[first]
+        edge[rows[first]] = best
+        todo = np.flatnonzero(parent < 0)
 
     def settle(rows: np.ndarray, cand: np.ndarray, d: np.ndarray) -> np.ndarray:
         """Record each row's parent among its candidate columns; returns the best distances."""
@@ -381,7 +432,6 @@ def tree_arrays(vectors: np.ndarray, by_rank: np.ndarray) -> tuple[np.ndarray, n
         return best
 
     tree = cKDTree(vectors)
-    todo = np.arange(n)
     k = _K0
     while len(todo) and k <= _K_MAX:
         kk = min(k, n)
@@ -419,15 +469,65 @@ def merge_labels(
     sigma: np.ndarray,
     rho: float,
 ) -> np.ndarray:
-    """Union-find merge loop over tree edges in ascending length order.
+    """Each row's cluster label, the smallest row of its cluster, from the
+    merge-or-break loop over tree edges in ascending length order.
 
     Starting from singletons, an edge joins its endpoint clusters iff their
     image sets are disjoint and the edge is no longer than rho times the
     smallest per-image sigma among the images present in either cluster.
     Equal-length edges are processed in lowest-child-row order.
+
+    Most of the loop's decisions are array facts. An edge longer than rho
+    times the largest sigma never joins, so it is dropped, and the loop never
+    joins across the components of the edges left. A component whose rows
+    come from distinct images and whose longest edge is within rho times its
+    smallest sigma accepts every edge, in any order, since each threshold is
+    at least that: it is one cluster. Only the other components go through
+    the loop (:func:`_merge_loop`), with their edges in the same order.
     """
     n = len(parent)
-    uf = list(range(n))
+    rows = np.arange(n)
+    # Each row's image threshold. Rounding is monotone, so the loop's rho *
+    # min(sigmas) is the least of its images' thresholds.
+    threshold = rho * sigma[image_slots]
+    children = np.flatnonzero(parent >= 0)
+    # fmax skips the NaN of rho = 0 times an infinite sigma, which joins nothing.
+    children = children[edge_length[children] <= np.fmax.reduce(threshold, initial=-math.inf)]
+    # Each row's component root, by pointer jumping up the edges left.
+    up = rows.copy()
+    up[children] = parent[children]
+    while not np.array_equal(jump := up[up], up):
+        up = jump
+    # A component is dirty if two of its rows share an image, or if its
+    # longest edge exceeds its smallest threshold (NaN included).
+    dirty = np.zeros(n, dtype=bool)
+    key = np.sort(up * len(sigma) + image_slots)
+    dirty[key[1:][key[1:] == key[:-1]] // len(sigma)] = True
+    longest = np.full(n, -math.inf)
+    np.maximum.at(longest, up[children], edge_length[children])
+    lowest = np.full(n, math.inf)
+    np.minimum.at(lowest, up, threshold)
+    dirty |= ~(longest <= lowest)
+
+    # The dirty components' rows, compacted, and their edges in the loop's order.
+    loop_rows = np.flatnonzero(dirty[up])
+    local = np.empty(n, dtype=np.intp)
+    local[loop_rows] = np.arange(len(loop_rows))
+    kids = children[dirty[up[children]]]
+    kids = kids[np.argsort(edge_length[kids], kind="stable")]
+    up[loop_rows] = loop_rows[_merge_loop(local[kids], local[parent[kids]], edge_length[kids],
+                                          image_slots[loop_rows], sigma, rho)]
+    labels = np.full(n, n, dtype=np.intp)
+    np.minimum.at(labels, up, rows)
+    return labels[up]
+
+
+def _merge_loop(
+    children: np.ndarray, parents: np.ndarray, lengths: np.ndarray, slots: np.ndarray, sigma: np.ndarray, rho: float
+) -> np.ndarray:
+    """:func:`merge_labels`' union-find loop over rows ``0 .. len(slots) - 1``
+    and the given edges, in the order given; returns each row's root."""
+    uf = list(range(len(slots)))
 
     def find(x: int) -> int:
         root = x
@@ -439,20 +539,15 @@ def merge_labels(
 
     # Plain Python values: the loop runs once per tree edge, and indexing
     # numpy arrays element by element costs more than the work itself.
-    slots, sig = image_slots.tolist(), sigma.tolist()
+    slots, sig = slots.tolist(), sigma.tolist()
     images = [{s} for s in slots]  # per cluster root
     min_sigma = [sig[s] for s in slots]
-    par, length = parent.tolist(), edge_length.tolist()
-
-    children = np.flatnonzero(parent >= 0)
-    order = children[np.argsort(edge_length[children], kind="stable")]
-    for child in order.tolist():
-        a, b = find(child), find(par[child])
+    for child, par, length in zip(children.tolist(), parents.tolist(), lengths.tolist()):
+        a, b = find(child), find(par)
         ia, ib = images[a], images[b]
         if not ia.isdisjoint(ib):
             continue
-        threshold = rho * min(min_sigma[a], min_sigma[b])
-        if length[child] <= threshold:
+        if length <= rho * min(min_sigma[a], min_sigma[b]):
             if len(ia) < len(ib):
                 a, b = b, a
                 ia, ib = ib, ia
@@ -460,7 +555,7 @@ def merge_labels(
             ia |= ib
             min_sigma[a] = min(min_sigma[a], min_sigma[b])
 
-    return np.array([find(r) for r in range(n)], dtype=np.intp)
+    return np.array([find(r) for r in range(len(uf))], dtype=np.intp)
 
 
 def label_groups(labels: np.ndarray) -> list[np.ndarray]:
@@ -474,7 +569,7 @@ def label_groups(labels: np.ndarray) -> list[np.ndarray]:
 class RowClusters(NamedTuple):
     """What :func:`cluster_rows` produced, aligned with its input rows."""
 
-    labels: np.ndarray
+    labels: np.ndarray  # each row's cluster, named by its smallest row
     parent: np.ndarray
     sigma_a: float  # longest tree edge; +inf when there is none
 
@@ -497,7 +592,17 @@ def cluster_rows(
     """
     raw = sigma_per_image(vectors, image_slots, n_images)
     sigma = resolve_sigma(raw, vectors)
-    parent, edge = tree_arrays(vectors, density_order(vectors, image_slots, sigma, params.kernel))
+    if params.kernel == Kernel.QUADRATIC:
+        # The density's own pairs within the smallest bandwidth settle most
+        # parents: every pair that close is among them, with its exact distance.
+        sig_cols = sigma[image_slots]
+        pairs = _quadratic_pairs(vectors, image_slots, sigma)
+        by_rank = np.argsort(_pair_sums(len(vectors), *pairs, sig_cols), kind="stable")
+        keep = pairs[2] <= sig_cols.min(initial=math.inf)
+        pairs = tuple(a[keep] for a in pairs)  # the farther pairs go before the tree runs
+        parent, edge = tree_arrays(vectors, by_rank, pairs)
+    else:
+        parent, edge = tree_arrays(vectors, density_order(vectors, image_slots, sigma, params.kernel))
     has_parent = parent >= 0
     sigma_a = float(edge[has_parent].max()) if has_parent.any() else math.inf
     if fallback_sigma_a:

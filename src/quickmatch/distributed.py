@@ -269,10 +269,9 @@ def transfer_round(agents: Sequence[AgentState], fs: FeatureSet, ledger: Network
     for agent in agents:
         if agent.labels is None:
             raise ProtocolError(f"agent {agent.id} has no local clusters yet")
-        # Each member's cluster head, its smallest row (labels index local rows).
-        head = np.full(len(agent.rows0), len(fs))
-        np.minimum.at(head, agent.labels, agent.rows0)
-        key = head[agent.labels]
+        # Each member's cluster head, its smallest row: labels name each cluster
+        # by its smallest local row, and rows0 is ascending.
+        key = agent.rows0[agent.labels]
         order = np.argsort(key, kind="stable")  # stable: members stay in ascending local order
         starts = np.flatnonzero(np.diff(key[order], prepend=-1))
         dest = np.minimum.reduceat(agent.trigger[order], starts)

@@ -136,6 +136,52 @@ def parents(fs: FeatureSet, dens) -> list[int | None]:
     return out
 
 
+def reference_merge_labels(parent, edge_length, image_slots, sigma, rho, id_rank):
+    """``centralized.merge_labels``' loop over every tree edge, as it was
+    written over dicts and ndarray elements; each row's union-find root."""
+    n = len(parent)
+    uf = np.arange(n, dtype=np.intp)
+
+    def find(x):
+        root = x
+        while uf[root] != root:
+            root = uf[root]
+        while uf[x] != root:
+            uf[x], x = root, uf[x]
+        return root
+
+    images = {r: {int(image_slots[r])} for r in range(n)}
+    min_sigma = {r: float(sigma[image_slots[r]]) for r in range(n)}
+    children = np.flatnonzero(parent >= 0)
+    order = children[np.lexsort((id_rank[children], edge_length[children]))]
+    for child in order:
+        a, b = find(int(child)), find(int(parent[child]))
+        if a == b:
+            continue
+        ia, ib = images[a], images[b]
+        if ia & ib:
+            continue
+        threshold = rho * min(min_sigma[a], min_sigma[b])
+        if edge_length[child] <= threshold:
+            if len(ia) < len(ib):
+                a, b = b, a
+                ia, ib = ib, ia
+            uf[b] = a
+            ia |= ib
+            min_sigma[a] = min(min_sigma[a], min_sigma[b])
+            del images[b], min_sigma[b]
+    return np.array([find(r) for r in range(n)], dtype=np.intp)
+
+
+def smallest_row_labels(labels) -> list[int]:
+    """Each row's cluster named by the cluster's smallest row, by dict scan:
+    the same for any two labelings of the same partition."""
+    smallest: dict[int, int] = {}
+    for row, label in enumerate(np.asarray(labels).tolist()):
+        smallest.setdefault(label, row)
+    return [smallest[label] for label in np.asarray(labels).tolist()]
+
+
 def bisector_point_distance(x, p_t, p_e) -> float:
     """Distance from x to the bisector of (p_t, p_e) via the midpoint-normal
     form, an algebraically equivalent but independently coded formula."""

@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist, pdist
 
 import oracles
@@ -26,6 +28,7 @@ from quickmatch.centralized import (
 from quickmatch.core import FeatureSet
 from quickmatch.kernels import Kernel, kernel_values
 from quickmatch.synthetic import SynthConfig, generate_synthetic
+from test_golden import INPUTS as GOLDEN_INPUTS
 
 FINITE = [Kernel.QUADRATIC]
 
@@ -149,6 +152,56 @@ def test_adversarial_inputs_match_dense_scan(case, settings, monkeypatch):
         want_parent, want_edge = dense_tree(fs.vectors, dens, np.arange(len(fs)))
         np.testing.assert_array_equal(parent, want_parent)
         np.testing.assert_array_equal(edge, want_edge)
+
+
+def _near_pairs(fs):
+    """The quadratic density's order, and its pairs within the smallest
+    bandwidth, as cluster_rows passes them to the tree."""
+    sigma = compute_distinctiveness(fs)
+    rows, cols, d = centralized._quadratic_pairs(fs.vectors, fs.image_slots, sigma)
+    by_rank = np.argsort(density_values(fs.vectors, fs.image_slots, sigma, Kernel.QUADRATIC), kind="stable")
+    keep = d <= sigma[fs.image_slots].min()
+    return by_rank, (rows[keep], cols[keep], d[keep])
+
+
+@settings(max_examples=200, database=None, deadline=None, derandomize=True)
+@given(oracles.small_feature_sets())
+@example(FeatureSet(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0]]),
+                    [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]))  # duplicate vectors
+@example(FeatureSet(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+                    [(0, 0), (1, 0), (0, 1), (1, 1)]))  # a square: every density ties
+@example(FeatureSet(np.array([[0.0], [1.0], [3.0], [3.5], [7.0]]), [(0, k) for k in range(5)]))  # one image
+@example(GOLDEN_INPUTS["lone"]())
+def test_pair_settled_tree_matches_the_search(fs):
+    """Parents settled from the density's pairs, and the search for the
+    rest, give the parents and edge bits of the search over every row."""
+    by_rank, near = _near_pairs(fs)
+    parent, edge = tree_arrays(fs.vectors, by_rank, near)
+    want_parent, want_edge = tree_arrays(fs.vectors, by_rank)
+    np.testing.assert_array_equal(parent, want_parent)
+    assert edge.tobytes() == want_edge.tobytes()
+    got = cluster_rows(fs.vectors, fs.image_slots, fs.image_count, MatchParams(kernel=Kernel.QUADRATIC))
+    np.testing.assert_array_equal(got.parent, want_parent)
+
+
+def test_pair_settled_rows_skip_the_neighbour_query(monkeypatch):
+    """A `central-2d`-shaped set (10 images, spread 0.25): the density's own
+    pairs settle most parents, so the tree's first kd query over the whole
+    set gets at most a fifth of the rows."""
+    fs, _ = generate_synthetic(SynthConfig(1000, 10, 2, 0.25, 1, 2.5 * 31))
+    sizes = []
+
+    class RecordingTree(cKDTree):
+        def query(self, x, *args, **kwargs):
+            if self.n == len(fs):
+                sizes.append(len(x))
+            return super().query(x, *args, **kwargs)
+
+    monkeypatch.setattr(centralized, "cKDTree", RecordingTree)
+    got = cluster_rows(fs.vectors, fs.image_slots, fs.image_count, MatchParams(kernel=Kernel.QUADRATIC))
+    assert sizes[0] <= 0.2 * len(fs)
+    want, _ = tree_arrays(fs.vectors, _near_pairs(fs)[0])
+    np.testing.assert_array_equal(got.parent, want)
 
 
 def test_sigma_per_image_leaves_small_and_empty_slots_nan():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quickmatch.centralized import (
     MatchParams,
@@ -190,42 +192,6 @@ def test_label_groups_matches_dict_grouping():
         assert [g.tolist() for g in got] == [want[k] for k in sorted(want)]
 
 
-def reference_merge_labels(parent, edge_length, image_slots, sigma, rho, id_rank):
-    """The merge loop as it was written over dicts and ndarray elements."""
-    n = len(parent)
-    uf = np.arange(n, dtype=np.intp)
-
-    def find(x):
-        root = x
-        while uf[root] != root:
-            root = uf[root]
-        while uf[x] != root:
-            uf[x], x = root, uf[x]
-        return root
-
-    images = {r: {int(image_slots[r])} for r in range(n)}
-    min_sigma = {r: float(sigma[image_slots[r]]) for r in range(n)}
-    children = np.flatnonzero(parent >= 0)
-    order = children[np.lexsort((id_rank[children], edge_length[children]))]
-    for child in order:
-        a, b = find(int(child)), find(int(parent[child]))
-        if a == b:
-            continue
-        ia, ib = images[a], images[b]
-        if ia & ib:
-            continue
-        threshold = rho * min(min_sigma[a], min_sigma[b])
-        if edge_length[child] <= threshold:
-            if len(ia) < len(ib):
-                a, b = b, a
-                ia, ib = ib, ia
-            uf[b] = a
-            ia |= ib
-            min_sigma[a] = min(min_sigma[a], min_sigma[b])
-            del images[b], min_sigma[b]
-    return np.array([find(r) for r in range(n)], dtype=np.intp)
-
-
 def test_merge_labels_matches_reference_loop():
     """Each forest's rows are shuffled, so equal-length edges meet the
     lowest-child-row rule with their children in every order."""
@@ -251,7 +217,69 @@ def test_merge_labels_matches_reference_loop():
         edge, slots = edge[rows], slots[rows]
         for rho in (0.0, 1.1, math.inf):
             got = merge_labels(parent, edge, slots, sigma, rho)
-            np.testing.assert_array_equal(got, reference_merge_labels(parent, edge, slots, sigma, rho, np.arange(n)))
+            want = oracles.reference_merge_labels(parent, edge, slots, sigma, rho, np.arange(n))
+            np.testing.assert_array_equal(oracles.smallest_row_labels(got), oracles.smallest_row_labels(want))
+
+
+@st.composite
+def merge_inputs(draw):
+    """A forest over up to 40 rows of 1-4 images. Edge lengths come mostly
+    from a few shared values, among them every image's rho * sigma; sigmas
+    may sit at SIGMA_FLOOR and rho at 0 or infinity."""
+    n = draw(st.integers(0, 40))
+    n_images = draw(st.integers(1, 4))
+    sig = st.sampled_from([SIGMA_FLOOR, 0.25, 0.5, 1.0]) | st.floats(SIGMA_FLOOR, 2.0)
+    sigma = np.array(draw(st.lists(sig, min_size=n_images, max_size=n_images)))
+    rho = draw(st.sampled_from([0.0, 1.1, math.inf]) | st.floats(0.0, 4.0))
+    slots = np.array(draw(st.lists(st.integers(0, n_images - 1), min_size=n, max_size=n)), dtype=np.intp)
+    # Each row's parent comes earlier in a random order, or it is a root.
+    order = draw(st.permutations(range(n)))
+    parent = np.full(n, -1, dtype=np.intp)
+    for pos in range(1, n):
+        up = draw(st.none() | st.integers(0, pos - 1))
+        if up is not None:
+            parent[order[pos]] = order[up]
+    at_threshold = [float(rho * s) for s in sigma if rho * s < math.inf]
+    length = st.sampled_from([0.0, SIGMA_FLOOR, 0.25, 0.5, 1.0, *at_threshold]) | st.floats(0.0, 4.0)
+    edge = np.array([draw(length) if p >= 0 else math.nan for p in parent.tolist()])
+    return parent, edge, slots, sigma, rho
+
+
+def _no_edges():
+    return np.full(4, -1, dtype=np.intp), np.full(4, np.nan), np.array([0, 0, 1, 1]), np.array([0.5, 1.0]), 1.1
+
+
+def _floor_duplicates():
+    """Zero-length edges at rho = 0 and SIGMA_FLOOR, the second repeating image 0."""
+    return np.array([-1, 0, 1]), np.array([np.nan, 0.0, 0.0]), np.array([0, 1, 0]), np.full(2, SIGMA_FLOOR), 0.0
+
+
+def _repeat_at_infinity():
+    """rho = inf: every edge fits, and only the repeated image 1 splits the chain."""
+    return np.array([-1, 0, 1, 2]), np.array([np.nan, 3.0, 1.0, 2.0]), np.array([0, 1, 2, 1]), np.ones(3), math.inf
+
+
+def _at_threshold():
+    """Edges exactly at rho * sigma, of the smaller and of the larger image."""
+    sigma = np.array([0.3, 0.7])
+    return np.array([-1, 0, 0, -1, 3]), np.array([np.nan, 1.1 * 0.3, 1.1 * 0.7, np.nan, 1.1 * 0.7]), \
+        np.array([0, 1, 1, 1, 0]), sigma, 1.1
+
+
+@settings(max_examples=300, database=None, deadline=None, derandomize=True)
+@given(merge_inputs())
+@example(_no_edges())
+@example(_floor_duplicates())
+@example(_repeat_at_infinity())
+@example(_at_threshold())
+def test_merge_labels_matches_the_oracle_loop(case):
+    """The component pass plus the loop on the rest gives the oracle loop's
+    clusters, each labelled by its smallest row."""
+    parent, edge, slots, sigma, rho = case
+    got = merge_labels(parent, edge, slots, sigma, rho).tolist()
+    assert got == oracles.smallest_row_labels(got)
+    want = oracles.reference_merge_labels(parent, edge, slots, sigma, rho, np.arange(len(parent)))
+    assert got == oracles.smallest_row_labels(want)
 
 
 def test_quickmatch_empty_set():
