@@ -3,11 +3,11 @@ density-ascent tree, and the merge-or-break loop.
 
 `cluster_rows` runs the whole chain over any set of feature rows; it is the
 one pipeline behind `quickmatch` and behind every agent's local and final
-clustering in the distributed harness. The tree reads only the density's
-order, which `density_order` takes for the Gaussian from BLAS distance tiles
-under a proven error bound. With the quadratic kernel the density's own
-pairs within the smallest bandwidth settle most parents, and only the rest
-go to the kd-tree search. The merge settles each component of short edges
+clustering in the distributed harness. `density_order` hands the tree all
+it reads of the density: the order, certified for the Gaussian from BLAS
+distance tiles under a proven error bound, and with the quadratic kernel the
+density's own pairs within the smallest bandwidth, which settle most parents
+before the kd-tree search. The merge settles each component of short edges
 whose rows come from distinct images as one cluster, and runs the
 union-find loop over the other components only. The public step functions
 (`compute_distinctiveness` ... `break_and_merge`) expose the same stages one
@@ -156,19 +156,19 @@ def density_values(
     column order. The Gaussian sums every pair over ``cdist`` tiles (see
     :func:`_tiled_sums`), the same bits whatever the thread count.
     """
-    n = len(vectors)
-    sig_cols = sigma[image_slots]
     if kernel == Kernel.QUADRATIC:
-        return _pair_sums(n, *_quadratic_pairs(vectors, image_slots, sigma), sig_cols)
-    return _tiled_sums(n, lambda a, b, out: cdist(vectors[a], vectors[b], out=out), _gaussian_terms(sig_cols))
+        return _quadratic_density(vectors, image_slots, sigma)[0]
+    return _tiled_sums(len(vectors), lambda a, b, out: cdist(vectors[a], vectors[b], out=out),
+                       _gaussian_terms(sigma[image_slots]))
 
 
-def _quadratic_pairs(
+def _quadratic_density(
     vectors: np.ndarray, image_slots: np.ndarray, sigma: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every (row, col) pair within the column's image bandwidth, sorted by
-    row then column, with its ``pair_distances`` distance: all the pairs
-    whose quadratic kernel term is not zero.
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The quadratic density, each row adding its terms in ascending column
+    order, and the pairs it sums: every (row, col) pair within the column's
+    image bandwidth, sorted by row then column, with its ``pair_distances``
+    distance. These are all the pairs whose kernel term is not zero.
 
     A column only reaches rows within its own image's bandwidth, and one
     image's features lie at least that far apart, so in low dimensions each
@@ -187,13 +187,10 @@ def _quadratic_pairs(
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     order = np.argsort(rows * n + cols)
     rows, cols = rows[order], cols[order]
-    return rows, cols, pair_distances(vectors, rows, cols)
-
-
-def _pair_sums(n: int, rows: np.ndarray, cols: np.ndarray, d: np.ndarray, sig_cols: np.ndarray) -> np.ndarray:
-    """The quadratic density over :func:`_quadratic_pairs`' pairs: each row
-    adds its terms in ascending column order."""
-    return np.bincount(rows, weights=kernel_values(Kernel.QUADRATIC, d, sig_cols[cols]), minlength=n)
+    del tree, order  # freed before the kernel's temporaries, which set the pass's peak memory
+    d = pair_distances(vectors, rows, cols)
+    terms = kernel_values(Kernel.QUADRATIC, d, sigma[image_slots][cols])
+    return np.bincount(rows, weights=terms, minlength=n), (rows, cols, d)
 
 
 def _gaussian_terms(sig_cols: np.ndarray) -> Callable[[np.ndarray, slice], np.ndarray]:
@@ -274,15 +271,19 @@ def _gamma(k: int) -> float:
 
 def density_order(
     vectors: np.ndarray, image_slots: np.ndarray, sigma: np.ndarray, kernel: Kernel
-) -> np.ndarray:
-    """Rows in ascending stable order of :func:`density_values`: all that the
-    density tree reads of the density.
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
+    """The density's one hand-off to :func:`tree_arrays`, ``(by_rank, near)``:
+    the rows in ascending stable order of :func:`density_values`, all that
+    the tree reads of the density, and pairs that settle parents.
 
-    For the Gaussian, each row gets an approximate density S~ and a proven
-    half-width W; only rows whose intervals overlap another's get their exact
-    ``density_values`` bits D^. Every row takes ``density_values`` where the
-    bound does not hold (huge coordinates, bandwidths at SIGMA_FLOOR) or
-    leaves over half of the rows to sum exactly.
+    Quadratic: both come from one pass over the density's pairs, and
+    ``near`` keeps those with ``d <= sigma[image_slots].min()``, every pair
+    that close (the kd radius carries _SLACK). Gaussian: ``near`` is None;
+    each row gets an approximate density S~ and a proven half-width W; only
+    rows whose intervals overlap another's get their exact ``density_values``
+    bits D^. Every row takes ``density_values`` where the bound does not
+    hold (huge coordinates, bandwidths at SIGMA_FLOOR) or leaves over half
+    of the rows to sum exactly.
 
     S~ sums exp(-t s_j), s_j = 1/(2 sigma_j^2), over BLAS tiles t = |a|^2 +
     |b|^2 - 2 a.b clamped at 0. S is the real sum at the float sigmas; u =
@@ -317,7 +318,11 @@ def density_order(
     argsort is D^'s.
     """
     n = len(vectors)
-    intervals = _density_intervals(vectors, sigma[image_slots]) if kernel == Kernel.GAUSSIAN and n else None
+    if kernel == Kernel.QUADRATIC:
+        density, (rows, cols, d) = _quadratic_density(vectors, image_slots, sigma)
+        keep = d <= sigma[image_slots].min(initial=math.inf)  # the farther pairs go before the tree runs
+        return np.argsort(density, kind="stable"), (rows[keep], cols[keep], d[keep])
+    intervals = _density_intervals(vectors, sigma[image_slots]) if n else None
     if intervals is not None:
         approx, width = intervals
         lo, hi = approx - width, approx + width
@@ -333,8 +338,8 @@ def density_order(
                 for c0 in range(0, n, _BLOCK):
                     cols = slice(c0, c0 + _BLOCK)
                     approx[part] += _strip_sums(cdist(vectors[part], vectors[cols]), cols, terms, _STRIP)
-            return np.argsort(approx, kind="stable")
-    return np.argsort(density_values(vectors, image_slots, sigma, kernel), kind="stable")
+            return np.argsort(approx, kind="stable"), None
+    return np.argsort(density_values(vectors, image_slots, sigma, kernel), kind="stable"), None
 
 
 def _density_intervals(vectors: np.ndarray, sig_cols: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -377,7 +382,7 @@ def tree_arrays(
     near: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Parent row and edge length per feature, given the rows in ascending
-    stable density order (:func:`density_order`).
+    stable density order.
 
     The parent is the nearest feature with strictly higher density, searched
     over all features; features with no strictly denser feature are roots
@@ -387,12 +392,13 @@ def tree_arrays(
     candidate distances resolve to the lowest row. Rows in id order, as a
     FeatureSet keeps them, make both tie-breaks go by feature id.
 
-    ``near`` is an optional ``(rows, cols, d)`` pair list, sorted by row then
-    column, that holds for some reach every pair whose ``pair_distances``
-    distance ``d`` is within it, and no other. A row with a strictly denser
-    column among its pairs takes the nearest, the lowest column on ties:
-    every feature at most that far is within the reach, so it is the row's
-    parent over all features.
+    ``near`` is what :func:`density_order` returns beside ``by_rank``: None,
+    or a ``(rows, cols, d)`` pair list, sorted by row then column, that
+    holds for some reach every pair whose ``pair_distances`` distance ``d``
+    is within it, and no other. A row with a strictly denser column among
+    its pairs takes the nearest, the lowest column on ties: every feature at
+    most that far is within the reach, so it is the row's parent over all
+    features.
 
     The other rows first look among their k nearest neighbours (kd-tree), k
     doubling from 16 to 256 while the row has no denser neighbour nearer
@@ -592,17 +598,7 @@ def cluster_rows(
     """
     raw = sigma_per_image(vectors, image_slots, n_images)
     sigma = resolve_sigma(raw, vectors)
-    if params.kernel == Kernel.QUADRATIC:
-        # The density's own pairs within the smallest bandwidth settle most
-        # parents: every pair that close is among them, with its exact distance.
-        sig_cols = sigma[image_slots]
-        pairs = _quadratic_pairs(vectors, image_slots, sigma)
-        by_rank = np.argsort(_pair_sums(len(vectors), *pairs, sig_cols), kind="stable")
-        keep = pairs[2] <= sig_cols.min(initial=math.inf)
-        pairs = tuple(a[keep] for a in pairs)  # the farther pairs go before the tree runs
-        parent, edge = tree_arrays(vectors, by_rank, pairs)
-    else:
-        parent, edge = tree_arrays(vectors, density_order(vectors, image_slots, sigma, params.kernel))
+    parent, edge = tree_arrays(vectors, *density_order(vectors, image_slots, sigma, params.kernel))
     has_parent = parent >= 0
     sigma_a = float(edge[has_parent].max()) if has_parent.any() else math.inf
     if fallback_sigma_a:

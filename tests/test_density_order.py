@@ -48,7 +48,7 @@ def _assert_orders_match(fs: FeatureSet) -> None:
             want = _dense_order(fs, sigma)
             for workers in (1, 2, 3):
                 with mock.patch.object(centralized, "_WORKERS", workers):
-                    got = density_order(fs.vectors, fs.image_slots, sigma, Kernel.GAUSSIAN)
+                    got, _ = density_order(fs.vectors, fs.image_slots, sigma, Kernel.GAUSSIAN)
                 np.testing.assert_array_equal(got, want, err_msg=f"block={block} workers={workers}")
 
 
@@ -150,7 +150,7 @@ def _exactly_summed_rows(fs: FeatureSet, sigma: np.ndarray, monkeypatch) -> tupl
 
     monkeypatch.setattr(centralized, "cdist", counting)
     monkeypatch.setattr(centralized, "density_values", no_fallback)
-    order = density_order(fs.vectors, fs.image_slots, sigma, Kernel.GAUSSIAN)
+    order, _ = density_order(fs.vectors, fs.image_slots, sigma, Kernel.GAUSSIAN)
     return order, calls
 
 

@@ -19,6 +19,7 @@ from quickmatch.centralized import (
     cluster_rows,
     compute_density,
     compute_distinctiveness,
+    density_order,
     density_values,
     quickmatch,
     resolve_sigma,
@@ -148,20 +149,38 @@ def test_adversarial_inputs_match_dense_scan(case, settings, monkeypatch):
     for kernel in FINITE:
         dens = density_values(fs.vectors, fs.image_slots, sigma, kernel)
         np.testing.assert_allclose(dens, dense_density(fs.vectors, fs.image_slots, sigma, kernel), rtol=0, atol=1e-12)
-        parent, edge = tree_arrays(fs.vectors, np.argsort(dens, kind="stable"))
         want_parent, want_edge = dense_tree(fs.vectors, dens, np.arange(len(fs)))
-        np.testing.assert_array_equal(parent, want_parent)
-        np.testing.assert_array_equal(edge, want_edge)
+        # The search alone, then after the density's own pairs, as cluster_rows runs it.
+        for by_rank, near in [(np.argsort(dens, kind="stable"), None),
+                              density_order(fs.vectors, fs.image_slots, sigma, kernel)]:
+            parent, edge = tree_arrays(fs.vectors, by_rank, near)
+            np.testing.assert_array_equal(parent, want_parent)
+            np.testing.assert_array_equal(edge, want_edge)
+
+
+def test_density_order_hands_the_tree_every_near_pair():
+    """For the quadratic kernel, density_order's ``near`` is exactly the
+    pairs within the smallest bandwidth, self pairs included, in row then
+    column order and with ``cdist``'s bits; its order is the stable argsort
+    of the density."""
+    inputs = [(case, FeatureSet.from_rows(ADVERSARIAL[case]())) for case in sorted(ADVERSARIAL)]
+    inputs += [(f"random-{seed}", oracles.random_feature_set(np.random.default_rng(4000 + seed))) for seed in range(50)]
+    for name, fs in inputs:
+        sigma = compute_distinctiveness(fs)
+        by_rank, near = density_order(fs.vectors, fs.image_slots, sigma, Kernel.QUADRATIC)
+        dens = density_values(fs.vectors, fs.image_slots, sigma, Kernel.QUADRATIC)
+        np.testing.assert_array_equal(by_rank, np.argsort(dens, kind="stable"), err_msg=name)
+        d = cdist(fs.vectors, fs.vectors)
+        rows, cols = np.nonzero(d <= sigma[fs.image_slots].min())
+        np.testing.assert_array_equal(near[0], rows, err_msg=name)
+        np.testing.assert_array_equal(near[1], cols, err_msg=name)
+        assert near[2].tobytes() == d[rows, cols].tobytes(), name
 
 
 def _near_pairs(fs):
     """The quadratic density's order, and its pairs within the smallest
-    bandwidth, as cluster_rows passes them to the tree."""
-    sigma = compute_distinctiveness(fs)
-    rows, cols, d = centralized._quadratic_pairs(fs.vectors, fs.image_slots, sigma)
-    by_rank = np.argsort(density_values(fs.vectors, fs.image_slots, sigma, Kernel.QUADRATIC), kind="stable")
-    keep = d <= sigma[fs.image_slots].min()
-    return by_rank, (rows[keep], cols[keep], d[keep])
+    bandwidth, as density_order hands them to the tree."""
+    return density_order(fs.vectors, fs.image_slots, compute_distinctiveness(fs), Kernel.QUADRATIC)
 
 
 @settings(max_examples=200, database=None, deadline=None, derandomize=True)
