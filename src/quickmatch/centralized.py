@@ -10,8 +10,8 @@ density's own pairs within the smallest bandwidth, which settle most parents
 before the kd-tree search. The merge settles each component of short edges
 whose rows come from distinct images as one cluster, and runs the
 union-find loop over the other components only. The public step functions
-(`compute_distinctiveness` ... `break_and_merge`) expose the same stages one
-at a time over a whole FeatureSet; `compute_density` gives the exact values.
+(`compute_distinctiveness` ... `break_and_merge`) are those same stages, one
+at a time over a whole FeatureSet; `density_values` gives the exact density.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .core import Clustering, DensityTree, FeatureSet, InputError
-from .kernels import Kernel, kernel_values
+from .kernels import Kernel, gaussian_kernel, quadratic_kernel
 
 __all__ = [
     "MatchParams",
@@ -46,11 +46,9 @@ __all__ = [
 SIGMA_FLOOR = 1e-12
 
 _BLOCK = 1024  # rows and columns of one tile of the dense Gaussian density sum
-# Tile rows per kernel evaluation: 128 on the calling thread (1 MiB
-# temporaries), 32 on a worker thread (256 KiB), because glibc gives each
-# thread its own malloc arena, which keeps freed blocks of that size resident.
-_STRIP = 128
-_WORKER_STRIP = 32
+# Tile rows per kernel evaluation, 256 KiB temporaries: glibc gives each worker
+# thread its own malloc arena, which keeps freed blocks of 1 MiB resident.
+_STRIP = 32
 # Threads for the Gaussian density tiles: the CPUs this process may run on,
 # as many as the tile buffers fit in _TILE_BYTES (two 1024 x 1024 tiles), so
 # the density's memory does not grow with the CPU count.
@@ -189,22 +187,22 @@ def _quadratic_density(
     rows, cols = rows[order], cols[order]
     del tree, order  # freed before the kernel's temporaries, which set the pass's peak memory
     d = pair_distances(vectors, rows, cols)
-    terms = kernel_values(Kernel.QUADRATIC, d, sigma[image_slots][cols])
+    terms = quadratic_kernel(d, sigma[image_slots][cols])
     return np.bincount(rows, weights=terms, minlength=n), (rows, cols, d)
 
 
 def _gaussian_terms(sig_cols: np.ndarray) -> Callable[[np.ndarray, slice], np.ndarray]:
     """The exact Gaussian density's terms over the columns ``cols``, given their ``cdist`` distances."""
-    return lambda d, cols: kernel_values(Kernel.GAUSSIAN, d, sig_cols[None, cols])
+    return lambda d, cols: gaussian_kernel(d, sig_cols[None, cols])
 
 
-def _strip_sums(d: np.ndarray, cols: slice, terms: Callable[[np.ndarray, slice], np.ndarray], strip: int) -> np.ndarray:
+def _strip_sums(d: np.ndarray, cols: slice, terms: Callable[[np.ndarray, slice], np.ndarray]) -> np.ndarray:
     """Each row's sum of ``terms`` over ``cols``, given their distances ``d``;
     a strip of rows at a time, each row contiguous, so numpy sums it exactly
     as it would the whole row."""
     sums = np.empty(len(d))
-    for r0 in range(0, len(d), strip):
-        sums[r0:r0 + strip] = terms(np.ascontiguousarray(d[r0:r0 + strip]), cols).sum(axis=1)
+    for r0 in range(0, len(d), _STRIP):
+        sums[r0:r0 + _STRIP] = terms(np.ascontiguousarray(d[r0:r0 + _STRIP]), cols).sum(axis=1)
     return sums
 
 
@@ -223,7 +221,6 @@ def _tiled_sums(n: int, distances: Callable[[slice, slice, np.ndarray], np.ndarr
     tiles = [(a0, b0) for a0 in range(0, n, block) for b0 in range(a0, n, block)]
     side = min(block, n)
     workers = max(1, min(_WORKERS, len(tiles), _TILE_BYTES // (8 * max(side, 1) ** 2)))
-    strip = _STRIP if workers == 1 else _WORKER_STRIP
     # One tile buffer per worker, allocated here rather than in the workers,
     # so that no thread's malloc arena keeps a tile's worth of pages.
     buffers: queue.SimpleQueue[np.ndarray] = queue.SimpleQueue()
@@ -238,10 +235,10 @@ def _tiled_sums(n: int, distances: Callable[[slice, slice, np.ndarray], np.ndarr
         buf = buffers.get()
         try:
             d = distances(a, b, buf[:(a.stop - a0) * (b.stop - b0)].reshape(a.stop - a0, b.stop - b0))
-            across = _strip_sums(d, b, terms, strip)
+            across = _strip_sums(d, b, terms)
             # The transpose serves block b: cdist is symmetric bit for bit,
             # and the error bound of density_order's tiles is symmetric.
-            return across, _strip_sums(d.T, a, terms, strip) if b0 > a0 else None
+            return across, _strip_sums(d.T, a, terms) if b0 > a0 else None
         finally:
             buffers.put(buf)
 
@@ -337,7 +334,7 @@ def density_order(
                 approx[part] = 0.0
                 for c0 in range(0, n, _BLOCK):
                     cols = slice(c0, c0 + _BLOCK)
-                    approx[part] += _strip_sums(cdist(vectors[part], vectors[cols]), cols, terms, _STRIP)
+                    approx[part] += _strip_sums(cdist(vectors[part], vectors[cols]), cols, terms)
             return np.argsort(approx, kind="stable"), None
     return np.argsort(density_values(vectors, image_slots, sigma, kernel), kind="stable"), None
 
@@ -372,8 +369,12 @@ def _density_intervals(vectors: np.ndarray, sig_cols: np.ndarray) -> tuple[np.nd
     return approx, 1.01 * ((c + c_dense) * (approx + 2 * tau) / (1 - c) + 4 * tau)
 
 
-def compute_density(fs: FeatureSet, sigma: np.ndarray, kernel: Kernel = Kernel.GAUSSIAN) -> np.ndarray:
-    return density_values(fs.vectors, fs.image_slots, sigma, kernel)
+def compute_density(fs: FeatureSet, sigma: np.ndarray,
+                    kernel: Kernel = Kernel.GAUSSIAN) -> tuple[np.ndarray, tuple | None]:
+    """:func:`cluster_rows`' density stage over the whole set:
+    :func:`density_order`'s ``(by_rank, near)``, which :func:`build_tree`
+    takes. The density's values are :func:`density_values`."""
+    return density_order(fs.vectors, fs.image_slots, sigma, kernel)
 
 
 def tree_arrays(
@@ -464,8 +465,10 @@ def tree_arrays(
     return parent, edge
 
 
-def build_tree(fs: FeatureSet, density: np.ndarray) -> DensityTree:
-    return DensityTree(*tree_arrays(fs.vectors, np.argsort(np.asarray(density, dtype=np.float64), kind="stable")))
+def build_tree(fs: FeatureSet, density: tuple[np.ndarray, tuple | None]) -> DensityTree:
+    """:func:`cluster_rows`' tree stage over the whole set, from
+    :func:`compute_density`'s ``(by_rank, near)``."""
+    return DensityTree(*tree_arrays(fs.vectors, *density))
 
 
 def merge_labels(

@@ -17,7 +17,6 @@ __all__ = [
     "Kernel",
     "gaussian_kernel",
     "quadratic_kernel",
-    "kernel_values",
 ]
 
 
@@ -57,8 +56,3 @@ def quadratic_kernel(d, sigma):
     sig = _check_sigma(sigma)
     r = np.asarray(d, dtype=np.float64) / sig
     return np.maximum(0.0, 1.0 - r * r)
-
-
-def kernel_values(kernel: Kernel, d, sigma):
-    """Evaluate the chosen kernel on distances ``d`` with bandwidth ``sigma``."""
-    return (gaussian_kernel if Kernel(kernel) is Kernel.GAUSSIAN else quadratic_kernel)(d, sigma)

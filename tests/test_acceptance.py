@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quickmatch.centralized import MatchParams, compute_density, compute_distinctiveness, quickmatch
+from quickmatch.centralized import MatchParams, compute_density, compute_distinctiveness, density_values, quickmatch
 from quickmatch.cli import main
 from quickmatch.core import (
     FeatureSet,
@@ -116,13 +116,13 @@ def test_criterion_4_brute_force_oracles():
             want_sigma = oracles.resolved_sigma_by_image(fs)
             assert sigma.tolist() == [want_sigma[img] for img in fs.image_ids]
 
-            dens = compute_density(fs, sigma, Kernel.GAUSSIAN)
+            dens = density_values(fs.vectors, fs.image_slots, sigma, Kernel.GAUSSIAN)
             want_dens = oracles.density(fs, want_sigma, gaussian_kernel)
             np.testing.assert_allclose(dens, want_dens, rtol=0, atol=1e-12)
 
             from quickmatch.centralized import build_tree
 
-            tree = build_tree(fs, dens)
+            tree = build_tree(fs, compute_density(fs, sigma, Kernel.GAUSSIAN))
             want_parents = oracles.parents(fs, want_dens)
             got_parents = [None if p < 0 else int(p) for p in tree.parent]
             assert got_parents == want_parents

@@ -19,6 +19,7 @@ from quickmatch import centralized
 from quickmatch.centralized import (
     SIGMA_FLOOR,
     _density_intervals,
+    compute_density,
     density_order,
     density_values,
     resolve_sigma,
@@ -168,6 +169,23 @@ def test_only_rows_the_bound_cannot_separate_are_summed_exactly(monkeypatch):
     order, calls = _exactly_summed_rows(fs, sigma, monkeypatch)
     np.testing.assert_array_equal(order, want)
     assert calls == [20] * 5
+
+
+def test_compute_density_is_the_certified_order(monkeypatch):
+    """The public density stage hands the tree density_order's result and
+    never sums the dense density where the bound separates the rows."""
+    fs = SHAPES["clustered-128d"]()
+    sigma = _sigma(fs)
+    want, near = density_order(fs.vectors, fs.image_slots, sigma, Kernel.GAUSSIAN)
+    assert near is None
+
+    def no_fallback(*args):
+        raise AssertionError("density_values called")
+
+    monkeypatch.setattr(centralized, "density_values", no_fallback)
+    order, near = compute_density(fs, sigma, Kernel.GAUSSIAN)
+    np.testing.assert_array_equal(order, want)
+    assert near is None
 
 
 def test_every_row_flagged_falls_back_to_the_dense_density(monkeypatch):

@@ -16,6 +16,7 @@ import oracles
 from quickmatch import centralized
 from quickmatch.centralized import (
     MatchParams,
+    build_tree,
     cluster_rows,
     compute_density,
     compute_distinctiveness,
@@ -27,7 +28,7 @@ from quickmatch.centralized import (
     tree_arrays,
 )
 from quickmatch.core import FeatureSet
-from quickmatch.kernels import Kernel, kernel_values
+from quickmatch.kernels import Kernel, gaussian_kernel
 from quickmatch.synthetic import SynthConfig, generate_synthetic
 from test_golden import INPUTS as GOLDEN_INPUTS
 
@@ -72,7 +73,7 @@ def test_neighbour_passes_match_oracles(kernel):
         want_sigma = oracles.resolved_sigma_by_image(fs)
         assert sigma.tolist() == [want_sigma[img] for img in fs.image_ids]
 
-        dens = compute_density(fs, sigma, kernel)
+        dens = density_values(fs.vectors, fs.image_slots, sigma, kernel)
         want_dens = dense_density(fs.vectors, fs.image_slots, sigma, kernel)
         np.testing.assert_allclose(dens, want_dens, rtol=0, atol=1e-12)
 
@@ -206,9 +207,16 @@ def test_pair_settled_tree_matches_the_search(fs):
 def test_pair_settled_rows_skip_the_neighbour_query(monkeypatch):
     """A `central-2d`-shaped set (10 images, spread 0.25): the density's own
     pairs settle most parents, so the tree's first kd query over the whole
-    set gets at most a fifth of the rows."""
+    set gets at most a fifth of the rows, in `cluster_rows` and in the public
+    step functions chained one at a time."""
     fs, _ = generate_synthetic(SynthConfig(1000, 10, 2, 0.25, 1, 2.5 * 31))
     sizes = []
+    chains = {
+        "cluster_rows": lambda: cluster_rows(fs.vectors, fs.image_slots, fs.image_count,
+                                             MatchParams(kernel=Kernel.QUADRATIC)).parent,
+        "step functions": lambda: build_tree(fs, compute_density(fs, compute_distinctiveness(fs),
+                                                                 Kernel.QUADRATIC)).parent,
+    }
 
     class RecordingTree(cKDTree):
         def query(self, x, *args, **kwargs):
@@ -217,10 +225,14 @@ def test_pair_settled_rows_skip_the_neighbour_query(monkeypatch):
             return super().query(x, *args, **kwargs)
 
     monkeypatch.setattr(centralized, "cKDTree", RecordingTree)
-    got = cluster_rows(fs.vectors, fs.image_slots, fs.image_count, MatchParams(kernel=Kernel.QUADRATIC))
-    assert sizes[0] <= 0.2 * len(fs)
+    got = {}
+    for name, chain in chains.items():
+        sizes.clear()
+        got[name] = chain()
+        assert sizes[0] <= 0.2 * len(fs), name
     want, _ = tree_arrays(fs.vectors, _near_pairs(fs)[0])
-    np.testing.assert_array_equal(got.parent, want)
+    for name, parent in got.items():
+        np.testing.assert_array_equal(parent, want, err_msg=name)
 
 
 def test_sigma_per_image_leaves_small_and_empty_slots_nan():
@@ -305,7 +317,7 @@ def _squared_exponential(d, sigma):
 # What the tiled Gaussian density must equal, term for term: the library's
 # kernel, and the squared exponential exp(-d**2 / (2 sigma**2)) itself.
 GAUSSIAN_ORACLES = {
-    "gaussian": lambda d, sigma: kernel_values(Kernel.GAUSSIAN, d, sigma),
+    "gaussian": gaussian_kernel,
     "gaussian-squared": _squared_exponential,
 }
 
@@ -325,7 +337,6 @@ def test_gaussian_density_row_blocks_keep_every_bit(oracle, monkeypatch):
         want += h(d, sig_cols[None, c0:c0 + 100]).sum(axis=1)
     monkeypatch.setattr(centralized, "_BLOCK", 100)
     monkeypatch.setattr(centralized, "_STRIP", 7)  # strips that do not divide a tile
-    monkeypatch.setattr(centralized, "_WORKER_STRIP", 7)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # frequent thread switches, so a tile buffer handed to two workers would show
     try:

@@ -12,16 +12,18 @@ from quickmatch.centralized import (
     build_tree,
     compute_density,
     compute_distinctiveness,
+    density_values,
     label_groups,
     merge_labels,
     quickmatch,
 )
-from quickmatch.core import Clustering, FeatureId, FeatureSet, InputError, validate_clustering
+from quickmatch.core import Clustering, FeatureId, FeatureSet, InputError, canonical_cluster_bytes, validate_clustering
 from quickmatch.kernels import Kernel, gaussian_kernel, quadratic_kernel
 from quickmatch.metrics import compare_clusterings
 from quickmatch.synthetic import SynthConfig, generate_synthetic
 
 import oracles
+from test_golden import INPUTS as GOLDEN_INPUTS
 
 
 def test_match_params_validation():
@@ -74,12 +76,12 @@ def test_density_single_feature_is_one():
     fs = FeatureSet.from_rows([(0, 0, [1.0, 2.0])])
     sigma = compute_distinctiveness(fs)
     for kernel in Kernel:
-        assert compute_density(fs, sigma, kernel) == pytest.approx([1.0])
+        assert density_values(fs.vectors, fs.image_slots, sigma, kernel) == pytest.approx([1.0])
 
 
 def test_density_two_coincident_features_gaussian():
     fs = FeatureSet.from_rows([(0, 0, [1.0, 1.0]), (1, 0, [1.0, 1.0])])
-    dens = compute_density(fs, compute_distinctiveness(fs), Kernel.GAUSSIAN)
+    dens = density_values(fs.vectors, fs.image_slots, compute_distinctiveness(fs), Kernel.GAUSSIAN)
     assert dens == pytest.approx([2.0, 2.0])
 
 
@@ -93,7 +95,7 @@ def test_density_oracle_50_random_features(kernel, fn):
         [(i, k, rng.uniform(0, 5, 4)) for i in range(5) for k in range(10)]
     )
     sigma = compute_distinctiveness(fs)
-    got = compute_density(fs, sigma, kernel)
+    got = density_values(fs.vectors, fs.image_slots, sigma, kernel)
     want = oracles.density(fs, dict(zip(fs.image_ids, sigma.tolist())), fn)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -103,7 +105,7 @@ def test_density_oracle_50_random_features(kernel, fn):
 
 def test_tree_two_features():
     fs = FeatureSet.from_rows([(0, 0, [0.0]), (1, 0, [1.0])])
-    tree = build_tree(fs, np.array([1.0, 2.0]))
+    tree = build_tree(fs, (np.argsort(np.array([1.0, 2.0]), kind="stable"), None))
     assert tree.parent[0] == 1  # (0, 0) -> (1, 0)
     assert tree.parent[1] == -1  # (1, 0) is a root
     assert tree.edge_length[0] == 1.0
@@ -113,7 +115,7 @@ def test_tree_equal_densities_chain_by_id():
     # exact density ties are ordered by feature id, so a plateau forms a chain
     # toward the highest id instead of stranding every feature as a root
     fs = FeatureSet.from_rows([(0, 0, [0.0]), (1, 0, [1.0]), (2, 0, [3.0])])
-    tree = build_tree(fs, np.ones(3))
+    tree = build_tree(fs, (np.argsort(np.ones(3), kind="stable"), None))
     assert list(tree.parent) == [1, 2, -1]
     assert len(tree.roots) == 1
 
@@ -123,8 +125,9 @@ def test_tree_brute_force_oracle_100_features():
     fs = FeatureSet.from_rows(
         [(i, k, rng.uniform(0, 8, 2)) for i in range(4) for k in range(25)]
     )
-    dens = compute_density(fs, compute_distinctiveness(fs), Kernel.GAUSSIAN)
-    tree = build_tree(fs, dens)
+    sigma = compute_distinctiveness(fs)
+    dens = density_values(fs.vectors, fs.image_slots, sigma, Kernel.GAUSSIAN)
+    tree = build_tree(fs, compute_density(fs, sigma, Kernel.GAUSSIAN))
     want = oracles.parents(fs, list(dens))
     got = [None if p < 0 else int(p) for p in tree.parent]
     assert got == want
@@ -133,8 +136,9 @@ def test_tree_brute_force_oracle_100_features():
 def test_tree_parent_has_higher_density_and_is_acyclic():
     rng = np.random.default_rng(45)
     fs = FeatureSet.from_rows([(i, k, rng.normal(size=3)) for i in range(3) for k in range(20)])
-    dens = compute_density(fs, compute_distinctiveness(fs), Kernel.GAUSSIAN)
-    tree = build_tree(fs, dens)
+    sigma = compute_distinctiveness(fs)
+    dens = density_values(fs.vectors, fs.image_slots, sigma, Kernel.GAUSSIAN)
+    tree = build_tree(fs, compute_density(fs, sigma, Kernel.GAUSSIAN))
     for r in range(len(fs)):
         p = int(tree.parent[r])
         if p < 0:
@@ -280,6 +284,17 @@ def test_merge_labels_matches_the_oracle_loop(case):
     assert got == oracles.smallest_row_labels(got)
     want = oracles.reference_merge_labels(parent, edge, slots, sigma, rho, np.arange(len(parent)))
     assert got == oracles.smallest_row_labels(want)
+
+
+@pytest.mark.parametrize("kernel", list(Kernel), ids=lambda k: k.value)
+@pytest.mark.parametrize("name", sorted(GOLDEN_INPUTS))
+def test_step_functions_give_the_quickmatch_clusters(name, kernel):
+    """The public stages, chained one at a time, are quickmatch's pipeline:
+    the same cluster bytes on the golden inputs."""
+    fs, params = GOLDEN_INPUTS[name](), MatchParams(kernel=kernel)
+    sigma = compute_distinctiveness(fs)
+    got = break_and_merge(fs, build_tree(fs, compute_density(fs, sigma, kernel)), sigma, params)
+    assert canonical_cluster_bytes(got) == canonical_cluster_bytes(quickmatch(fs, params))
 
 
 def test_quickmatch_empty_set():
