@@ -2,7 +2,9 @@
 evaluation helpers that only the tests run.
 
 The oracles are deliberately written as plain loops over the definitions,
-sharing no code with the package internals they check. The helpers at the
+sharing no code with the package internals they check; two are the
+package's earlier kd passes, the references for the searches that replaced
+them. The helpers at the
 end (criterion 8's ratio-test baseline, match counts and PR curves) are
 vectorized code moved out of the package, which no command runs.
 """
@@ -18,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from quickmatch.core import Clustering, FeatureId, FeatureSet, InputError
@@ -134,6 +137,100 @@ def parents(fs: FeatureSet, dens) -> list[int | None]:
                 best_j, best_d = j, d
         out.append(best_j)
     return out
+
+
+def _pair_distances(vectors, rows, cols):
+    """``cdist``'s bits between ``vectors[rows]`` and ``vectors[cols]``:
+    squared differences summed in dimension order, then the square root."""
+    acc = np.zeros(np.broadcast_shapes(np.shape(rows), np.shape(cols)))
+    for comp in np.ascontiguousarray(vectors.T):
+        t = comp[rows] - comp[cols]
+        acc += t * t
+    return np.sqrt(acc)
+
+
+def per_image_quadratic_density(vectors, image_slots, sigma):
+    """The quadratic density's pass as it was before its bandwidth classes:
+    one kd radius query per image, at that image's bandwidth (with a 1e-9
+    margin), each row's terms summed in ascending column order. Returns the
+    density, its stable order and the pairs within the smallest bandwidth:
+    what ``centralized.density_values`` and ``density_order`` give."""
+    n = len(vectors)
+    tree = cKDTree(vectors)
+    rows, cols = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
+    for slot in np.unique(image_slots):
+        members = np.flatnonzero(image_slots == slot)
+        near = cKDTree(vectors[members]).sparse_distance_matrix(
+            tree, float(sigma[slot]) * (1 + 1e-9), output_type="ndarray")
+        rows.append(near["j"])
+        cols.append(members[near["i"]])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    order = np.argsort(rows * n + cols)
+    rows, cols = rows[order], cols[order]
+    d = _pair_distances(vectors, rows, cols)
+    r = d / sigma[image_slots][cols]
+    density = np.bincount(rows, weights=np.maximum(0.0, 1.0 - r * r), minlength=n)
+    keep = d <= sigma[image_slots].min(initial=math.inf)
+    return density, np.argsort(density, kind="stable"), (rows[keep], cols[keep], d[keep])
+
+
+def k_doubling_tree(vectors, by_rank, near=None):
+    """``centralized.tree_arrays`` as it was before its mode search: rows
+    left by ``near`` ask a kd-tree over every feature for their k nearest
+    neighbours, k doubling from 16 to 256, then scan every denser feature
+    exactly, in blocks of about 8 MiB."""
+    slack, block_bytes = 1e-9, 8 << 20
+    n = len(vectors)
+    parent = np.full(n, -1, dtype=np.intp)
+    edge = np.full(n, np.nan)
+    rank = np.empty(n, dtype=np.intp)
+    rank[by_rank] = np.arange(n)
+    todo = np.arange(n)
+    if near is not None:
+        rows, cols, d = near
+        denser = (rank[cols] > rank[rows]) & (d < math.inf)
+        rows, cols, d = rows[denser], cols[denser], d[denser]
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        best = np.minimum.reduceat(d, starts)
+        at_best = d == np.repeat(best, np.diff(starts, append=len(d)))
+        rows, cols = rows[at_best], cols[at_best]
+        first = np.flatnonzero(np.diff(rows, prepend=-1))
+        parent[rows[first]] = cols[first]
+        edge[rows[first]] = best
+        todo = np.flatnonzero(parent < 0)
+
+    def settle(rows, cand, d):
+        d = np.where(rank[cand] > rank[rows][:, None], d, np.inf)
+        best = d.min(axis=1)
+        pick = np.where(d == best[:, None], cand, np.iinfo(np.intp).max).argmin(axis=1)
+        found = np.isfinite(best)
+        parent[rows[found]] = cand[found, pick[found]]
+        edge[rows[found]] = best[found]
+        return best
+
+    tree = cKDTree(vectors)
+    k = 16
+    while len(todo) and k <= 256:
+        kk = min(k, n)
+        kd, nbr = tree.query(vectors[todo], k=kk)
+        nbr = nbr.reshape(len(todo), kk)
+        best = settle(todo, nbr, _pair_distances(vectors, todo[:, None], nbr))
+        if kk == n:
+            return parent, edge
+        todo = todo[~(kd.reshape(len(todo), kk)[:, -1] > best * (1 + slack))]
+        k *= 2
+    todo = todo[np.argsort(-rank[todo])]
+    s = 0
+    while s < len(todo):
+        e = s + 1
+        while e < len(todo) and (e + 1 - s) * (n - rank[todo[e]]) * 8 <= block_bytes:
+            e += 1
+        rows = todo[s:e]
+        cols = by_rank[rank[rows[-1]] + 1:]
+        if len(cols):
+            settle(rows, np.broadcast_to(cols, (len(rows), len(cols))), cdist(vectors[rows], vectors[cols]))
+        s = e
+    return parent, edge
 
 
 def reference_merge_labels(parent, edge_length, image_slots, sigma, rho, id_rank):

@@ -178,20 +178,87 @@ def test_density_order_hands_the_tree_every_near_pair():
         assert near[2].tobytes() == d[rows, cols].tobytes(), name
 
 
+def _bandwidth_classes():
+    """Four images of 300, 100, 30 and 8 random features, each bandwidth
+    several times the last, and a two-feature image far from them all."""
+    rng = np.random.default_rng(11)
+    rows = [(img, k, v) for img, count in enumerate((300, 100, 30, 8))
+            for k, v in enumerate(rng.uniform(0, 10, (count, 2)))]
+    return FeatureSet.from_rows(rows + [(99, 0, [0.0, 0.0]), (99, 1, [500.0, 500.0])])
+
+
+def test_quadratic_density_matches_the_per_image_pass():
+    """One self-join per bandwidth class gives the per-image pass's density,
+    order and near pairs bit for bit: with several classes, with a lone
+    far-apart image, on agent-like row subsets that lack some images, and on
+    the adversarial and random inputs."""
+    classes = _bandwidth_classes()
+    inputs = [("classes", classes.vectors, classes.image_slots, compute_distinctiveness(classes))]
+    for case in sorted(ADVERSARIAL):
+        fs = FeatureSet.from_rows(ADVERSARIAL[case]())
+        inputs.append((case, fs.vectors, fs.image_slots, compute_distinctiveness(fs)))
+    for seed in range(50):
+        fs = oracles.random_feature_set(np.random.default_rng(4000 + seed))
+        inputs.append((f"random-{seed}", fs.vectors, fs.image_slots, compute_distinctiveness(fs)))
+    for name, fs in [("classes", classes), ("central-2d", generate_synthetic(SynthConfig(300, 10, 2, 0.25, 1, 2.5 * 17))[0])]:
+        # Every third row dropped and images 2 and 5 missing, as an agent's rows may be.
+        rows = np.flatnonzero((np.arange(len(fs)) % 3 != 1) & ~np.isin(fs.image_slots, [2, 5]))
+        vectors, slots = fs.vectors[rows], fs.image_slots[rows]
+        inputs.append((f"{name}-subset", vectors, slots,
+                       resolve_sigma(sigma_per_image(vectors, slots, fs.image_count), vectors)))
+    sig = inputs[0][3]
+    assert sig.max() > 2 * sig.min() and np.sort(sig)[-2] > 2 * np.sort(sig)[0]  # three classes or more
+    for name, vectors, slots, sigma in inputs:
+        want_density, want_order, want_near = oracles.per_image_quadratic_density(vectors, slots, sigma)
+        got = density_values(vectors, slots, sigma, Kernel.QUADRATIC)
+        assert got.tobytes() == want_density.tobytes(), name
+        by_rank, near = density_order(vectors, slots, sigma, Kernel.QUADRATIC)
+        np.testing.assert_array_equal(by_rank, want_order, err_msg=name)
+        for part, want in zip(near, want_near):
+            assert part.tobytes() == want.tobytes(), name
+
+
+def test_high_dimensional_bandwidth_classes_bound_the_pairs():
+    """482 32-D features, with a two-feature image whose bandwidth is 1.9
+    times the others': searching every column at that bandwidth would find
+    seven times the pairs within the columns' own, so the pass must keep to
+    a quarter more, and still give the per-image pass's density."""
+    fs, _ = generate_synthetic(SynthConfig(60, 8, 32, 0.25, 1, 60.0))
+    far = fs.vectors[0].copy()
+    far[0] += 1.9 * compute_distinctiveness(fs).min()
+    rows = [(fid.image, fid.index, v) for fid, v in zip(fs.ids, fs.vectors)]
+    fs = FeatureSet.from_rows(rows + [(99, 0, fs.vectors[0]), (99, 1, far)])
+    sigma = compute_distinctiveness(fs)
+    within = (cdist(fs.vectors, fs.vectors) <= sigma[fs.image_slots] * (1 + 1e-9)).sum()
+    density, (pair_rows, _, _) = centralized._quadratic_density(fs.vectors, fs.image_slots, sigma)
+    assert len(pair_rows) <= 1.25 * within
+    want = oracles.per_image_quadratic_density(fs.vectors, fs.image_slots, sigma)[0]
+    assert density.tobytes() == want.tobytes()
+
+
 def _near_pairs(fs):
     """The quadratic density's order, and its pairs within the smallest
     bandwidth, as density_order hands them to the tree."""
     return density_order(fs.vectors, fs.image_slots, compute_distinctiveness(fs), Kernel.QUADRATIC)
 
 
+def _tree_examples(test):
+    """The tree property tests' fixed inputs: duplicate vectors, a square
+    where every density ties, one image, and the golden ``lone`` input."""
+    for fs in [
+        FeatureSet(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0]]),
+                   [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]),
+        FeatureSet(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]), [(0, 0), (1, 0), (0, 1), (1, 1)]),
+        FeatureSet(np.array([[0.0], [1.0], [3.0], [3.5], [7.0]]), [(0, k) for k in range(5)]),
+        GOLDEN_INPUTS["lone"](),
+    ]:
+        test = example(fs)(test)
+    return test
+
+
 @settings(max_examples=200, database=None, deadline=None, derandomize=True)
 @given(oracles.small_feature_sets())
-@example(FeatureSet(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0]]),
-                    [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]))  # duplicate vectors
-@example(FeatureSet(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
-                    [(0, 0), (1, 0), (0, 1), (1, 1)]))  # a square: every density ties
-@example(FeatureSet(np.array([[0.0], [1.0], [3.0], [3.5], [7.0]]), [(0, k) for k in range(5)]))  # one image
-@example(GOLDEN_INPUTS["lone"]())
+@_tree_examples
 def test_pair_settled_tree_matches_the_search(fs):
     """Parents settled from the density's pairs, and the search for the
     rest, give the parents and edge bits of the search over every row."""
@@ -204,33 +271,67 @@ def test_pair_settled_tree_matches_the_search(fs):
     np.testing.assert_array_equal(got.parent, want_parent)
 
 
+@settings(max_examples=200, database=None, deadline=None, derandomize=True)
+@given(oracles.small_feature_sets())
+@_tree_examples
+def test_mode_search_matches_the_k_doubling_search(fs):
+    """The mode search over denser features gives the parents and edge bits
+    of the k-doubling search over every feature, with the density's pairs
+    and without them."""
+    by_rank, near = _near_pairs(fs)
+    for pairs in (near, None):
+        parent, edge = tree_arrays(fs.vectors, by_rank, pairs)
+        want_parent, want_edge = oracles.k_doubling_tree(fs.vectors, by_rank, pairs)
+        np.testing.assert_array_equal(parent, want_parent)
+        assert edge.tobytes() == want_edge.tobytes()
+
+
 def test_pair_settled_rows_skip_the_neighbour_query(monkeypatch):
     """A `central-2d`-shaped set (10 images, spread 0.25): the density's own
-    pairs settle most parents, so the tree's first kd query over the whole
-    set gets at most a fifth of the rows, in `cluster_rows` and in the public
-    step functions chained one at a time."""
+    pairs settle most parents, so the tree's kd queries get at most a fifth
+    of the rows, in `cluster_rows` and in the public step functions chained
+    one at a time. Each tree the search queries holds every feature denser
+    than its block's least dense row, and no other."""
     fs, _ = generate_synthetic(SynthConfig(1000, 10, 2, 0.25, 1, 2.5 * 31))
-    sizes = []
+    by_rank = _near_pairs(fs)[0]
+    rank = np.empty(len(fs), dtype=np.intp)
+    rank[by_rank] = np.arange(len(fs))
+    row_of = {v.tobytes(): r for r, v in enumerate(fs.vectors)}
+    assert len(row_of) == len(fs)
     chains = {
         "cluster_rows": lambda: cluster_rows(fs.vectors, fs.image_slots, fs.image_count,
                                              MatchParams(kernel=Kernel.QUADRATIC)).parent,
         "step functions": lambda: build_tree(fs, compute_density(fs, compute_distinctiveness(fs),
                                                                  Kernel.QUADRATIC)).parent,
     }
+    searching, queried = [], {}  # queried: id(tree) -> (tree, rows of every query)
+    real_tree_arrays = centralized.tree_arrays
+
+    def traced_tree_arrays(*args):
+        searching.append(True)
+        try:
+            return real_tree_arrays(*args)
+        finally:
+            searching.pop()
 
     class RecordingTree(cKDTree):
         def query(self, x, *args, **kwargs):
-            if self.n == len(fs):
-                sizes.append(len(x))
+            if searching:
+                queried.setdefault(id(self), (self, []))[1].extend(row_of[v.tobytes()] for v in x)
             return super().query(x, *args, **kwargs)
 
     monkeypatch.setattr(centralized, "cKDTree", RecordingTree)
+    monkeypatch.setattr(centralized, "tree_arrays", traced_tree_arrays)
     got = {}
     for name, chain in chains.items():
-        sizes.clear()
+        queried.clear()
         got[name] = chain()
-        assert sizes[0] <= 0.2 * len(fs), name
-    want, _ = tree_arrays(fs.vectors, _near_pairs(fs)[0])
+        assert queried, name
+        assert len(set().union(*(rows for _, rows in queried.values()))) <= 0.2 * len(fs), name
+        for tree, rows in queried.values():
+            held = np.sort(rank[[row_of[v.tobytes()] for v in tree.data]])
+            np.testing.assert_array_equal(held, np.arange(rank[rows].min() + 1, len(fs)), err_msg=name)
+    want, _ = tree_arrays(fs.vectors, by_rank)
     for name, parent in got.items():
         np.testing.assert_array_equal(parent, want, err_msg=name)
 
@@ -302,11 +403,32 @@ def test_parent_ties_at_the_kth_neighbour():
             density[ring] = 1.0
             density[cy * 30 + cx] = 0.5
     forward = np.arange(len(pts))
-    for rows in (forward[::-1], forward):  # reversed: the lowest row at the far corner
+    _assert_dense_tree_in_each_order(pts, density, (forward[::-1], forward))  # reversed: the lowest row at the far corner
+
+
+def _assert_dense_tree_in_each_order(pts, density, orders):
+    """The tree over the points taken in each row order is the dense scan's."""
+    forward = np.arange(len(pts))
+    for rows in orders:
         parent, edge = tree_arrays(pts[rows], np.argsort(density[rows], kind="stable"))
         want_parent, want_edge = dense_tree(pts[rows], density[rows], forward)
         np.testing.assert_array_equal(parent, want_parent)
         np.testing.assert_array_equal(edge, want_edge)
+
+
+def test_parent_ties_among_denser_features_at_the_kth_neighbour():
+    """Centres whose 20 denser features all lie at distance exactly 25, the
+    integer points of that circle: a 16-neighbour query over the denser
+    features cuts the tie, so the lowest row may not be among the 16. The
+    rows go forward, backward and in three shuffled orders."""
+    circle = np.array([(a * x, b * y) for x, y in [(7, 24), (24, 7), (15, 20), (20, 15)]
+                       for a in (1, -1) for b in (1, -1)] + [(25, 0), (-25, 0), (0, 25), (0, -25)], dtype=float)
+    centres = np.array([(cx, cy) for cx in range(0, 400, 100) for cy in range(0, 400, 100)], dtype=float)
+    pts = np.vstack([centres] + [centres[i] + circle for i in range(len(centres))])
+    density = np.r_[np.full(len(centres), 0.5), np.ones(len(pts) - len(centres))]
+    rng = np.random.default_rng(5)
+    forward = np.arange(len(pts))
+    _assert_dense_tree_in_each_order(pts, density, [forward, forward[::-1]] + [rng.permutation(len(pts)) for _ in range(3)])
 
 
 def _squared_exponential(d, sigma):
