@@ -647,7 +647,7 @@ def cluster_rows(
     has_parent = parent >= 0
     sigma_a = float(edge[has_parent].max()) if has_parent.any() else math.inf
     if fallback_sigma_a:
-        sigma = np.maximum(np.where(np.isnan(raw), sigma_a, raw), SIGMA_FLOOR)
+        sigma = resolve_sigma(np.where(np.isnan(raw), sigma_a, raw), vectors)
     labels = merge_labels(parent, edge, image_slots, sigma, params.rho)
     return RowClusters(labels, parent, sigma_a)
 

@@ -240,10 +240,6 @@ def _cmd_dmatch(args: argparse.Namespace) -> int:
         "ledger": {
             **run.ledger.counts(),
             "digest": sha256_hex(ledger_text.encode()),
-            "transfer_chains": [
-                {"cluster_head": members[0], "size": len(members), "chain": chain}
-                for members, chain in run.ledger.transfer_chains()
-            ],
         },
         "timings_s": {**run.timings, "per_agent": [agent.timings for agent in run.agents]},
     }

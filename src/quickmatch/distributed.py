@@ -70,7 +70,8 @@ class NetworkLedger:
     kind "route": one feature delivered to its owning agent (round 0).
     kind "scalar": a boundary scalar d_aa' (round 1), ``"inf"`` when infinite.
     kind "cluster": a whole cluster, listed by its members' ids (round 2);
-    cluster transfers only ever move to a strictly lower agent index.
+    cluster transfers only ever move to a strictly lower agent index. A
+    cluster message's ``from`` and ``to`` are the only record of its hop.
 
     Sealed before the finalize phase: any attempt to log afterwards is a
     protocol bug and raises.
@@ -112,11 +113,6 @@ class NetworkLedger:
         """Messages per kind, and ``cross_agent``: those that actually left an
         agent (ingest routing excluded)."""
         return self._tally()[0]
-
-    def transfer_chains(self) -> list[tuple[list[list[int]], list[int]]]:
-        """Per cluster message, in log order: its members' ``[image, index]``
-        lists, as logged, and its one hop ``[from, to]``."""
-        return [(msg["ids"], [msg["from"], msg["to"]]) for msg in self._messages if msg["kind"] == "cluster"]
 
     def validate_protocol(self, feature_count: int, m: int) -> None:
         """Assert the communication bounds: routing = one message per feature,
@@ -245,6 +241,8 @@ def detect_contested(agent: AgentState, scalars_row: np.ndarray) -> np.ndarray:
     caught. Only the lowest such a' is kept, as the feature's trigger; m
     where there is none.
     """
+    if math.isnan(agent.sigma_a):
+        raise ProtocolError(f"agent {agent.id} has no local clusters yet")
     if agent.boundary is None:
         raise ProtocolError(f"agent {agent.id} has no boundary distances yet")
     m = len(scalars_row)

@@ -490,6 +490,12 @@ def agent_map(part) -> dict:
     return dict(zip(map(FeatureId._make, part.ids.tolist()), part.assignment.tolist()))
 
 
+def cluster_hops(ledger: Mapping) -> list[tuple[list[list[int]], list[int]]]:
+    """Each cluster message of a parsed ledger file, in log order: its
+    members' ``[image, index]`` lists and its hop ``[from, to]``."""
+    return [(msg["ids"], [msg["from"], msg["to"]]) for msg in ledger["messages"] if msg["kind"] == "cluster"]
+
+
 # The tuple-per-feature implementations the package ran before its array
 # ports, kept unchanged (bar the inlined dict lookups) as references.
 

@@ -330,11 +330,24 @@ def test_transfer_round_refuses_an_agent_never_clustered():
         transfer_round(agents, fs, NetworkLedger())
 
 
+def test_detect_contested_refuses_an_agent_never_clustered():
+    # Before local_cluster, sigma_a is NaN: every comparison with it is False,
+    # so the test would flag nothing rather than fail.
+    fs, _ = generate_synthetic(SynthConfig())
+    part = kmeans_seeds(fs, 4, seed=0)
+    agents = _agents_for(fs, part)
+    for ag in agents:
+        compute_boundary(ag, fs, part)
+    scalars = exchange_boundary_scalars(agents, fs, part, NetworkLedger())
+    with pytest.raises(ProtocolError, match=r"^agent 0 has no local clusters yet$"):
+        detect_contested(agents[0], scalars[0])
+
+
 def test_transfer_chains_strictly_decrease():
     fs, _ = generate_synthetic(SynthConfig())
     for m in (2, 4, 8):
         run = distributed_quickmatch(fs, m, QUAD, seed=0)
-        for _, hop in run.ledger.transfer_chains():
+        for _, hop in oracles.cluster_hops(json.loads(run.ledger.to_json())):
             assert len(hop) == 2 and hop[1] < hop[0]
         run.ledger.validate_protocol(len(fs), m)
 
@@ -449,7 +462,6 @@ def test_ledger_writes_each_message_as_its_record():
             "pairs": {"-1->1": 1, "0->1": 1, "1->0": 2},
         },
     }
-    assert ledger.transfer_chains() == [([[3, 4], [5, 0]], [1, 0])]
 
 
 def test_ledger_rejects_nondecreasing_cluster_transfer():
