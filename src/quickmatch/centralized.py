@@ -71,7 +71,7 @@ _Z = 700.0
 
 @dataclass(frozen=True)
 class MatchParams:
-    """Tuning knobs for the merge loop: threshold multiplier and kernel."""
+    """Matching parameters: ``rho`` scales the merge threshold, ``kernel`` picks the density kernel."""
 
     rho: float = 1.1
     kernel: Kernel = Kernel.GAUSSIAN

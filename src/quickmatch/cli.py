@@ -228,19 +228,10 @@ def _cmd_dmatch(args: argparse.Namespace) -> int:
     params = _params(args)
     run = distributed_quickmatch(fs, args.agents, params, seed=args.seed, seeding=args.seeding)
     ledger_text = run.ledger.to_json()
-
-    total_local = sum(s["local_clusters"] for s in run.per_agent_stats)
-    total_contested_clusters = sum(s["contested_clusters"] for s in run.per_agent_stats)
     fields = {
         "per_agent": list(run.per_agent_stats),
-        "contested_features": len(run.contested_ids),
         "contested_ids": run.contested_ids.tolist(),
-        "percent_contested_clusters_detected": 100.0 * total_contested_clusters / total_local if total_local else 0.0,
-        "percent_contested_features_found": None,  # needs a reference run; see `compare`
-        "ledger": {
-            **run.ledger.counts(),
-            "digest": sha256_hex(ledger_text.encode()),
-        },
+        "ledger": {**run.ledger.counts(), "digest": sha256_hex(ledger_text.encode())},
         "timings_s": {**run.timings, "per_agent": [agent.timings for agent in run.agents]},
     }
     if args.agents == 1:

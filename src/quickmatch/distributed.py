@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 INGEST = -1  # pseudo-sender for the initial routing round
+ROUNDS = {"route": 0, "scalar": 1, "cluster": 2}  # message kind -> the protocol round that sends it
 
 
 class NetworkLedger:
@@ -72,6 +73,8 @@ class NetworkLedger:
     kind "cluster": a whole cluster, listed by its members' ids (round 2);
     cluster transfers only ever move to a strictly lower agent index. A
     cluster message's ``from`` and ``to`` are the only record of its hop.
+    :data:`ROUNDS` is this kind -> round table; :meth:`log` refuses a kind
+    not in it, and a route or cluster message that lists no feature.
 
     Sealed before the finalize phase: any attempt to log afterwards is a
     protocol bug and raises.
@@ -81,14 +84,16 @@ class NetworkLedger:
         self._messages: list[dict] = []
         self._sealed = False
 
-    def log(
-        self, round: int, kind: str, src: int, dst: int, ids: list[list[int]] | None = None, value: float | None = None
-    ) -> None:
+    def log(self, kind: str, src: int, dst: int, ids: list[list[int]] | None = None, value: float | None = None) -> None:
         if self._sealed:
             raise ProtocolError("message logged after the ledger was sealed")
+        if kind not in ROUNDS:
+            raise ProtocolError(f"unknown message kind {kind!r}")
+        if kind != "scalar" and not ids:
+            raise ProtocolError(f"{kind} message {src}->{dst} lists no features")
         if kind == "cluster" and dst >= src:
             raise ProtocolError(f"cluster transfer {src}->{dst} does not decrease")
-        record: dict = {"round": round, "kind": kind, "from": src, "to": dst}
+        record: dict = {"round": ROUNDS[kind], "kind": kind, "from": src, "to": dst}
         if ids:
             record["ids"] = ids
         if value is not None:
@@ -100,7 +105,7 @@ class NetworkLedger:
 
     def _tally(self) -> tuple[Counter[str], Counter[str]]:
         """One pass over the log: :meth:`counts`, and the messages per ``"from->to"`` pair."""
-        counts = Counter({"route": 0, "scalar": 0, "cluster": 0, "cross_agent": 0})
+        counts = Counter({**dict.fromkeys(ROUNDS, 0), "cross_agent": 0})
         pairs: Counter[str] = Counter()
         for (kind, src, dst), n in Counter(map(itemgetter("kind", "from", "to"), self._messages)).items():
             counts[kind] += n
@@ -175,7 +180,7 @@ def init_agents(fs: FeatureSet, part: Partition, ledger: NetworkLedger) -> list[
     if not np.array_equal(part.ids, fs.id_array):
         raise InputError("partition was built over a different feature set")
     for fid, agent in zip(fs.id_array.tolist(), part.assignment.tolist()):
-        ledger.log(0, "route", INGEST, agent, [fid])
+        ledger.log("route", INGEST, agent, [fid])
     rows = [np.flatnonzero(part.assignment == a).astype(np.intp) for a in range(part.m)]
     return [AgentState(a, r, np.ones(len(r), dtype=bool)) for a, r in enumerate(rows)]
 
@@ -225,7 +230,7 @@ def exchange_boundary_scalars(
                 continue
             value = float(src.boundary[:, receiver].min(initial=math.inf))
             scalars[receiver, sender] = value
-            ledger.log(1, "scalar", sender, receiver, value=value)
+            ledger.log("scalar", sender, receiver, value=value)
     return scalars
 
 
@@ -277,7 +282,7 @@ def transfer_round(agents: Sequence[AgentState], fs: FeatureSet, ledger: Network
         for k in np.flatnonzero(dest < agent.id).tolist():
             members, to = order[starts[k]:ends[k]], int(dest[k])
             rows = agent.rows0[members]
-            ledger.log(2, "cluster", agent.id, to, fs.id_array[rows].tolist())
+            ledger.log("cluster", agent.id, to, fs.id_array[rows].tolist())
             agents[to].adopted.append(rows)
             agent.kept[members] = False
     return agents

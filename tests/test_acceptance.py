@@ -158,7 +158,7 @@ def test_criterion_5_invariant_suite():
                     for _, hop in oracles.cluster_hops(json.loads(run.ledger.to_json())):
                         assert len(hop) == 2 and hop[1] < hop[0]
                     with pytest.raises(ProtocolError, match="sealed"):
-                        run.ledger.log(3, "scalar", 0, 1, value=0.0)
+                        run.ledger.log("scalar", 0, 1, value=0.0)
 
         # the finalize phase cannot touch the network: the ledger is sealed and
         # a manual phase-by-phase run logs nothing during finalize
@@ -177,8 +177,8 @@ def test_criterion_5_invariant_suite():
         before = ledger.to_json()
         finalize(agents, fs, QUAD)
         assert ledger.to_json() == before
-        with pytest.raises(ProtocolError):
-            ledger.log(4, "scalar", 1, 0, value=1.0)
+        with pytest.raises(ProtocolError, match="sealed"):
+            ledger.log("scalar", 1, 0, value=1.0)
 
 
 def test_criterion_6_contested_detection_recall():

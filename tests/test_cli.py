@@ -80,6 +80,7 @@ def test_dmatch_m1_marks_equivalence():
     feat, _ = _generate()
     assert main(["dmatch", str(feat), "--agents", "1", "--out", "d.json"]) == 0
     report = json.loads(Path("d.json.report.json").read_text())
+    assert sorted(report) == sorted(DMATCH_REPORT_SCHEMA["properties"])
     assert report["m1_equivalent_to_centralized"] is True
     assert report["ledger"]["cluster"] == 0
 
@@ -104,10 +105,8 @@ DMATCH_REPORT_SCHEMA = {
     "type": "object",
     "required": [
         "command", "config", "feature_count", "image_count", "dim",
-        "clusters_found", "clusters_digest", "per_agent", "contested_features",
-        "contested_ids", "percent_contested_clusters_detected",
-        "percent_contested_features_found", "ledger", "timings_s",
-        "determinism_hash",
+        "clusters_found", "clusters_digest", "per_agent", "contested_ids",
+        "ledger", "timings_s", "determinism_hash",
     ],
     "properties": {
         "command": {"const": "dmatch"},
@@ -115,7 +114,14 @@ DMATCH_REPORT_SCHEMA = {
             "type": "object",
             "required": ["input", "agents", "rho", "kernel", "seed", "seeding", "out"],
         },
+        **{count: {"type": "integer", "minimum": 0} for count in ("feature_count", "image_count", "dim")},
         "clusters_found": {"type": "integer", "minimum": 0},
+        "clusters_digest": {"type": "string", "pattern": "^[0-9a-f]{64}$"},
+        "contested_ids": {
+            "type": "array",
+            "items": {"type": "array", "items": {"type": "integer"}, "minItems": 2, "maxItems": 2},
+        },
+        "m1_equivalent_to_centralized": {"type": "boolean"},
         "per_agent": {
             "type": "array",
             "items": {
@@ -153,6 +159,7 @@ DMATCH_REPORT_SCHEMA = {
         },
         "determinism_hash": {"type": "string", "pattern": "^[0-9a-f]{64}$"},
     },
+    "additionalProperties": False,
 }
 
 
@@ -316,6 +323,23 @@ def test_compare_sweep_contested_found_100_on_clean_data():
         points = _csv_rows(f"sweep.m{m}.points.csv", csv.reader)
         assert points[0] == ["image", "feature", "x0", "x1", "cluster", "agent"]
         assert len(points) == 251
+
+
+def test_compare_contested_columns_are_eval_splits_figures():
+    # The paper's two contested figures, from their two sources: compare's
+    # sweep row, and eval --mode split of the centralized clustering with the
+    # contested set a dmatch report detected.
+    feat, _ = _generate()
+    assert main(["compare", str(feat), "--agents", "4", "--out", "sweep.csv"]) == 0
+    (row,) = _csv_rows("sweep.csv")
+    assert main(["match", str(feat), "--kernel", "quadratic", "--out", "c.json"]) == 0
+    assert main(["dmatch", str(feat), "--agents", "4", "--out", "d.json"]) == 0
+    assert main(["eval", "c.json", "--mode", "split", "--partition", "d.json.partition.json",
+                 "--contested-from", "d.json.report.json", "--out", "s.json"]) == 0
+    split = json.loads(Path("s.json").read_text())
+    assert split["p_contested"] > 0 and split["contested_recall"] is not None  # both figures say something
+    assert float(row["Percent Contested Clusters"]) == round(100.0 * split["p_contested"], 4)
+    assert float(row["% Contested Features Found"]) == round(100.0 * split["contested_recall"], 4)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

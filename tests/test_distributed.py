@@ -356,14 +356,14 @@ def test_validate_protocol_rejects_a_feature_carried_twice():
     # Each hop decreases, so the ledger takes both; a two-hop chain was within
     # the old m-1 hop limit, but a cluster settles where it first arrives.
     ledger = NetworkLedger()
-    ledger.log(0, "route", -1, 2, [[0, 0]])
+    ledger.log("route", -1, 2, [[0, 0]])
     for src in range(3):
         for dst in range(3):
             if src != dst:
-                ledger.log(1, "scalar", src, dst, value=1.0)
-    ledger.log(2, "cluster", 2, 1, [[0, 0]])
+                ledger.log("scalar", src, dst, value=1.0)
+    ledger.log("cluster", 2, 1, [[0, 0]])
     ledger.validate_protocol(1, 3)
-    ledger.log(2, "cluster", 1, 0, [[0, 0]])
+    ledger.log("cluster", 1, 0, [[0, 0]])
     with pytest.raises(ProtocolError, match=r"^feature \(0, 0\) is carried by two cluster messages$"):
         ledger.validate_protocol(1, 3)
 
@@ -371,10 +371,10 @@ def test_validate_protocol_rejects_a_feature_carried_twice():
 def _ledger_missing(kind, features=3, m=3):
     """A route for each feature and a scalar for each ordered agent pair,
     leaving out the first message of ``kind``."""
-    messages = [(0, "route", -1, k % m, [[0, k]], None) for k in range(features)]
-    messages += [(1, "scalar", src, dst, None, 1.0) for src in range(m) for dst in range(m) if src != dst]
+    messages = [("route", -1, k % m, [[0, k]], None) for k in range(features)]
+    messages += [("scalar", src, dst, None, 1.0) for src in range(m) for dst in range(m) if src != dst]
     if kind is not None:
-        del messages[[message[1] for message in messages].index(kind)]
+        del messages[[message[0] for message in messages].index(kind)]
     ledger = NetworkLedger()
     for message in messages:
         ledger.log(*message)
@@ -443,10 +443,10 @@ def test_every_contested_cluster_moves_one_hop_to_its_lowest_trigger(case, kerne
 
 def test_ledger_writes_each_message_as_its_record():
     ledger = NetworkLedger()
-    ledger.log(0, "route", -1, 1, [[3, 4]])
-    ledger.log(1, "scalar", 0, 1, value=0.25)
-    ledger.log(1, "scalar", 1, 0, value=math.inf)
-    ledger.log(2, "cluster", 1, 0, [[3, 4], [5, 0]])
+    ledger.log("route", -1, 1, [[3, 4]])
+    ledger.log("scalar", 0, 1, value=0.25)
+    ledger.log("scalar", 1, 0, value=math.inf)
+    ledger.log("cluster", 1, 0, [[3, 4], [5, 0]])
     assert json.loads(ledger.to_json()) == {
         "messages": [
             {"round": 0, "kind": "route", "from": -1, "to": 1, "ids": [[3, 4]]},
@@ -466,15 +466,34 @@ def test_ledger_writes_each_message_as_its_record():
 
 def test_ledger_rejects_nondecreasing_cluster_transfer():
     ledger = NetworkLedger()
-    with pytest.raises(ProtocolError):
-        ledger.log(2, "cluster", 1, 2, [[0, 0]])
+    with pytest.raises(ProtocolError, match=r"^cluster transfer 1->2 does not decrease$"):
+        ledger.log("cluster", 1, 2, [[0, 0]])
 
 
 def test_ledger_sealed_blocks_logging():
     ledger = NetworkLedger()
     ledger.seal()
-    with pytest.raises(ProtocolError):
-        ledger.log(0, "route", -1, 0, [[0, 0]])
+    with pytest.raises(ProtocolError, match=r"^message logged after the ledger was sealed$"):
+        ledger.log("route", -1, 0, [[0, 0]])
+
+
+@pytest.mark.parametrize("kind, src, dst", [("route", -1, 0), ("cluster", 1, 0)])
+@pytest.mark.parametrize("ids", [None, []])
+def test_ledger_refuses_a_feature_message_that_lists_no_features(kind, src, dst, ids):
+    # Stored, such a record would have no ids, and validate_protocol would fail
+    # on it with a KeyError rather than a ProtocolError.
+    ledger = NetworkLedger()
+    with pytest.raises(ProtocolError, match=rf"^{kind} message {src}->{dst} lists no features$"):
+        ledger.log(kind, src, dst, ids)
+    assert json.loads(ledger.to_json())["messages"] == []
+
+
+def test_ledger_refuses_an_unknown_kind():
+    # Stored, it would become a key of counts() that the report's ledger block refuses.
+    ledger = NetworkLedger()
+    with pytest.raises(ProtocolError, match=r"^unknown message kind 'bogus'$"):
+        ledger.log("bogus", 0, 1, value=1.0)
+    assert ledger.counts() == {"route": 0, "scalar": 0, "cluster": 0, "cross_agent": 0}
 
 
 # -- full pipeline ------------------------------------------------------------------
@@ -536,7 +555,7 @@ def test_conservation_and_validity_across_configs():
             assert sorted(fid for members in run.clustering.clusters for fid in members) == sorted(fs.ids)
             run.ledger.validate_protocol(len(fs), m)
             with pytest.raises(ProtocolError, match="sealed"):
-                run.ledger.log(3, "scalar", 0, 1, value=0.0)
+                run.ledger.log("scalar", 0, 1, value=0.0)
 
 
 def test_determinism_repeated_runs():

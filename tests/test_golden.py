@@ -85,17 +85,17 @@ GOLDEN = {
     ("blobs", "dmatch-m1-agent-max"): (
         "6341e1b9dd1f7ff4b77499527892a84528cfcae01f39790b58f16c2e0175498c",
         "b114f03adfb3237f07709627b1c8139a47e4f8eeda50b606113a66eadc433e6d",
-        "1a762fc22735cd877cb66a20edaac5bb7c5b062f02fe8e061bbb8fa1865eabb1",
+        "c2a574c6b182bb75034d3ad57fcfc6b45f9c2582c4d32d51e3f8040f7bb70c42",
     ),
     ("blobs", "dmatch-m4-agent-max"): (
         "d63a9317edd102701e361533ae8f317b8aa41f05d4a31d17b31f58e02f33dd42",
         "0090eea719312d34651cea30c28e277a0a0ba3808ae453d51be1def60146c904",
-        "bfe2de8fdd124dcfc8e561a2ec140d7cc0d094bd1411aefdfaeaf9611c4d003f",
+        "497562799b544ecc12da5b791679801ac8887d23bd4cff5c8246c485295a7cfc",
     ),
     ("blobs", "dmatch-m8-agent-max"): (
         "47e7e1e122cff1daa918983b1957ea91060ee0c80bcfaf08818a6bcb301a8551",
         "1f4c16a91b83be5e9bbf00cc564996f86a7f2763ec25f1b53dc1ddb8aa645013",
-        "946f40d217fbd09ae52f54399f66783ce0c152a91bcf3d05aff94fec8f18cd72",
+        "87eec7b9bb0f48aa1c2b9f623f852ddc8cbea1521e3ff5ce72309a446e7de73c",
     ),
     ("blobs", "match-gaussian"): (
         "6cc4a9279dcf2168c3c4ab42735d18eb497adaa3783b48da6642918cb44266a2",
@@ -110,17 +110,17 @@ GOLDEN = {
     ("lone", "dmatch-m1-agent-max"): (
         "b34ea8ab8b633a6e3e2cc81935a82dca09ea625bc8ecd9bbbac45cf3460b9120",
         "f4e708141bdeb88f718de71c926acf7599a5b90a540c7d0d39da9237e7a2c695",
-        "ec8ea23ecabd48a3f26d75bf62650c16a5644d008875a61a42d41eae7fb0013c",
+        "f7d16c8bf39d853cedb854f7bbc07bd94b0664d198f7063e631fed0be3824551",
     ),
     ("lone", "dmatch-m4-agent-max"): (
         "4f4e86f9692ad3727126ad9bd97700f2b01cd706be81627d47caa0dc7b76ec88",
         "31c2ad59834276914b57a1b12ddfa7180904893371be6967a07bd06d967e5ba6",
-        "c2846729b1f42904aa44d3b864e1efb11963ad6f3d29622b4b797530ed41100a",
+        "5f2f5083ff87f417cff13e810d8eda6268e5e462d83b1f68e6a072cfc50a1321",
     ),
     ("lone", "dmatch-m8-agent-max"): (
         "eea58e55a153aab45d7e64f4a5761d3a257a79cd6b65c30c8fd25b540d2e78be",
         "19d46ec5273358bad1ae8896ccb5b66a32de22847ca574156c3f351b162101d1",
-        "afac4db570518e49b2e1d4a021b18dbff2dba698a8ff57a87ccfbea970b2a2f7",
+        "c64b1cc822be952d2c0d6ecd2fb421883966366444f4bec11904287f4a0a17c3",
     ),
     ("lone", "match-gaussian"): (
         "b86263dad08266a731be0553ad3b7a61145f316f9a191dfbd79c6da956b5e404",
