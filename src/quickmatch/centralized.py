@@ -625,28 +625,22 @@ class RowClusters(NamedTuple):
     sigma_a: float  # longest tree edge; +inf when there is none
 
 
-def cluster_rows(
-    vectors: np.ndarray,
-    image_slots: np.ndarray,
-    n_images: int,
-    params: MatchParams,
-    *,
-    fallback_sigma_a: bool = False,
-) -> RowClusters:
-    """The matching pipeline over one set of rows: sigma, density, tree, merge.
+def cluster_rows(fs: FeatureSet, params: MatchParams, rows: np.ndarray | None = None) -> RowClusters:
+    """The matching pipeline over ``fs``'s ``rows`` (all by default): sigma, density, tree, merge.
 
     Density bandwidths always come from :func:`resolve_sigma` over these
     rows. For the merge threshold, an image with fewer than two rows takes
-    the same whole-set fill, or, with ``fallback_sigma_a`` (the distributed
-    agents), sigma_a: the longest parent edge, which is only known once the
+    the same whole-set fill, or, when the rows are only part of ``fs`` (an
+    agent's), sigma_a: the longest parent edge, which is only known once the
     tree is built.
     """
-    raw = sigma_per_image(vectors, image_slots, n_images)
+    vectors, image_slots = (fs.vectors, fs.image_slots) if rows is None else (fs.vectors[rows], fs.image_slots[rows])
+    raw = sigma_per_image(vectors, image_slots, fs.image_count)
     sigma = resolve_sigma(raw, vectors)
     parent, edge = tree_arrays(vectors, *density_order(vectors, image_slots, sigma, params.kernel))
     has_parent = parent >= 0
     sigma_a = float(edge[has_parent].max()) if has_parent.any() else math.inf
-    if fallback_sigma_a:
+    if len(vectors) < len(fs):
         sigma = resolve_sigma(np.where(np.isnan(raw), sigma_a, raw), vectors)
     labels = merge_labels(parent, edge, image_slots, sigma, params.rho)
     return RowClusters(labels, parent, sigma_a)
@@ -664,5 +658,5 @@ def break_and_merge(fs: FeatureSet, tree: DensityTree, sigma: np.ndarray, params
 
 def quickmatch(fs: FeatureSet, params: MatchParams = MatchParams()) -> Clustering:
     """Full centralized pipeline: :func:`cluster_rows` over every feature."""
-    labels = cluster_rows(fs.vectors, fs.image_slots, fs.image_count, params).labels
+    labels = cluster_rows(fs, params).labels
     return _labels_to_clustering(labels, fs.id_array, params)

@@ -296,6 +296,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         raise InputError(f"bad agent list {args.agents!r}") from None
     if not m_list or any(m < 1 for m in m_list):
         raise InputError(f"agent counts must be positive, got {args.agents!r}")
+    if len(set(m_list)) < len(m_list):
+        raise InputError(f"agent counts must not repeat, got {args.agents!r}")
     _check_out(args, args.input, agents=m_list)
     fs = load_features(args.input)
     seeded_rng(args.seed)  # a negative seed fails here, before the centralized reference runs

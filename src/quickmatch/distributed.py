@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .centralized import MatchParams, RowClusters, cluster_rows
+from .centralized import MatchParams, cluster_rows
 from .core import (
     Clustering,
     FeatureSet,
@@ -185,22 +185,17 @@ def init_agents(fs: FeatureSet, part: Partition, ledger: NetworkLedger) -> list[
     return [AgentState(a, r, np.ones(len(r), dtype=bool)) for a, r in enumerate(rows)]
 
 
-def _cluster_agent_rows(rows: np.ndarray, fs: FeatureSet, params: MatchParams) -> RowClusters:
-    """:func:`cluster_rows` over an agent's rows, with the sigma_a merge fallback."""
-    return cluster_rows(fs.vectors[rows], fs.image_slots[rows], fs.image_count, params, fallback_sigma_a=True)
-
-
 def local_cluster(agent: AgentState, fs: FeatureSet, params: MatchParams) -> AgentState:
     """Run the matching pipeline, :func:`cluster_rows`, on the agent's own
     features only.
 
     Distinctiveness, density, tree, and merge are all computed from the local
-    subset. For the merge threshold, images with fewer than two local
-    features fall back to the agent bandwidth sigma_a (the maximum local
-    parent-edge length).
+    subset. Unless the agent holds every feature, an image with fewer than
+    two local features merges by the agent bandwidth sigma_a (the maximum
+    local parent-edge length).
     """
     with timed(agent.timings, "local_cluster_s"):
-        result = _cluster_agent_rows(agent.rows0, fs, params)
+        result = cluster_rows(fs, params, agent.rows0)
         agent.parent, agent.labels, agent.sigma_a = result.parent, result.labels, result.sigma_a
     return agent
 
@@ -290,7 +285,7 @@ def transfer_round(agents: Sequence[AgentState], fs: FeatureSet, ledger: Network
 
 def finalize(agents: Sequence[AgentState], fs: FeatureSet, params: MatchParams, meta: dict | None = None) -> Clustering:
     """Re-cluster every agent's final feature set with :func:`cluster_rows`
-    (the same sigma_a merge fallback as :func:`local_cluster`) and assemble
+    (the same merge fallback as :func:`local_cluster`) and assemble
     the global result. Requires no communication; the caller seals the
     ledger first."""
     rows, labels = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
@@ -298,7 +293,7 @@ def finalize(agents: Sequence[AgentState], fs: FeatureSet, params: MatchParams, 
     for agent in agents:
         with timed(agent.timings, "finalize_s"):
             agent_rows = agent.final_rows()
-            agent_labels = _cluster_agent_rows(agent_rows, fs, params).labels
+            agent_labels = cluster_rows(fs, params, agent_rows).labels
             agent.final_cluster_count = len(np.unique(agent_labels))
         rows.append(agent_rows)
         # Labels index an agent's rows; offset them so no two agents share one.

@@ -49,9 +49,9 @@ def split_quality(
 
     For each cluster, q is the count of its largest single-agent group over
     the cluster size. With a detected contested set (id pairs, or a ``(k, 2)``
-    array; repeats count once) the report also carries the raw ratio
-    |detected| / |features in split clusters| and the recall of detected
-    among truly split features.
+    array; repeats count once, and each must be in the clustering) the report
+    also carries the raw ratio |detected| / |features in split clusters| and
+    the recall of detected among truly split features.
     """
     ids, cluster_of = clustering.id_array, clustering.cluster_of
     rows = _find_rows(part.ids, ids)
@@ -68,7 +68,10 @@ def split_quality(
 
     detected_count = p_split = recall = None
     if contested is not None:
-        detected = np.unique(_id_array(contested if isinstance(contested, np.ndarray) else list(contested)), axis=0)
+        given = _id_array(contested if isinstance(contested, np.ndarray) else list(contested))
+        if (foreign := _find_rows(ids, given) < 0).any():
+            raise InputError(f"contested feature {tuple(given[np.argmax(foreign)].tolist())} is not in the clustering")
+        detected = np.unique(given, axis=0)
         detected_count = len(detected)
         if len(split_features):
             p_split = detected_count / len(split_features)

@@ -521,6 +521,10 @@ def split_quality(clustering, part, contested=None) -> SplitReport:
 
     detected_count = p_split = recall = None
     if contested is not None:
+        members = {fid for cluster in clustering.clusters for fid in cluster}
+        for fid in contested:
+            if FeatureId(*fid) not in members:
+                raise InputError(f"contested feature {tuple(fid)} is not in the clustering")
         detected = {FeatureId(*fid) for fid in contested}
         detected_count = len(detected)
         if split_features:

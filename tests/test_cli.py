@@ -802,7 +802,11 @@ def test_report_directory_leaves_no_clusters_file(capsys):
 
 @pytest.mark.parametrize(
     ("agents", "message"),
-    [("1,x", "bad agent list '1,x'"), ("2,0", "agent counts must be positive, got '2,0'")],
+    [
+        ("1,x", "bad agent list '1,x'"),
+        ("2,0", "agent counts must be positive, got '2,0'"),
+        ("1,1", "agent counts must not repeat, got '1,1'"),
+    ],
 )
 def test_compare_bad_agent_list_is_refused_before_the_parse(agents, message, monkeypatch, capsys):
     _forbid_work(monkeypatch)

@@ -34,6 +34,7 @@ from quickmatch.partition import Partition, assign_to_seeds, kmeans_seeds
 from quickmatch.synthetic import SynthConfig, generate_synthetic
 
 import oracles
+from test_golden import _lone as golden_lone
 
 QUAD = MatchParams(kernel=Kernel.QUADRATIC)
 
@@ -509,17 +510,42 @@ def test_m1_pipeline_byte_identical_to_centralized_quadratic():
 
 
 def test_finalize_single_feature_image_uses_agent_bandwidth():
-    # Same set as the whole-set-fill case in test_quickmatch.py: image 1's
-    # lone feature is 1.0 from (0, 0). In finalize its merge bandwidth is the
-    # agent's sigma_a (the longest tree edge), so it merges; the centralized
-    # whole-set fill (image 2's 0.2) would keep it apart.
+    # The whole-set-fill case of test_quickmatch.py plus a far feature of a
+    # fourth image: image 1's lone feature is 1.0 from (0, 0). Agent 0 holds
+    # every feature but the far one, so it merges image 1 by its sigma_a (the
+    # longest tree edge) and joins the pair; the whole-set fill (image 2's
+    # 0.2), which one agent holding every feature uses, keeps it apart.
     fs = FeatureSet.from_rows(
-        [(0, 0, [0.0]), (0, 1, [10.0]), (1, 0, [1.0]), (2, 0, [100.0]), (2, 1, [100.2])]
+        [(0, 0, [0.0]), (0, 1, [10.0]), (1, 0, [1.0]), (2, 0, [100.0]), (2, 1, [100.2]), (3, 0, [1000.0])]
     )
-    agents = _agents_for(fs, _explicit_partition(fs, [[0.0]]))
+    agents = _agents_for(fs, _explicit_partition(fs, [[0.0], [1000.0]]))
+    assert len(agents[0].rows0) == len(fs) - 1
     c = finalize(agents, fs, QUAD)
     assert (FeatureId(0, 0), FeatureId(1, 0)) in c.clusters
     assert len(c) == len(fs) - 1
+    one = finalize(_agents_for(fs, _explicit_partition(fs, [[0.0]])), fs, QUAD)
+    assert canonical_cluster_bytes(one) == canonical_cluster_bytes(quickmatch(fs, QUAD))
+    assert len(one) == len(fs)
+
+
+def test_steps_with_an_empty_second_agent_give_the_centralized_clusters():
+    """The golden ``lone`` input, every feature on agent 0 of two: the agent
+    holds the whole set, so its single-feature images take the whole-set
+    fill, and the clusters are `match`'s."""
+    fs = golden_lone()
+    part = Partition(np.array([[0.0, 0.0], [1e6, 1e6]]), np.zeros(len(fs), dtype=np.intp), fs.ids)
+    agents = _agents_for(fs, part)
+    for ag in agents:
+        local_cluster(ag, fs, QUAD)
+        compute_boundary(ag, fs, part)
+    scalars = exchange_boundary_scalars(agents, fs, part, NetworkLedger())
+    for ag in agents:
+        detect_contested(ag, scalars[ag.id])
+    ledger = NetworkLedger()
+    transfer_round(agents, fs, ledger)
+    assert ledger.counts()["cluster"] == 0
+    got = finalize(agents, fs, QUAD)
+    assert canonical_cluster_bytes(got) == canonical_cluster_bytes(quickmatch(fs, QUAD))
 
 
 @pytest.mark.parametrize("fault", ["owned-twice", "lost"])

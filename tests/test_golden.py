@@ -41,7 +41,8 @@ def _lone() -> FeatureSet:
 
     The tight pair makes the whole-set fill (the smallest defined image
     bandwidth) much smaller than an agent's sigma_a, so the two merge
-    fallbacks for the lone images give different clusters.
+    fallbacks for the lone images give different clusters: `match` and one
+    agent take the fill, an agent holding only part of the features sigma_a.
     """
     fs, _ = generate_synthetic(SynthConfig(n_clusters=12, per_cluster=6, spread=0.3, seed=11))
     rng = np.random.default_rng(11)
@@ -108,9 +109,9 @@ GOLDEN = {
         "829c8ab45a5b951494bb9bc06708ad1c8438bbb37ea7e721f488558e85237ed8",
     ),
     ("lone", "dmatch-m1-agent-max"): (
-        "b34ea8ab8b633a6e3e2cc81935a82dca09ea625bc8ecd9bbbac45cf3460b9120",
+        "88183fa6a7a468e6dabb11ee0d03f7855aeceb81b3fdce30a40c5aa1b4b39c3e",
         "f4e708141bdeb88f718de71c926acf7599a5b90a540c7d0d39da9237e7a2c695",
-        "f7d16c8bf39d853cedb854f7bbc07bd94b0664d198f7063e631fed0be3824551",
+        "85a71ac2d34abea01c9da28d5436c8e6e96cca76255a90be76308e7d0b7cb7b8",
     ),
     ("lone", "dmatch-m4-agent-max"): (
         "4f4e86f9692ad3727126ad9bd97700f2b01cd706be81627d47caa0dc7b76ec88",
@@ -196,7 +197,7 @@ EVAL_GOLDEN = {
         "a868cb92e3ec25a1d6fb01862b8552eadee03fe072d58118aecded90312c69ea",
     ),
     ("lone", "compare-m1,4"): (
-        "f21f577d5464c0c741133afc12e5d93e4a7ad9e38ce58b3972bda303c8b127e3",
+        "65dcf22b2d1adabe3543830636afd1d6c5900566f38413f9b0ac89130d7d39ed",
         "25c8f9275de729242630f884130dbf8b78b3a98f6d9a5e38fd07b3c08048e677",
     ),
     ("lone", "eval-compare"): (

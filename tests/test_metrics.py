@@ -92,6 +92,15 @@ def test_split_quality_rejects_uncovered_features():
         split_quality(Clustering([[FeatureId(5, 5)]]), part)
 
 
+def test_split_quality_refuses_contested_ids_outside_the_clustering():
+    """`eval` refuses such a set; the library refuses it too, naming the
+    first foreign id in the order given, instead of counting it."""
+    ids = (FeatureId(0, 0), FeatureId(0, 1))
+    part = _partition_by_map(ids, {ids[0]: 0, ids[1]: 1}, 2)
+    with pytest.raises(InputError, match=r"^contested feature \(99, 99\) is not in the clustering$"):
+        split_quality(Clustering([[ids[0]], [ids[1]]]), part, contested=[(0, 1), (99, 99), (98, 0)])
+
+
 def test_split_quality_refuses_contested_ids_that_are_not_integers():
     ids = (FeatureId(0, 0), FeatureId(0, 1))
     part = _partition_by_map(ids, {ids[0]: 0, ids[1]: 0}, 1)

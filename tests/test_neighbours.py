@@ -267,7 +267,7 @@ def test_pair_settled_tree_matches_the_search(fs):
     want_parent, want_edge = tree_arrays(fs.vectors, by_rank)
     np.testing.assert_array_equal(parent, want_parent)
     assert edge.tobytes() == want_edge.tobytes()
-    got = cluster_rows(fs.vectors, fs.image_slots, fs.image_count, MatchParams(kernel=Kernel.QUADRATIC))
+    got = cluster_rows(fs, MatchParams(kernel=Kernel.QUADRATIC))
     np.testing.assert_array_equal(got.parent, want_parent)
 
 
@@ -299,8 +299,7 @@ def test_pair_settled_rows_skip_the_neighbour_query(monkeypatch):
     row_of = {v.tobytes(): r for r, v in enumerate(fs.vectors)}
     assert len(row_of) == len(fs)
     chains = {
-        "cluster_rows": lambda: cluster_rows(fs.vectors, fs.image_slots, fs.image_count,
-                                             MatchParams(kernel=Kernel.QUADRATIC)).parent,
+        "cluster_rows": lambda: cluster_rows(fs, MatchParams(kernel=Kernel.QUADRATIC)).parent,
         "step functions": lambda: build_tree(fs, compute_density(fs, compute_distinctiveness(fs),
                                                                  Kernel.QUADRATIC)).parent,
     }
@@ -514,7 +513,7 @@ def test_agent_rows_take_the_parents_of_the_column_block_density(oracle):
     sigma = resolve_sigma(sigma_per_image(vectors, slots, fs.image_count), vectors)
     dens = column_block_density(vectors, slots, sigma, GAUSSIAN_ORACLES[oracle])
     want, _ = tree_arrays(vectors, np.argsort(dens, kind="stable"))
-    got = cluster_rows(vectors, slots, fs.image_count, MatchParams(kernel=Kernel.GAUSSIAN), fallback_sigma_a=True)
+    got = cluster_rows(fs, MatchParams(kernel=Kernel.GAUSSIAN), rows)
     np.testing.assert_array_equal(got.parent, want)
     assert len(rows) > 2048
 
