@@ -26,10 +26,11 @@ from .core import (
     FeatureSet,
     InputError,
     ProtocolError,
+    _canonical_object,
     _find_rows,
     _id_array,
+    _id_json,
     canonical_cluster_bytes,
-    canonical_json,
     load_clustering,
     load_features,
     read_input,
@@ -169,12 +170,13 @@ def _check_out(args: argparse.Namespace, *inputs: str | None, agents: Sequence[i
 
 
 def _write_outputs(
-    args: argparse.Namespace, fs: FeatureSet, clustering: Clustering, fields: dict
+    args: argparse.Namespace, fs: FeatureSet, clustering: Clustering, fields: dict, raw: dict[str, str] | None = None
 ) -> tuple[Path, Path]:
     """Save the clustering to ``--out`` and its run report to
     ``<out>.report.json``: the command, its resolved flags, counts, digests
-    and ``fields``, every time in ``timings_s``. Returns both paths."""
-    out = Path(args.out)
+    and ``fields``, every time in ``timings_s``, and the fields of ``raw``,
+    which are canonical JSON text already. Returns both paths."""
+    out, raw = Path(args.out), raw or {}
     clusters_digest = sha256_hex(save_clustering(clustering, out, fs))
     config = {key: value for key, value in vars(args).items() if key != "command"}
     report = {
@@ -190,9 +192,9 @@ def _write_outputs(
     # Times and paths say how and where a run happened, not what it computed.
     hashed = {**report, "config": {k: v for k, v in config.items() if k not in ("input", "out")}}
     del hashed["timings_s"]
-    report["determinism_hash"] = sha256_hex(canonical_json(hashed).encode())
+    report["determinism_hash"] = sha256_hex(_canonical_object(hashed, raw).encode())
     report_path = _derived(out, "report")
-    report_path.write_text(canonical_json(report) + "\n")
+    report_path.write_text(_canonical_object(report, raw) + "\n")
     return out, report_path
 
 
@@ -230,7 +232,6 @@ def _cmd_dmatch(args: argparse.Namespace) -> int:
     ledger_text = run.ledger.to_json()
     fields = {
         "per_agent": list(run.per_agent_stats),
-        "contested_ids": run.contested_ids.tolist(),
         "ledger": {**run.ledger.counts(), "digest": sha256_hex(ledger_text.encode())},
         "timings_s": {**run.timings, "per_agent": [agent.timings for agent in run.agents]},
     }
@@ -239,7 +240,7 @@ def _cmd_dmatch(args: argparse.Namespace) -> int:
         fields["m1_equivalent_to_centralized"] = (
             canonical_cluster_bytes(reference) == canonical_cluster_bytes(run.clustering)
         )
-    out, report_path = _write_outputs(args, fs, run.clustering, fields)
+    out, report_path = _write_outputs(args, fs, run.clustering, fields, {"contested_ids": _id_json(run.contested_ids)})
     ledger_path = _derived(out, "ledger")
     ledger_path.write_text(ledger_text + "\n")
     partition_path = _derived(out, "partition")

@@ -20,9 +20,7 @@ does not depend on the number of threads.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -34,6 +32,8 @@ from .core import (
     InputError,
     ProtocolError,
     ValidationError,
+    _id_array,
+    _id_templates,
     _unique_order,
     canonical_json,
     sha256_hex,
@@ -60,84 +60,168 @@ __all__ = [
 INGEST = -1  # pseudo-sender for the initial routing round
 ROUNDS = {"route": 0, "scalar": 1, "cluster": 2}  # message kind -> the protocol round that sends it
 
+# Each kind's record as a %-template, by round, keys in canonical order: from,
+# ids, kind, round, to, value. The ids' template goes between head and tail; a
+# scalar has none, and its value is written in after its head.
+_RECORD_HEADS = np.array(
+    ['{"from":%d,"ids":', '{"from":%d,"kind":"scalar","round":1,"to":%d,"value":', '{"from":%d,"ids":'], dtype=object
+)
+_RECORD_TAILS = np.array([',"kind":"route","round":0,"to":%d}', "", ',"kind":"cluster","round":2,"to":%d}'], dtype=object)
+
 
 class NetworkLedger:
-    """Append-only message log with protocol checks.
+    """Append-only message log with protocol checks, stored by column.
 
-    Each message is kept as the JSON record :meth:`to_json` writes:
-    ``round``, ``kind``, ``from`` and ``to``, plus ``ids`` (``[image, index]``
-    lists) when it carries features and ``value`` when it carries a scalar.
+    Every message has a kind, a sender (``from``) and a receiver (``to``);
+    its kind fixes the rest of the JSON record :meth:`to_json` writes for it,
+    and :meth:`log` refuses a message its kind's record cannot hold:
 
-    kind "route": one feature delivered to its owning agent (round 0).
-    kind "scalar": a boundary scalar d_aa' (round 1), ``"inf"`` when infinite.
-    kind "cluster": a whole cluster, listed by its members' ids (round 2);
-    cluster transfers only ever move to a strictly lower agent index. A
-    cluster message's ``from`` and ``to`` are the only record of its hop.
-    :data:`ROUNDS` is this kind -> round table; :meth:`log` refuses a kind
-    not in it, and a route or cluster message that lists no feature.
+    kind "route": one feature delivered to its owning agent (round 0), sent
+    from :data:`INGEST`, with ``ids`` (``[image, index]`` lists) and no value.
+    kind "scalar": a boundary scalar d_aa' (round 1) from one agent to
+    another, with ``value`` (``"inf"`` when infinite) and no ids.
+    kind "cluster": a whole cluster, listed by its members' ids (round 2),
+    with no value; cluster transfers only ever move to a strictly lower agent
+    index. A cluster message's ``from`` and ``to`` are the only record of its
+    hop. :data:`ROUNDS` is this kind -> round table.
+
+    The columns are the kind (as its round), ``from``, ``to`` and ``value``
+    (NaN where a kind carries none), one per message, and one ``(k, 2)``
+    int64 array of every message's ids in turn, with each message's count of
+    ids rows, from which a read takes the offsets of its rows. Each
+    :meth:`log` or :meth:`log_block` call appends a block of these columns,
+    and the first read joins the blocks into one.
 
     Sealed before the finalize phase: any attempt to log afterwards is a
     protocol bug and raises.
     """
 
     def __init__(self) -> None:
-        self._messages: list[dict] = []
+        # kind, from, to, ids, ids rows per message, value
+        self._blocks: list[tuple[np.ndarray, ...]] = [
+            (np.empty(0, np.int8), np.empty(0, np.int64), np.empty(0, np.int64), np.empty((0, 2), np.int64),
+             np.empty(0, np.int64), np.empty(0))
+        ]
         self._sealed = False
 
-    def log(self, kind: str, src: int, dst: int, ids: list[list[int]] | None = None, value: float | None = None) -> None:
+    def log(
+        self, kind: str, src: int, dst: int, ids: Sequence | np.ndarray | None = None, value: float | None = None
+    ) -> None:
         if self._sealed:
             raise ProtocolError("message logged after the ledger was sealed")
         if kind not in ROUNDS:
             raise ProtocolError(f"unknown message kind {kind!r}")
-        if kind != "scalar" and not ids:
-            raise ProtocolError(f"{kind} message {src}->{dst} lists no features")
-        if kind == "cluster" and dst >= src:
-            raise ProtocolError(f"cluster transfer {src}->{dst} does not decrease")
-        record: dict = {"round": ROUNDS[kind], "kind": kind, "from": src, "to": dst}
-        if ids:
-            record["ids"] = ids
-        if value is not None:
-            record["value"] = value if math.isfinite(value) else "inf"
-        self._messages.append(record)
+        name, listed = f"{kind} message {src}->{dst}", ids is not None and len(ids) > 0
+        if kind != "scalar":
+            if value is not None:
+                raise ProtocolError(f"{name} carries a value")
+            try:
+                rows = _id_array(ids if listed else [])
+            except ValidationError as exc:
+                raise ProtocolError(f"{name}: {exc}") from None
+            self.log_block(kind, [src], [dst], rows, [len(rows)])
+            return
+        if value is None:
+            raise ProtocolError(f"{name} carries no value")
+        if listed:
+            raise ProtocolError(f"{name} lists features")
+        if src == dst:
+            raise ProtocolError(f"{name} is sent to its own sender")
+        self._append(ROUNDS[kind], [src], [dst], np.empty((0, 2), dtype=np.int64), [0], [value])
+
+    def log_block(self, kind: str, src, dst, ids: np.ndarray, sizes) -> None:
+        """Route or cluster messages as one block, each one :meth:`log` would
+        take: message ``c`` goes from ``src[c]`` to ``dst[c]`` and lists the
+        next ``sizes[c]`` rows of ``ids``."""
+        if self._sealed:
+            raise ProtocolError("message logged after the ledger was sealed")
+        if kind not in ("route", "cluster"):
+            raise ProtocolError(f"{kind} messages list no features")
+        src, dst, sizes = (np.array(column, dtype=np.int64) for column in (src, dst, sizes))
+        bad = np.flatnonzero((sizes < 1) | ((src != INGEST) if kind == "route" else (dst >= src)))
+        if len(bad):
+            name = f"{kind} message {src[bad[0]]}->{dst[bad[0]]}"
+            if sizes[bad[0]] < 1:
+                raise ProtocolError(f"{name} lists no features")
+            if kind == "route":
+                raise ProtocolError(f"{name} is not sent from ingest ({INGEST})")
+            raise ProtocolError(f"cluster transfer {src[bad[0]]}->{dst[bad[0]]} does not decrease")
+        try:
+            rows = _id_array(ids)
+        except ValidationError as exc:
+            raise ProtocolError(f"{kind} messages: {exc}") from None
+        if len(rows) != sizes.sum():
+            raise ProtocolError(f"{kind} messages list {sizes.sum()} features, given {len(rows)}")
+        self._append(ROUNDS[kind], src, dst, rows, sizes, np.full(len(src), math.nan))
+
+    def _append(self, kind: int, src, dst, ids: np.ndarray, sizes, value) -> None:
+        """One block of columns: a value per message for each but ``ids``."""
+        src, dst, sizes = (np.array(column, dtype=np.int64) for column in (src, dst, sizes))
+        self._blocks.append((np.full(len(src), kind, np.int8), src, dst, ids, sizes, np.array(value, dtype=np.float64)))
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        """kind, from, to, ids, offsets (each message's first ids row, then
+        the row count) and value."""
+        if len(self._blocks) > 1:
+            self._blocks = [tuple(map(np.concatenate, zip(*self._blocks)))]
+        kind, src, dst, ids, sizes, value = self._blocks[0]
+        return kind, src, dst, ids, np.concatenate([[0], np.cumsum(sizes)]), value
 
     def seal(self) -> None:
         self._sealed = True
 
-    def _tally(self) -> tuple[Counter[str], Counter[str]]:
-        """One pass over the log: :meth:`counts`, and the messages per ``"from->to"`` pair."""
-        counts = Counter({**dict.fromkeys(ROUNDS, 0), "cross_agent": 0})
-        pairs: Counter[str] = Counter()
-        for (kind, src, dst), n in Counter(map(itemgetter("kind", "from", "to"), self._messages)).items():
-            counts[kind] += n
-            pairs[f"{src}->{dst}"] += n
-            if src >= 0 and src != dst:
-                counts["cross_agent"] += n
-        return counts, pairs
-
     def counts(self) -> dict[str, int]:
         """Messages per kind, and ``cross_agent``: those that actually left an
         agent (ingest routing excluded)."""
-        return self._tally()[0]
+        kind, src, dst, *_ = self._columns()
+        tally = np.bincount(kind, minlength=len(ROUNDS)).tolist()
+        cross = int(np.count_nonzero((src >= 0) & (src != dst)))
+        return {**{name: tally[code] for name, code in ROUNDS.items()}, "cross_agent": cross}
+
+    def _pairs(self) -> dict[str, int]:
+        """Messages per ``"from->to"`` pair."""
+        _, src, dst, *_ = self._columns()
+        senders, src = np.unique(src, return_inverse=True)
+        receivers, dst = np.unique(dst, return_inverse=True)
+        pairs, tally = np.unique(src * len(receivers) + dst, return_counts=True)
+        src, dst = np.divmod(pairs, len(receivers))
+        return {f"{a}->{b}": n for a, b, n in zip(senders[src].tolist(), receivers[dst].tolist(), tally.tolist())}
 
     def validate_protocol(self, feature_count: int, m: int) -> None:
         """Assert the communication bounds: routing = one message per feature,
-        scalars = m(m-1), and no feature carried by two cluster messages, so
-        each cluster makes one hop (:meth:`log` refuses one that does not
-        decrease)."""
-        counts = self.counts()
-        if counts["route"] != feature_count:
-            raise ProtocolError(f"routed {counts['route']} features, expected {feature_count}")
-        if counts["scalar"] != m * (m - 1):
-            raise ProtocolError(f"{counts['scalar']} scalars, expected {m * (m - 1)}")
-        carried = [fid for msg in self._messages if msg["kind"] == "cluster" for fid in msg["ids"]]
-        try:
-            _unique_order(np.array(carried, dtype=np.int64).reshape(-1, 2), "feature {} is carried by two cluster messages")
-        except ValidationError as exc:
-            raise ProtocolError(str(exc)) from None
+        scalars = m(m-1), no feature routed twice, and no feature carried by
+        two cluster messages, so each cluster makes one hop (:meth:`log`
+        refuses one that does not decrease)."""
+        kind, _, _, ids, offsets, _ = self._columns()
+        routes, scalars, _ = np.bincount(kind, minlength=len(ROUNDS))
+        if routes != feature_count:
+            raise ProtocolError(f"routed {routes} features, expected {feature_count}")
+        if scalars != m * (m - 1):
+            raise ProtocolError(f"{scalars} scalars, expected {m * (m - 1)}")
+        row_kind = np.repeat(kind, np.diff(offsets))
+        twice = {"route": "feature {} is routed twice", "cluster": "feature {} is carried by two cluster messages"}
+        for name, message in twice.items():
+            try:
+                _unique_order(ids[row_kind == ROUNDS[name]], message)
+            except ValidationError as exc:
+                raise ProtocolError(str(exc)) from None
 
     def to_json(self) -> str:
-        counts, pairs = self._tally()
-        return canonical_json({"messages": self._messages, "counts": {**counts, "pairs": pairs}})
+        """The ledger file: ``counts`` (:meth:`counts` and the per-pair
+        ``pairs``) and the ``messages`` records in logging order, keys sorted."""
+        kind, src, dst, ids, offsets, value = self._columns()
+        records = _RECORD_HEADS[kind] + _id_templates(np.diff(offsets), 2) + _RECORD_TAILS[kind]
+        scalar = np.flatnonzero(kind == ROUNDS["scalar"])
+        records[scalar] = [
+            _RECORD_HEADS[ROUNDS["scalar"]] + (repr(v) if math.isfinite(v) else '"inf"') + "}"
+            for v in value[scalar].tolist()
+        ]
+        # Each record's template takes its from, its ids, then its to.
+        bounds = 2 * np.column_stack([offsets[:-1], offsets[1:]]).ravel()
+        ints = np.insert(ids.ravel(), bounds, np.column_stack([src, dst]).ravel())
+        messages = ",".join(records) % tuple(ints.tolist())
+        counts = canonical_json({**self.counts(), "pairs": self._pairs()})
+        return f'{{"counts":{counts},"messages":[{messages}]}}'
 
     def digest(self) -> str:
         return sha256_hex(self.to_json().encode())
@@ -179,8 +263,8 @@ def init_agents(fs: FeatureSet, part: Partition, ledger: NetworkLedger) -> list[
         raise ProtocolError("routing needs a ledger to log its messages")
     if not np.array_equal(part.ids, fs.id_array):
         raise InputError("partition was built over a different feature set")
-    for fid, agent in zip(fs.id_array.tolist(), part.assignment.tolist()):
-        ledger.log("route", INGEST, agent, [fid])
+    n = len(fs)
+    ledger.log_block("route", np.full(n, INGEST), part.assignment, fs.id_array, np.ones(n))
     rows = [np.flatnonzero(part.assignment == a).astype(np.intp) for a in range(part.m)]
     return [AgentState(a, r, np.ones(len(r), dtype=bool)) for a, r in enumerate(rows)]
 
@@ -273,13 +357,15 @@ def transfer_round(agents: Sequence[AgentState], fs: FeatureSet, ledger: Network
         order = np.argsort(key, kind="stable")  # stable: members stay in ascending local order
         starts = np.flatnonzero(np.diff(key[order], prepend=-1))
         dest = np.minimum.reduceat(agent.trigger[order], starts)
-        ends = np.append(starts[1:], len(order))
-        for k in np.flatnonzero(dest < agent.id).tolist():
-            members, to = order[starts[k]:ends[k]], int(dest[k])
-            rows = agent.rows0[members]
-            ledger.log("cluster", agent.id, to, fs.id_array[rows].tolist())
-            agents[to].adopted.append(rows)
-            agent.kept[members] = False
+        sizes = np.diff(np.append(starts, len(order)))
+        sent = dest < agent.id
+        members = order[np.repeat(sent, sizes)]  # the sent clusters' members, cluster after cluster
+        rows = agent.rows0[members]
+        dest, sizes = dest[sent], sizes[sent]
+        ledger.log_block("cluster", np.full(len(dest), agent.id), dest, fs.id_array[rows], sizes)
+        for to, cluster in zip(dest.tolist(), np.split(rows, np.cumsum(sizes)[:-1])):
+            agents[to].adopted.append(cluster)
+        agent.kept[members] = False
     return agents
 
 

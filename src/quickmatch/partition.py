@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import FeatureSet, InputError, ProtocolError, _id_array, _unique_order, canonical_json
+from .core import FeatureSet, InputError, ProtocolError, _canonical_object, _id_array, _id_json, _unique_order
 from .core import read_input, seeded_rng
 
 __all__ = [
@@ -75,13 +75,8 @@ class Partition:
         return len(self.seeds)
 
     def to_json(self) -> str:
-        payload = {
-            "seeds": self.seeds.tolist(),
-            "assignment": np.column_stack([self.ids, self.assignment]).tolist(),
-            "method": self.method,
-            "seed": self.seed,
-        }
-        return canonical_json(payload)
+        payload = {"seeds": self.seeds.tolist(), "method": self.method, "seed": self.seed}
+        return _canonical_object(payload, {"assignment": _id_json(np.column_stack([self.ids, self.assignment]))})
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json() + "\n")

@@ -4,7 +4,8 @@ evaluation helpers that only the tests run.
 The oracles are deliberately written as plain loops over the definitions,
 sharing no code with the package internals they check; two are the
 package's earlier kd passes, the references for the searches that replaced
-them. The helpers at the
+them, and ``RecordLedger`` is its earlier record-list ledger, the reference
+for the columnar one. The helpers at the
 end (criterion 8's ratio-test baseline, match counts and PR curves) are
 vectorized code moved out of the package, which no command runs.
 """
@@ -12,10 +13,13 @@ vectorized code moved out of the package, which no command runs.
 from __future__ import annotations
 
 import csv
+import json
 import math
+from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +27,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from quickmatch.core import Clustering, FeatureId, FeatureSet, InputError
+from quickmatch.core import Clustering, FeatureId, FeatureSet, InputError, ProtocolError
 from quickmatch.metrics import SplitReport
 
 
@@ -494,6 +498,58 @@ def cluster_hops(ledger: Mapping) -> list[tuple[list[list[int]], list[int]]]:
     """Each cluster message of a parsed ledger file, in log order: its
     members' ``[image, index]`` lists and its hop ``[from, to]``."""
     return [(msg["ids"], [msg["from"], msg["to"]]) for msg in ledger["messages"] if msg["kind"] == "cluster"]
+
+
+class RecordLedger:
+    """``distributed.NetworkLedger`` as it was before its columns: one JSON
+    record per message, tallied and written by loops over the records. The
+    reference for the columnar ledger's bytes, counts and protocol check; it
+    takes only messages the columnar ledger accepts."""
+
+    ROUNDS = {"route": 0, "scalar": 1, "cluster": 2}
+
+    def __init__(self) -> None:
+        self._messages: list[dict] = []
+
+    def log(self, kind: str, src: int, dst: int, ids: list[list[int]] | None = None, value: float | None = None) -> None:
+        record: dict = {"round": self.ROUNDS[kind], "kind": kind, "from": src, "to": dst}
+        if ids:
+            record["ids"] = ids
+        if value is not None:
+            record["value"] = value if math.isfinite(value) else "inf"
+        self._messages.append(record)
+
+    def _tally(self) -> tuple[Counter, Counter]:
+        counts = Counter({**dict.fromkeys(self.ROUNDS, 0), "cross_agent": 0})
+        pairs: Counter = Counter()
+        for (kind, src, dst), n in Counter(map(itemgetter("kind", "from", "to"), self._messages)).items():
+            counts[kind] += n
+            pairs[f"{src}->{dst}"] += n
+            if src >= 0 and src != dst:
+                counts["cross_agent"] += n
+        return counts, pairs
+
+    def counts(self) -> dict[str, int]:
+        return dict(self._tally()[0])
+
+    def validate_protocol(self, feature_count: int, m: int) -> None:
+        """The count bounds, then the smallest feature routed twice, then the
+        smallest carried by two cluster messages."""
+        counts = self.counts()
+        if counts["route"] != feature_count:
+            raise ProtocolError(f"routed {counts['route']} features, expected {feature_count}")
+        if counts["scalar"] != m * (m - 1):
+            raise ProtocolError(f"{counts['scalar']} scalars, expected {m * (m - 1)}")
+        for kind, text in (("route", "is routed twice"), ("cluster", "is carried by two cluster messages")):
+            listed = sorted(tuple(fid) for msg in self._messages if msg["kind"] == kind for fid in msg["ids"])
+            repeated = [fid for fid, after in zip(listed, listed[1:]) if fid == after]
+            if repeated:
+                raise ProtocolError(f"feature {repeated[0]} {text}")
+
+    def to_json(self) -> str:
+        counts, pairs = self._tally()
+        payload = {"messages": self._messages, "counts": {**counts, "pairs": pairs}}
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 # The tuple-per-feature implementations the package ran before its array

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quickmatch import core
@@ -566,6 +566,37 @@ def test_find_rows_agrees_with_a_dict_of_the_keys(keys, ids):
     want = {fid: r for r, fid in enumerate(keys)}  # of repeated keys, the last row
     got = _find_rows(np.array(keys, dtype=np.int64).reshape(-1, 2), np.array(ids, dtype=np.int64).reshape(-1, 2))
     assert got.tolist() == [want.get(fid, -1) for fid in ids]
+
+
+@st.composite
+def _id_rows_and_groups(draw):
+    """(k, 2) or (k, 3) int64 rows and, or None for a flat list, group
+    offsets: each group's first row, then k. Groups may be empty."""
+    width = draw(st.sampled_from([2, 3]))
+    value = st.sampled_from([0, 1, 9, 10, _TOP_ID]) | st.integers(0, _TOP_ID)
+    rows = draw(st.lists(st.lists(value, min_size=width, max_size=width), max_size=12))
+    cuts = draw(st.none() | st.lists(st.integers(0, len(rows)), max_size=6))
+    offsets = None if cuts is None else np.array([0, *sorted(cuts), len(rows)])
+    return np.array(rows, dtype=np.int64).reshape(-1, width), offsets
+
+
+@settings(max_examples=300, database=None, deadline=None, derandomize=True)
+@given(_id_rows_and_groups())
+@example((np.array([[0, _TOP_ID], [_TOP_ID, 0]]), None))
+@example((np.array([[0, _TOP_ID], [_TOP_ID, 0]]), np.array([0, 1, 2])))  # one-member groups
+@example((np.array([[3, 1, 0], [5, 2, 1]]), np.array([0, 2])))  # a single group
+@example((np.empty((0, 2), dtype=np.int64), None))
+@example((np.empty((0, 2), dtype=np.int64), np.array([0])))
+def test_id_writer_writes_the_bytes_canonical_json_writes(case):
+    rows, offsets = case
+    nested = rows.tolist()
+    if offsets is not None:
+        nested = [nested[a:b] for a, b in zip(offsets.tolist(), offsets[1:].tolist())]
+    assert core._id_json(rows, offsets).encode() == core.canonical_json(nested).encode()
+    fields = {"b": [1.5, "x"], "z": None}
+    assert core._canonical_object(fields, {"ids": core._id_json(rows, offsets)}) == core.canonical_json(
+        {**fields, "ids": nested}
+    )
 
 
 # The only places in the package allowed to build FeatureId tuples: the two

@@ -17,6 +17,7 @@ from quickmatch.core import (
     validate_clustering,
 )
 from quickmatch.distributed import (
+    INGEST,
     AgentState,
     NetworkLedger,
     compute_boundary,
@@ -487,6 +488,118 @@ def test_ledger_refuses_a_feature_message_that_lists_no_features(kind, src, dst,
     with pytest.raises(ProtocolError, match=rf"^{kind} message {src}->{dst} lists no features$"):
         ledger.log(kind, src, dst, ids)
     assert json.loads(ledger.to_json())["messages"] == []
+
+
+@pytest.mark.parametrize(
+    "kind, src, dst, ids, value, message",
+    [
+        ("scalar", 0, 1, None, None, r"scalar message 0->1 carries no value"),
+        ("scalar", 0, 1, [[0, 0]], 1.0, r"scalar message 0->1 lists features"),
+        ("route", -1, 0, [[0, 0]], 1.0, r"route message -1->0 carries a value"),
+        ("cluster", 1, 0, [[0, 0]], 1.0, r"cluster message 1->0 carries a value"),
+        ("route", 0, 1, [[0, 0]], None, r"route message 0->1 is not sent from ingest \(-1\)"),
+        ("scalar", 1, 1, None, 1.0, r"scalar message 1->1 is sent to its own sender"),
+        ("route", -1, 0, [[1, 2, 3]], None, r"route message -1->0: expected rows of 2 ids, got an array of shape \(1, 3\)"),
+        ("cluster", 1, 0, [[-1, 2]], None, r"cluster message 1->0: negative id \(-1, 2\)"),
+    ],
+)
+def test_ledger_refuses_a_message_its_kind_cannot_hold(kind, src, dst, ids, value, message):
+    ledger = NetworkLedger()
+    with pytest.raises(ProtocolError, match=rf"^{message}$"):
+        ledger.log(kind, src, dst, ids, value)
+    assert json.loads(ledger.to_json())["messages"] == []
+
+
+@pytest.mark.parametrize(
+    "kind, src, dst, sizes, message",
+    [
+        ("cluster", [2, 1], [0, 1], [1, 1], r"cluster transfer 1->1 does not decrease"),
+        ("route", [-1, -1], [0, 1], [1, 0], r"route message -1->1 lists no features"),
+        ("route", [-1, -1], [0, 1], [1, 2], r"route messages list 3 features, given 2"),
+        ("scalar", [0], [1], [1], r"scalar messages list no features"),
+    ],
+)
+def test_ledger_refuses_a_block_naming_its_first_bad_message(kind, src, dst, sizes, message):
+    ledger = NetworkLedger()
+    with pytest.raises(ProtocolError, match=rf"^{message}$"):
+        ledger.log_block(kind, src, dst, np.array([[0, 0], [0, 1]]), sizes)
+    assert ledger.counts() == {"route": 0, "scalar": 0, "cluster": 0, "cross_agent": 0}
+
+
+def test_validate_protocol_rejects_a_feature_routed_twice():
+    ledger = NetworkLedger()
+    ledger.log("route", -1, 0, [[4, 4]])
+    ledger.log("route", -1, 1, [[4, 4]])
+    ledger.log("scalar", 0, 1, value=1.0)
+    ledger.log("scalar", 1, 0, value=1.0)
+    with pytest.raises(ProtocolError, match=r"^feature \(4, 4\) is routed twice$"):
+        ledger.validate_protocol(2, 2)
+
+
+_LEDGER_IDS = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).map(list)
+    | st.tuples(st.integers(0, 2**63 - 1), st.integers(0, 2**63 - 1)).map(list),
+    min_size=1,
+    max_size=4,
+)
+
+
+@st.composite
+def _ledger_messages(draw):
+    """Valid messages over ``m`` agents, interleaved: route and cluster
+    blocks (as ``init_agents`` and ``transfer_round`` log them) and single
+    routes and clusters, and scalars, all m(m-1) at once or one at a time.
+    Each cluster goes to a lower agent."""
+    m = draw(st.integers(1, 4))
+    agents, values = st.integers(0, m - 1), st.sampled_from([math.inf, 0.0, 1e-300]) | st.floats()
+    hops = st.integers(1, m - 1).flatmap(lambda src: st.tuples(st.just(src), st.integers(0, src - 1)))
+    kinds = ["routes", "route", "exchange"] + (["scalar", "cluster", "clusters"] if m > 1 else [])
+    messages = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=8)):
+        if kind == "routes":
+            fids = draw(st.lists(_LEDGER_IDS.map(lambda ids: ids[:1]), max_size=5))
+            to = draw(st.lists(agents, min_size=len(fids), max_size=len(fids)))
+            messages.append(("route", [INGEST] * len(fids), to, fids))
+        elif kind == "clusters":
+            block = draw(st.lists(hops, max_size=4))
+            src, dst = [hop[0] for hop in block], [hop[1] for hop in block]
+            messages.append(("cluster", src, dst, [draw(_LEDGER_IDS) for _ in block]))
+        elif kind in ("route", "cluster"):
+            src, dst = (INGEST, draw(agents)) if kind == "route" else draw(hops)
+            messages.append((kind, src, dst, draw(_LEDGER_IDS), None))
+        elif kind == "exchange":
+            messages += [("scalar", a, b, None, draw(values)) for a in range(m) for b in range(m) if a != b]
+        else:
+            src, dst = draw(st.lists(agents, min_size=2, max_size=2, unique=True))
+            messages.append(("scalar", src, dst, None, draw(values)))
+    return m, messages
+
+
+@settings(max_examples=300, database=None, deadline=None, derandomize=True)
+@given(_ledger_messages(), st.integers(-1, 1))
+def test_columnar_ledger_writes_counts_and_checks_as_the_record_ledger(case, missing):
+    m, messages = case
+    ledger, reference = NetworkLedger(), oracles.RecordLedger()
+    for message in messages:
+        if len(message) == 4:  # a block: one message per entry of its lists
+            kind, src, dst, ids = message
+            rows = np.array([fid for fids in ids for fid in fids], dtype=np.int64).reshape(-1, 2)
+            ledger.log_block(kind, src, dst, rows, list(map(len, ids)))
+            for block_message in zip(src, dst, ids):
+                reference.log(kind, *block_message)
+        else:
+            ledger.log(*message)
+            reference.log(*message)
+    assert ledger.to_json() == reference.to_json()
+    assert ledger.counts() == reference.counts()
+    outcomes = []
+    for each in (ledger, reference):
+        try:
+            each.validate_protocol(reference.counts()["route"] + missing, m)
+            outcomes.append(None)
+        except ProtocolError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_ledger_refuses_an_unknown_kind():
